@@ -12,23 +12,32 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import __version__
 from .elements import Element
-from .expr import EvalError, ParseError, eval_ast, parse
-from .family import SIGNS, FamilyParams, central_c, family_E
-from .currents import phi, psi
-from .elements import omega
+from .expr import (
+    Call,
+    EvalError,
+    ParseError,
+    Product,
+    RationalLiteral,
+    SignLit,
+    eval_ast,
+    parse,
+)
+from .family import SIGNS
 from .render import element_to_obj, print_element
-from .rewrite import RelationMode, normal_form
-from .verify import VerdictReport, expectation_met, sweep_claim
+from .rewrite import RelationMode
+from .verify import CLAIMS, VerdictReport, expectation_met, sweep_claim
 
 
 class ConfigError(ValueError):
     pass
 
 
-_CLI_CLAIMS = {"ep": "EP", "em": "EM", "commc": "COMMC", "omega": "OMEGA_E", "reflect": "REFLECT"}
+_CLI_CLAIMS = {c.cli_name: name for name, c in CLAIMS.items() if c.cli_name}
+_DEFAULT_CLAIMS = ",".join(_CLI_CLAIMS)
 
 
 def _mode_from_name(name: str) -> RelationMode:
@@ -42,7 +51,10 @@ def _default_mode() -> str:
     return os.environ.get("UQSL2_MODE", "strict")
 
 
-def _parse_range(text: str):
+def _parse_range(text):
+    """An "a:b" string, or an [a, b] pair from a config file."""
+    if not isinstance(text, str):
+        return int(text[0]), int(text[1])
     try:
         lo_s, hi_s = text.split(":")
         lo, hi = int(lo_s), int(hi_s)
@@ -167,6 +179,22 @@ def report_doc_json(doc: ReportDoc) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+# element subcommands: help text, then the arguments of the evaluator call
+# each one builds, in order ("mul" builds a product instead); a "--" name is
+# an integer option defaulting to 0
+_ELEMENT_COMMANDS = {
+    "nf": ("normal form of an expression", ("expr",)),
+    "mul": ("product of two expressions", ("left", "right")),
+    "comm": ("commutator of two expressions", ("left", "right")),
+    "dcomm": ("K^p-deformed commutator", ("left", "right", "--p")),
+    "psi": ("current component psi_m", ("m",)),
+    "phi": ("current component phi_m", ("m",)),
+    "E": ("family element E(sign, p, m, index)", ("sign", "p", "m", "index")),
+    "c": ("stated central value c(sign, n, m)", ("sign", "n", "m")),
+    "omega": ("apply the automorphism omega", ("expr",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="uqsl2",
@@ -176,57 +204,22 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for cmd, (help_text, names) in _ELEMENT_COMMANDS.items():
+        p = sub.add_parser(cmd, help=help_text)
+        for name in names:
+            if name in ("expr", "left", "right"):
+                p.add_argument(name)
+            elif name == "sign":
+                p.add_argument(name, choices=SIGNS)
+            elif name.startswith("--"):
+                p.add_argument(name, type=int, default=0)
+            else:
+                p.add_argument(name, type=int)
         p.add_argument("--mode", default=None, choices=("strict", "abelianx"))
         p.add_argument("--format", default="text", choices=("text", "latex", "json"))
 
-    p = sub.add_parser("nf", help="normal form of an expression")
-    p.add_argument("expr")
-    add_common(p)
-
-    p = sub.add_parser("mul", help="product of two expressions")
-    p.add_argument("left")
-    p.add_argument("right")
-    add_common(p)
-
-    p = sub.add_parser("comm", help="commutator of two expressions")
-    p.add_argument("left")
-    p.add_argument("right")
-    add_common(p)
-
-    p = sub.add_parser("dcomm", help="K^p-deformed commutator")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--p", type=int, default=0)
-    add_common(p)
-
-    p = sub.add_parser("psi", help="current component psi_m")
-    p.add_argument("m", type=int)
-    add_common(p)
-
-    p = sub.add_parser("phi", help="current component phi_m")
-    p.add_argument("m", type=int)
-    add_common(p)
-
-    p = sub.add_parser("E", help="family element E(sign, p, m, index)")
-    p.add_argument("sign", choices=SIGNS)
-    p.add_argument("p", type=int)
-    p.add_argument("m", type=int)
-    p.add_argument("index", type=int)
-    add_common(p)
-
-    p = sub.add_parser("c", help="stated central value c(sign, n, m)")
-    p.add_argument("sign", choices=SIGNS)
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
-    add_common(p)
-
-    p = sub.add_parser("omega", help="apply the automorphism omega")
-    p.add_argument("expr")
-    add_common(p)
-
     p = sub.add_parser("verify", help="run claim verification sweeps")
-    p.add_argument("--claims", default="ep,em,commc,omega,reflect")
+    p.add_argument("--claims", default=None)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--m-range", default=None)
@@ -255,11 +248,7 @@ def _verify_config(args) -> SuiteConfig:
             return file_cfg[key]
         return default
 
-    claims_raw = pick(
-        args.claims if args.claims != "ep,em,commc,omega,reflect" else None,
-        "claims",
-        args.claims,
-    )
+    claims_raw = pick(args.claims, "claims", _DEFAULT_CLAIMS)
     if isinstance(claims_raw, str):
         claim_names = [c.strip() for c in claims_raw.split(",") if c.strip()]
     else:
@@ -278,16 +267,8 @@ def _verify_config(args) -> SuiteConfig:
     if n_max < 0 or k_max < 0:
         raise ConfigError("n-max and k-max must be nonnegative")
 
-    m_range = pick(args.m_range, "m_range", "-2:2")
-    p_range = pick(args.p_range, "p_range", "-2:2")
-    if isinstance(m_range, str):
-        m_range = _parse_range(m_range)
-    else:
-        m_range = (int(m_range[0]), int(m_range[1]))
-    if isinstance(p_range, str):
-        p_range = _parse_range(p_range)
-    else:
-        p_range = (int(p_range[0]), int(p_range[1]))
+    m_range = _parse_range(pick(args.m_range, "m_range", "-2:2"))
+    p_range = _parse_range(pick(args.p_range, "p_range", "-2:2"))
     if m_range[0] > m_range[1] or p_range[0] > p_range[1]:
         raise ConfigError("ranges must be nonempty")
 
@@ -306,42 +287,22 @@ def _verify_config(args) -> SuiteConfig:
     )
 
 
+def _arg_node(name: str, value):
+    if name == "sign":
+        return SignLit(value)
+    if isinstance(value, int):
+        return RationalLiteral(Fraction(value))
+    return parse(value)
+
+
 def _element_command(args) -> Element:
     mode = _mode_from_name(args.mode or _default_mode())
-    cmd = args.command
-    if cmd == "nf":
-        return normal_form(eval_ast(parse(args.expr), mode), mode)
-    if cmd == "mul":
-        return eval_ast(parse(args.left), mode) * eval_ast(parse(args.right), mode)
-    if cmd == "comm":
-        from .rewrite import commutator
-
-        return commutator(
-            eval_ast(parse(args.left), mode), eval_ast(parse(args.right), mode), mode
-        )
-    if cmd == "dcomm":
-        from .rewrite import deformed_commutator
-
-        return deformed_commutator(
-            eval_ast(parse(args.left), mode),
-            eval_ast(parse(args.right), mode),
-            args.p,
-            mode,
-        )
-    if cmd == "psi":
-        return psi(args.m)
-    if cmd == "phi":
-        return phi(args.m)
-    if cmd == "E":
-        return family_E(FamilyParams(args.sign, args.p, args.m, args.index))
-    if cmd == "c":
-        if args.n < 0:
-            raise EvalError("c index must be nonnegative")
-        return central_c(args.n, args.m, args.sign)
-    if cmd == "omega":
-        mode = _mode_from_name(args.mode or _default_mode())
-        return omega(eval_ast(parse(args.expr), mode))
-    raise ConfigError(f"unknown command {cmd!r}")
+    if args.command == "mul":
+        product = Product((("*", parse(args.left)), ("*", parse(args.right))))
+        return eval_ast(product, mode)
+    names = _ELEMENT_COMMANDS[args.command][1]
+    nodes = tuple(_arg_node(n, getattr(args, n.lstrip("-"))) for n in names)
+    return eval_ast(Call(args.command, nodes), mode)
 
 
 def main(argv=None) -> int:
@@ -364,7 +325,8 @@ def main(argv=None) -> int:
         element = _element_command(args)
         print(print_element(element, args.format))
         return 0
-    except (ParseError, EvalError, ConfigError, ValueError) as exc:
+    # RecursionError: the rewrite recursion outgrew the stack on a long word
+    except (ParseError, EvalError, ConfigError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

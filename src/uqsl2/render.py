@@ -9,6 +9,7 @@ even powers of u print as powers of gamma; JSON keeps raw u powers.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, replace
 
 from .coeff import LaurentPoly, RatFunc, _is_one
 from .elements import (
@@ -18,7 +19,6 @@ from .elements import (
     Element,
     Gen,
     Monomial,
-    mono_sort_key,
 )
 from . import expr as _expr
 
@@ -26,110 +26,65 @@ _GEN_TEXT = {XPLUS: "x+", XMINUS: "x-", AGEN: "a"}
 _GEN_FROM_TEXT = {"x+": XPLUS, "x-": XMINUS, "a": AGEN}
 
 
-def _var_text(eq: int, eu: int, use_gamma: bool):
-    bits = []
-    if eq:
-        bits.append("q" if eq == 1 else f"q^{eq}")
-    if eu:
-        if use_gamma and eu % 2 == 0:
-            g = eu // 2
-            bits.append("gamma" if g == 1 else f"gamma^{g}")
-        else:
-            bits.append("u" if eu == 1 else f"u^{eu}")
-    return bits
+@dataclass(frozen=True)
+class _Style:
+    """Spelling of one output format.  ``power``, ``gen``, ``paren`` and
+    ``frac`` are str.format templates; ``gamma`` is None where even u powers
+    stay u powers; ``frac_parens`` parenthesizes a composite numerator or
+    denominator inside ``frac``."""
+
+    power: str
+    join: str
+    gamma: str | None
+    gen: dict
+    paren: str
+    frac: str
+    frac_parens: bool
 
 
-def poly_text(p: LaurentPoly, use_gamma: bool = True) -> str:
-    if p.is_zero():
-        return "0"
-    out = []
-    for (eq, eu), c in sorted(p.terms.items(), reverse=True):
-        bits = _var_text(eq, eu, use_gamma)
-        mag = abs(c)
-        if mag != 1 or not bits:
-            bits = [str(mag)] + bits
-        body = "*".join(bits)
-        if not out:
-            out.append(body if c > 0 else "-" + body)
-        else:
-            out.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(out)
+_TEXT = _Style(
+    power="{}^{}",
+    join="*",
+    gamma="gamma",
+    gen={XPLUS: "x+[{}]", XMINUS: "x-[{}]", AGEN: "a[{}]"},
+    paren="({})",
+    frac="{}/{}",
+    frac_parens=True,
+)
+_TEXT_U = replace(_TEXT, gamma=None)
+_LATEX = _Style(
+    power="{}^{{{}}}",
+    join=" ",
+    gamma="\\gamma",
+    gen={XPLUS: "x^{{+}}_{{{}}}", XMINUS: "x^{{-}}_{{{}}}", AGEN: "a_{{{}}}"},
+    paren="\\left({}\\right)",
+    frac="\\frac{{{}}}{{{}}}",
+    frac_parens=False,
+)
+_STYLES = {"text": _TEXT, "latex": _LATEX}
 
 
-def _paren(s: str) -> str:
-    return f"({s})"
+def _pow(st: _Style, base: str, e: int) -> str:
+    return base if e == 1 else st.power.format(base, e)
 
 
-def coeff_text(rf: RatFunc, use_gamma: bool = True) -> str:
-    """Coefficient as a term factor: parenthesized whenever composite."""
-    num = poly_text(rf.num, use_gamma)
-    if _is_one(rf.den):
-        if len(rf.num.terms) > 1:
-            return _paren(num)
-        return num
-    if len(rf.num.terms) > 1:
-        num = _paren(num)
-    if len(rf.den.terms) > 1:
-        den = _paren(poly_text(rf.den, use_gamma))
-    else:
-        den = poly_text(rf.den, use_gamma)
-    return f"{num}/{den}"
-
-
-def _word_text(mono: Monomial) -> str:
-    bits = [f"{_GEN_TEXT[g.kind]}[{g.idx}]" for g in mono.word]
-    if mono.kexp == 1:
-        bits.append("K")
-    elif mono.kexp:
-        bits.append(f"K^{mono.kexp}")
-    return "*".join(bits)
-
-
-def element_text(e: Element) -> str:
-    if e.is_zero():
-        return "0"
-    parts = []
-    for mono, c in e.sorted_terms():
-        c = c.canonical()
-        word = _word_text(mono)
-        if not word:
-            parts.append(coeff_text(c))
-        elif c.is_one():
-            parts.append(word)
-        elif (-c).is_one():
-            parts.append("-" + word)
-        else:
-            parts.append(f"{coeff_text(c)}*{word}")
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out
-
-
-# --- LaTeX -------------------------------------------------------------
-
-
-def _poly_latex(p: LaurentPoly) -> str:
+def _poly(p: LaurentPoly, st: _Style) -> str:
     if p.is_zero():
         return "0"
     out = []
     for (eq, eu), c in sorted(p.terms.items(), reverse=True):
         bits = []
         if eq:
-            bits.append("q" if eq == 1 else f"q^{{{eq}}}")
+            bits.append(_pow(st, "q", eq))
         if eu:
-            if eu % 2 == 0:
-                g = eu // 2
-                bits.append("\\gamma" if g == 1 else f"\\gamma^{{{g}}}")
+            if st.gamma and eu % 2 == 0:
+                bits.append(_pow(st, st.gamma, eu // 2))
             else:
-                bits.append("u" if eu == 1 else f"u^{{{eu}}}")
+                bits.append(_pow(st, "u", eu))
         mag = abs(c)
         if mag != 1 or not bits:
             bits = [str(mag)] + bits
-        body = " ".join(bits)
+        body = st.join.join(bits)
         if not out:
             out.append(body if c > 0 else "-" + body)
         else:
@@ -137,46 +92,46 @@ def _poly_latex(p: LaurentPoly) -> str:
     return " ".join(out)
 
 
-def _coeff_latex(rf: RatFunc) -> str:
-    if _is_one(rf.den):
-        body = _poly_latex(rf.num)
-        if len(rf.num.terms) > 1:
-            return f"\\left({body}\\right)"
-        return body
-    return f"\\frac{{{_poly_latex(rf.num)}}}{{{_poly_latex(rf.den)}}}"
+def poly_text(p: LaurentPoly, use_gamma: bool = True) -> str:
+    return _poly(p, _TEXT if use_gamma else _TEXT_U)
 
 
-def _word_latex(mono: Monomial) -> str:
-    bits = []
-    for g in mono.word:
-        if g.kind == XPLUS:
-            bits.append(f"x^{{+}}_{{{g.idx}}}")
-        elif g.kind == XMINUS:
-            bits.append(f"x^{{-}}_{{{g.idx}}}")
-        else:
-            bits.append(f"a_{{{g.idx}}}")
-    if mono.kexp == 1:
-        bits.append("K")
-    elif mono.kexp:
-        bits.append(f"K^{{{mono.kexp}}}")
-    return " ".join(bits)
+def _coeff(rf: RatFunc, st: _Style) -> str:
+    """Coefficient as a term factor: a composite one is grouped."""
+    num = _poly(rf.num, st)
+    whole = _is_one(rf.den)
+    if len(rf.num.terms) > 1 and (whole or st.frac_parens):
+        num = st.paren.format(num)
+    if whole:
+        return num
+    den = _poly(rf.den, st)
+    if len(rf.den.terms) > 1 and st.frac_parens:
+        den = st.paren.format(den)
+    return st.frac.format(num, den)
 
 
-def element_latex(e: Element) -> str:
+def _word(mono: Monomial, st: _Style) -> str:
+    bits = [st.gen[g.kind].format(g.idx) for g in mono.word]
+    if mono.kexp:
+        bits.append(_pow(st, "K", mono.kexp))
+    return st.join.join(bits)
+
+
+def _element(e: Element, st: _Style) -> str:
     if e.is_zero():
         return "0"
     parts = []
     for mono, c in e.sorted_terms():
         c = c.canonical()
-        word = _word_latex(mono)
+        word = _word(mono, st)
         if not word:
-            parts.append(_coeff_latex(c))
+            parts.append(_coeff(c, st))
         elif c.is_one():
             parts.append(word)
         elif (-c).is_one():
             parts.append("-" + word)
         else:
-            parts.append(f"{_coeff_latex(c)} {word}")
+            parts.append(_coeff(c, st) + st.join + word)
     out = parts[0]
     for part in parts[1:]:
         if part.startswith("-"):
@@ -184,6 +139,10 @@ def element_latex(e: Element) -> str:
         else:
             out += " + " + part
     return out
+
+
+def element_text(e: Element) -> str:
+    return _element(e, _TEXT)
 
 
 # --- JSON --------------------------------------------------------------
@@ -242,10 +201,9 @@ def element_from_json(s: str) -> Element:
 def print_element(e: Element, format: str = "text") -> str:
     """Deterministic rendering in the requested format; text output parses
     back to an equal element."""
-    if format == "text":
-        return element_text(e)
-    if format == "latex":
-        return element_latex(e)
     if format == "json":
         return element_json(e)
-    raise ValueError(f"unknown format {format!r}")
+    style = _STYLES.get(format)
+    if style is None:
+        raise ValueError(f"unknown format {format!r}")
+    return _element(e, style)

@@ -10,10 +10,16 @@ The rules, read off the defining relations:
   R4  x-_i x+_j -> x+_j x-_i - (u^(j-i) psi_(i+j) - u^(i-j) phi_(i+j))/(q - q^-1);
   R5  (AbelianX mode only) same-sign x pairs sorted ascending, no correction.
 
-The quadratic same-sign x relation is NOT a rewrite rule: oriented either
-way it relates words of equal length and does not terminate.  Strict mode
-therefore computes in the quotient of the free algebra by R2-R4 and the
-K/gamma relations only; AbelianX additionally sorts same-sign x's.
+Neither mode imposes Drinfeld's quadratic same-sign x relation, and that is
+a choice, not a termination problem.  Ordered by index, with s = q^(+-2) for
+x+-, it gives the rules
+
+  x_i x_j -> s x_j x_i + s x_(i-1) x_(j+1) - x_(j+1) x_(i-1)    for i > j + 1,
+  x_(j+1) x_j -> s x_j x_(j+1),
+
+and every step shrinks the index gap, so they terminate.  Strict mode leaves
+it out and computes in the quotient of the free algebra by R2-R4 and the
+K/gamma relations only; AbelianX sorts same-sign x's instead (R5).
 
 R5 is applied only to words that have no R2-R4 redex left.  Interleaving it
 freely with R4 is not order-independent: commuting x+_1 x+_0 before or
@@ -158,8 +164,23 @@ _NF_CACHE_MAX = 400_000
 
 
 def clear_caches():
+    """Empty every memo the engine keeps, so the next computation is cold."""
     _NF_CACHE.clear()
-    _word_moves.cache_clear()
+    for memo in (
+        _word_moves,
+        _replacement,
+        _cross_commutator,
+        _ax_coeff,
+        _aa_central,
+        _probe_set,
+        psi,
+        phi,
+        qint,
+        q_pow,
+        u_pow,
+        qminus,
+    ):
+        memo.cache_clear()
 
 
 def _nf_word(word, abelian: bool) -> Element:

@@ -9,7 +9,10 @@ patched over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
+from itertools import product
+from typing import Callable
 
 from .elements import Element, Monomial, el_mul, omega, project_x_free, xminus, xplus
 from .coeff import u_pow
@@ -26,17 +29,8 @@ from .family import (
 )
 from .rewrite import RelationMode, deformed_commutator, normal_form
 
-CLAIMS = (
-    "EP",
-    "EM",
-    "COMMC",
-    "OMEGA_E",
-    "REFLECT",
-    "PROOF_DISPLAY_1",
-    "PROOF_DISPLAY_2",
-)
-
 EXACT_ZERO, CENTRAL, RESIDUAL = "exact_zero", "central", "residual"
+CONVENTIONS = ("literal", "matching")
 
 
 class RegimeError(ValueError):
@@ -111,7 +105,7 @@ def _verify_commc(params, mode):
     convention = params["convention"]
     if n < 0:
         raise RegimeError(f"COMMC needs n >= 0, got {n}")
-    if convention not in ("literal", "matching"):
+    if convention not in CONVENTIONS:
         raise RegimeError(f"unknown convention {convention!r}")
     p_fam = _sgn(sign)
     # literal: family subscript +-1 is paired with bracket exponent -+1;
@@ -185,24 +179,44 @@ def _verify_display2(params, mode):
     return _report("PROOF_DISPLAY_2", dict(params), mode, result, expected)
 
 
+@dataclass(frozen=True)
+class Claim:
+    """One claim: its ``uqsl2 verify --claims`` name (None when the claim is
+    not offered there), its check ``(params, mode) -> VerdictReport``, and
+    its sweep grid (None when it is not sweepable).  A grid is a tuple of
+    parameter names, each ranging over ``_axes``; ``keep`` drops the tuples
+    outside the claim's index regime."""
+
+    cli_name: str | None
+    check: Callable
+    grid: tuple | None = None
+    keep: Callable | None = None
+
+
+CLAIMS = {
+    "EP": Claim(
+        "ep", partial(_verify_ep_em, "EP"), ("n", "k", "m", "p"), lambda t: t["n"] < t["k"]
+    ),
+    "EM": Claim(
+        "em", partial(_verify_ep_em, "EM"), ("n", "k", "m", "p"), lambda t: t["n"] > t["k"]
+    ),
+    "COMMC": Claim("commc", _verify_commc, ("n", "m", "sign", "convention")),
+    "OMEGA_E": Claim("omega", _verify_omega_e, ("n", "m", "p", "sign")),
+    "REFLECT": Claim("reflect", _verify_reflect, ("n", "m", "eta", "sign")),
+    "PROOF_DISPLAY_1": Claim(None, _verify_display1),
+    "PROOF_DISPLAY_2": Claim(None, _verify_display2),
+}
+
+
 def verify_claim(
     claim: str, params: dict, mode: RelationMode = RelationMode.STRICT
 ) -> VerdictReport:
     """Check one claim instance exactly and report the verdict, the stated
     value, and the normal-formed discrepancy between the two."""
-    if claim in ("EP", "EM"):
-        return _verify_ep_em(claim, params, mode)
-    if claim == "COMMC":
-        return _verify_commc(params, mode)
-    if claim == "OMEGA_E":
-        return _verify_omega_e(params, mode)
-    if claim == "REFLECT":
-        return _verify_reflect(params, mode)
-    if claim == "PROOF_DISPLAY_1":
-        return _verify_display1(params, mode)
-    if claim == "PROOF_DISPLAY_2":
-        return _verify_display2(params, mode)
-    raise ValueError(f"unknown claim {claim!r}")
+    entry = CLAIMS.get(claim)
+    if entry is None:
+        raise ValueError(f"unknown claim {claim!r}")
+    return entry.check(params, mode)
 
 
 def check_omega_family_identity(
@@ -241,62 +255,32 @@ def expectation_met(report: VerdictReport) -> bool:
     return report.paper_match
 
 
+def _axes(cfg: dict) -> dict:
+    ms = range(cfg["m_range"][0], cfg["m_range"][1] + 1)
+    return {
+        "n": range(cfg["n_max"] + 1),
+        "k": range(cfg["k_max"] + 1),
+        "m": ms,
+        "eta": ms,
+        "p": range(cfg["p_range"][0], cfg["p_range"][1] + 1),
+        "sign": SIGNS,
+        "convention": CONVENTIONS,
+    }
+
+
 def sweep_claim(claim: str, cfg: dict, mode: RelationMode) -> list:
-    """All reports for one claim over inclusive ranges; deterministic order.
+    """All reports for one claim over inclusive ranges; deterministic order:
+    the claim's grid with its last parameter varying fastest.
 
     cfg keys: n_max, k_max, m_range=(lo, hi), p_range=(lo, hi).
     """
-    n_max, k_max = cfg["n_max"], cfg["k_max"]
-    m_lo, m_hi = cfg["m_range"]
-    p_lo, p_hi = cfg["p_range"]
-    ms = range(m_lo, m_hi + 1)
-    ps = range(p_lo, p_hi + 1)
-    reports = []
-    if claim in ("EP", "EM"):
-        for n in range(n_max + 1):
-            for k in range(k_max + 1):
-                ok = n < k if claim == "EP" else n > k
-                if not ok:
-                    continue
-                for m in ms:
-                    for p in ps:
-                        reports.append(
-                            verify_claim(claim, {"n": n, "k": k, "m": m, "p": p}, mode)
-                        )
-    elif claim == "COMMC":
-        for n in range(n_max + 1):
-            for m in ms:
-                for sign in SIGNS:
-                    for convention in ("literal", "matching"):
-                        reports.append(
-                            verify_claim(
-                                "COMMC",
-                                {"n": n, "m": m, "sign": sign, "convention": convention},
-                                mode,
-                            )
-                        )
-    elif claim == "OMEGA_E":
-        for n in range(n_max + 1):
-            for m in ms:
-                for p in ps:
-                    for sign in SIGNS:
-                        reports.append(
-                            verify_claim(
-                                "OMEGA_E", {"n": n, "m": m, "p": p, "sign": sign}, mode
-                            )
-                        )
-    elif claim == "REFLECT":
-        for n in range(n_max + 1):
-            for m in ms:
-                for eta in ms:
-                    for sign in SIGNS:
-                        reports.append(
-                            verify_claim(
-                                "REFLECT",
-                                {"n": n, "m": m, "eta": eta, "sign": sign},
-                                mode,
-                            )
-                        )
-    else:
+    entry = CLAIMS.get(claim)
+    if entry is None or entry.grid is None:
         raise ValueError(f"claim {claim!r} is not sweepable")
+    axes = _axes(cfg)
+    reports = []
+    for values in product(*(axes[name] for name in entry.grid)):
+        params = dict(zip(entry.grid, values))
+        if entry.keep is None or entry.keep(params):
+            reports.append(verify_claim(claim, params, mode))
     return reports

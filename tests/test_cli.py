@@ -203,3 +203,36 @@ def test_verify_output_deterministic():
     _, out1, _ = run_cli(argv)
     _, out2, _ = run_cli(argv)
     assert out1 == out2
+
+
+def test_explicit_claims_flag_beats_config_file(tmp_path, monkeypatch):
+    monkeypatch.delenv("UQSL2_MODE", raising=False)
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(
+        json.dumps(
+            {"claims": "commc", "n_max": 1, "k_max": 1, "m_range": "0:0", "p_range": "0:0"}
+        )
+    )
+
+    def claims(argv):
+        _, out, _ = run_cli(["verify", "--config", str(cfg)] + argv)
+        return {line.split()[0] for line in out.splitlines() if line.startswith("claim=")}
+
+    assert claims([]) == {"claim=COMMC"}
+    # the flag's value equals the default, and it still wins
+    assert claims(["--claims", "ep,em,commc,omega,reflect"]) == {
+        f"claim={c}" for c in ("EP", "EM", "COMMC", "OMEGA_E", "REFLECT")
+    }
+
+
+def test_engine_recursion_error_is_a_usage_error(monkeypatch):
+    from uqsl2 import expr
+
+    def deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(expr, "normal_form", deep)
+    code, out, err = run_cli(["nf", "a[2]*a[1]"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -96,6 +96,52 @@ def test_print_examples():
     assert "\\gamma" in print_element(central_c(1, 0, "+"), "latex")
 
 
+@pytest.mark.parametrize(
+    "src, text, latex",
+    [
+        # composite numerator: parenthesized / \left( \right)
+        ("(1 + q)*x+[0]*x-[1]*K", "(q + 1)*x+[0]*x-[1]*K", "\\left(q + 1\\right) x^{+}_{0} x^{-}_{1} K"),
+        # composite denominators, negative numerator first
+        (
+            "x-[1]/(q - q^-1) - 1/(q^2+1)*a[2]",
+            "-1/(q^2 + 1)*a[2] + q/(q^2 - 1)*x-[1]",
+            "\\frac{-1}{q^{2} + 1} a_{2} + \\frac{q}{q^{2} - 1} x^{-}_{1}",
+        ),
+        (
+            "(q^2 - 1 + q*u)/(1 - q)*x+[0]",
+            "(-q^2 - q*u + 1)/(q - 1)*x+[0]",
+            "\\frac{-q^{2} - q u + 1}{q - 1} x^{+}_{0}",
+        ),
+        # integer denominators
+        (
+            "1/2*a[-1]*K^-2 + 3/(2*q)",
+            "3*q^-1/2 + 1/2*a[-1]*K^-2",
+            "\\frac{3 q^{-1}}{2} + \\frac{1}{2} a_{-1} K^{-2}",
+        ),
+        # bare K powers and a bare coefficient
+        ("K + K^-2 + 3", "K^-2 + 3 + K", "K^{-2} + 3 + K"),
+        ("q + 1", "(q + 1)", "\\left(q + 1\\right)"),
+        ("-3 - x+[0]", "-3 - x+[0]", "-3 - x^{+}_{0}"),
+        # negative leading term, single u and gamma
+        (
+            "-a[1]*K + gamma*x+[0] + u*x-[0]",
+            "-a[1]*K + u*x-[0] + gamma*x+[0]",
+            "-a_{1} K + u x^{-}_{0} + \\gamma x^{+}_{0}",
+        ),
+        # odd u power, negative gamma power
+        (
+            "u^3*x+[2] - gamma^-2*a[1]*K^-1",
+            "-gamma^-2*a[1]*K^-1 + u^3*x+[2]",
+            "-\\gamma^{-2} a_{1} K^{-1} + u^{3} x^{+}_{2}",
+        ),
+    ],
+)
+def test_print_text_and_latex_literals(src, text, latex):
+    e = eval_ast(parse(src))
+    assert print_element(e, "text") == text
+    assert print_element(e, "latex") == latex
+
+
 def test_text_round_trip_random():
     rng = random.Random(40)
     for _ in range(200):

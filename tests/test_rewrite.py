@@ -175,3 +175,32 @@ def test_kexp_commutes_with_normal_form():
         lhs = normal_form(Element.from_monomial(Monomial(w, e)), S)
         rhs = el_mul(normal_form(Element.from_monomial(Monomial(w, 0)), S), Element.k_power(e))
         assert lhs == rhs
+
+
+def test_clear_caches_leaves_every_memo_empty():
+    from uqsl2 import coeff, currents, rewrite
+
+    w = el_mul(
+        el_mul(g(xminus(0)), g(xminus(1))), el_mul(g(xplus(0)), g(xplus(-1)))
+    )
+    before = normal_form(w, S)
+    memos = (
+        rewrite._word_moves,
+        rewrite._replacement,
+        rewrite._cross_commutator,
+        rewrite._ax_coeff,
+        rewrite._aa_central,
+        rewrite._probe_set,
+        currents.psi,
+        currents.phi,
+        coeff.qint,
+        coeff.q_pow,
+        coeff.u_pow,
+        coeff.qminus,
+    )
+    is_central(K, S)  # fills _probe_set
+    assert rewrite._NF_CACHE
+    rewrite.clear_caches()
+    assert not rewrite._NF_CACHE
+    assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
+    assert normal_form(w, S) == before

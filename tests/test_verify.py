@@ -155,3 +155,26 @@ def test_sweep_claim_shapes():
     assert [(r.params["n"], r.params["k"]) for r in reports] == [(1, 0)]
     reports = sweep_claim("COMMC", {"n_max": 0, "k_max": 0, "m_range": (0, 0), "p_range": (0, 0)}, AX)
     assert len(reports) == 4  # both signs x both conventions
+
+    # full parameter order of every sweepable claim
+    cfg = {"n_max": 1, "k_max": 2, "m_range": (0, 1), "p_range": (-1, 0)}
+    ms, ps, ns = (0, 1), (-1, 0), (0, 1)
+
+    def order(claim, keys):
+        return [tuple(r.params[x] for x in keys) for r in sweep_claim(claim, cfg, AX)]
+
+    assert order("EP", "nkmp") == [
+        (n, k, m, p) for n in ns for k in range(3) if n < k for m in ms for p in ps
+    ]
+    assert order("EM", "nkmp") == [
+        (n, k, m, p) for n in ns for k in range(3) if n > k for m in ms for p in ps
+    ]
+    assert order("COMMC", ("n", "m", "sign", "convention")) == [
+        (n, m, s, c) for n in ns for m in ms for s in "+-" for c in ("literal", "matching")
+    ]
+    assert order("OMEGA_E", ("n", "m", "p", "sign")) == [
+        (n, m, p, s) for n in ns for m in ms for p in ps for s in "+-"
+    ]
+    assert order("REFLECT", ("n", "m", "eta", "sign")) == [
+        (n, m, eta, s) for n in ns for m in ms for eta in ms for s in "+-"
+    ]
