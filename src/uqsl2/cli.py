@@ -51,10 +51,17 @@ def _default_mode() -> str:
     return os.environ.get("UQSL2_MODE", "strict")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bools, which are ints to Python
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_range(text):
     """An "a:b" string, or an [a, b] pair from a config file."""
     if not isinstance(text, str):
-        return int(text[0]), int(text[1])
+        if not (isinstance(text, list) and len(text) == 2 and all(map(_is_int, text))):
+            raise ConfigError(f"bad range {text!r}, expected \"a:b\" or [a, b]")
+        return text[0], text[1]
     try:
         lo_s, hi_s = text.split(":")
         lo, hi = int(lo_s), int(hi_s)
@@ -251,8 +258,10 @@ def _verify_config(args) -> SuiteConfig:
     claims_raw = pick(args.claims, "claims", _DEFAULT_CLAIMS)
     if isinstance(claims_raw, str):
         claim_names = [c.strip() for c in claims_raw.split(",") if c.strip()]
+    elif isinstance(claims_raw, list) and all(isinstance(c, str) for c in claims_raw):
+        claim_names = claims_raw
     else:
-        claim_names = list(claims_raw)
+        raise ConfigError(f"claims must be a string or a list of strings, not {claims_raw!r}")
     claims = []
     for name in claim_names:
         key = name.lower()
@@ -264,6 +273,8 @@ def _verify_config(args) -> SuiteConfig:
 
     n_max = pick(args.n_max, "n_max", 4)
     k_max = pick(args.k_max, "k_max", 4)
+    if not (_is_int(n_max) and _is_int(k_max)):
+        raise ConfigError(f"n_max and k_max must be integers, not {n_max!r} and {k_max!r}")
     if n_max < 0 or k_max < 0:
         raise ConfigError("n-max and k-max must be nonnegative")
 
@@ -325,7 +336,8 @@ def main(argv=None) -> int:
         element = _element_command(args)
         print(print_element(element, args.format))
         return 0
-    # RecursionError: the rewrite recursion outgrew the stack on a long word
+    # RecursionError: the parser and evaluator take a frame per nesting
+    # level, so deeply nested input outgrows the stack
     except (ParseError, EvalError, ConfigError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,6 +41,7 @@ relation itself is compatible with R2-R4.
 from __future__ import annotations
 
 import enum
+import heapq
 from fractions import Fraction
 from functools import lru_cache
 
@@ -93,9 +94,9 @@ def _cross_commutator(j: int, i: int) -> Element:
 
 @lru_cache(maxsize=None)
 def _replacement(g: Gen, h: Gen, tag: int) -> Element:
-    if tag == _R2:
+    if tag in (_R2, _R5):
         terms = {Monomial((h, g), 0): RF_ONE}
-        if g.idx == -h.idx:
+        if tag == _R2 and g.idx == -h.idx:
             terms[Monomial((), 0)] = _aa_central(g.idx)
         return Element(terms)
     if tag == _R3:
@@ -108,33 +109,6 @@ def _replacement(g: Gen, h: Gen, tag: int) -> Element:
     # R4: g = x-_i, h = x+_j
     swapped = Element.from_monomial(Monomial((h, g), 0))
     return swapped - _cross_commutator(h.idx, g.idx)
-
-
-def _first_redex(word):
-    # rightmost redex: corrections then have the shortest suffix to pass,
-    # which keeps the intermediate expansion markedly smaller
-    for i in range(len(word) - 2, -1, -1):
-        g = word[i]
-        h = word[i + 1]
-        if g.kind == AGEN:
-            if h.kind != AGEN:
-                return i, _R3
-            if g.idx > h.idx:
-                return i, _R2
-        elif g.kind == XMINUS and h.kind == XPLUS:
-            return i, _R4
-    return None
-
-
-def _sort_x_blocks(mono: Monomial) -> Monomial:
-    # only called on R2-R4-normal words: x+ block, x- block, a block
-    xp = sorted(g.idx for g in mono.word if g.kind == XPLUS)
-    xm = sorted(g.idx for g in mono.word if g.kind == XMINUS)
-    tail = tuple(g for g in mono.word if g.kind == AGEN)
-    word = tuple(xplus(i) for i in xp) + tuple(xminus(i) for i in xm) + tail
-    if word == mono.word:
-        return mono
-    return Monomial(word, mono.kexp)
 
 
 def _expand_redex(word, kexp: int, i: int, tag: int):
@@ -159,13 +133,8 @@ def _expand_redex(word, kexp: int, i: int, tag: int):
     return out
 
 
-_NF_CACHE = {}
-_NF_CACHE_MAX = 400_000
-
-
 def clear_caches():
     """Empty every memo the engine keeps, so the next computation is cold."""
-    _NF_CACHE.clear()
     for memo in (
         _word_moves,
         _replacement,
@@ -183,73 +152,11 @@ def clear_caches():
         memo.cache_clear()
 
 
-def _nf_word(word, abelian: bool) -> Element:
-    """Normal form of a bare word, memoized.
-
-    Termination: every R2-R4 application strictly decreases the measure
-    (#x generators, #a generators, #disordered adjacent pairs) and the
-    final AbelianX sort is a plain permutation.
-    """
-    key = (word, abelian)
-    cached = _NF_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if len(_NF_CACHE) >= _NF_CACHE_MAX:
-        _NF_CACHE.clear()
-    hit = _first_redex(word)
-    if hit is None:
-        mono = Monomial(word, 0)
-        if abelian:
-            mono = _sort_x_blocks(mono)
-        out = Element.from_monomial(mono)
-        _NF_CACHE[key] = out
-        return out
-    terms = {}
-    for m2, c2 in _expand_redex(word, 0, *hit):
-        sub = _nf_word(m2.word, abelian)
-        e2 = m2.kexp
-        for m3, c3 in sub.terms.items():
-            mono = Monomial(m3.word, m3.kexp + e2)
-            cc = c3 * c2
-            acc = terms.get(mono)
-            s = cc if acc is None else acc + cc
-            if s:
-                terms[mono] = s
-            else:
-                terms.pop(mono, None)
-    out = Element()
-    out.terms = terms
-    _NF_CACHE[key] = out
-    return out
-
-
-def normal_form(a: Element, mode: RelationMode = RelationMode.STRICT) -> Element:
-    """Fixpoint of the rewrite system; idempotent."""
-    abelian = mode is RelationMode.ABELIAN_X
-    out = {}
-    for mono, c in a.terms.items():
-        base = _nf_word(mono.word, abelian)
-        e = mono.kexp
-        for m2, c2 in base.terms.items():
-            # appending K^e reorders nothing: everything it would cross is
-            # already to its left
-            m3 = Monomial(m2.word, m2.kexp + e) if e else m2
-            cc = c2 * c
-            acc = out.get(m3)
-            s = cc if acc is None else acc + cc
-            if s:
-                out[m3] = s
-            else:
-                out.pop(m3, None)
-    el = Element()
-    el.terms = out
-    return el
-
-
 @lru_cache(maxsize=1 << 16)
 def _word_moves(word, abelian: bool):
-    """All admissible moves for one word: every R2-R4 redex, and if none
-    exist and same-sign sorting is on, every out-of-order same-sign x pair."""
+    """All admissible moves for one word, left to right: every R2-R4 redex,
+    and if none exist and same-sign sorting is on, every out-of-order
+    same-sign x pair."""
     moves = []
     for i in range(len(word) - 1):
         g = word[i]
@@ -270,65 +177,82 @@ def _word_moves(word, abelian: bool):
     return tuple(moves)
 
 
+def _order_key(word):
+    """Heap key of a pending word: the smallest key is the largest word.
+
+    Words are ordered by (#x generators, #a generators, the word itself
+    compared lexicographically, generators compared as (kind, idx)).  Every
+    rule strictly lowers this order: a swap (R2-R5) keeps both counts and
+    puts a smaller generator first at its position; an R2/R3 correction
+    drops an a and keeps the x's; an R4 correction drops two x's.  Words of
+    equal counts have equal length, so the lexicographic part compares like
+    with like.  No rule lengthens a word or raises the sum of its |indices|,
+    so everything reachable from a finite element lies in a finite set of
+    words and rewriting terminates; and a word taken off the heap
+    largest-first can never be produced again.  The key is O(length), which
+    matters: a key that counts inversions is quadratic in the length.
+    """
+    nx = 0
+    neg = []
+    for kind, idx in word:
+        if kind != AGEN:
+            nx += 1
+        neg.append((-kind, -idx))
+    return (-nx, nx - len(word), tuple(neg))
+
+
+def _reduce(a: Element, mode: RelationMode, choose) -> Element:
+    """The rewrite loop: a worklist of pending monomials, largest first
+    under _order_key, so each is rewritten once, after every contribution
+    to its coefficient has been summed.  ``choose(n)`` picks which of a
+    word's n moves (listed left to right by _word_moves) to apply."""
+    abelian = mode is RelationMode.ABELIAN_X
+    done = {}
+    pending = {}
+    heap = []
+
+    def add(mono, c):
+        if _word_moves(mono.word, abelian):
+            acc = pending.get(mono)
+            if acc is None:
+                pending[mono] = c
+                heapq.heappush(heap, (_order_key(mono.word), mono))
+            else:
+                pending[mono] = acc + c
+        else:
+            acc = done.get(mono)
+            done[mono] = c if acc is None else acc + c
+
+    for mono, c in a.terms.items():
+        add(mono, c)
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        c = pending.pop(mono)
+        if not c:
+            continue
+        moves = _word_moves(mono.word, abelian)
+        i, tag = moves[choose(len(moves))]
+        for m2, c2 in _expand_redex(mono.word, mono.kexp, i, tag):
+            add(m2, c * c2)
+    out = Element()
+    out.terms = {m: c for m, c in done.items() if c}
+    return out
+
+
+def normal_form(a: Element, mode: RelationMode = RelationMode.STRICT) -> Element:
+    """Fixpoint of the rewrite system; idempotent.  Always rewrites the
+    rightmost redex: corrections then have the shortest suffix to pass,
+    which keeps the intermediate expansion markedly smaller."""
+    return _reduce(a, mode, lambda n: n - 1)
+
+
 def normal_form_random(a: Element, mode: RelationMode, rng) -> Element:
     """Normal form computed by applying admissible rules in random order.
 
     Exists for the diamond tests: the result must coincide with
     normal_form for every random order.
     """
-    abelian = mode is RelationMode.ABELIAN_X
-    done = {}
-    active = {}
-    pool = []  # keys of active, possibly stale; avoids rebuilding a list per step
-    for mono, c in a.terms.items():
-        if _word_moves(mono.word, abelian):
-            active[mono] = c
-            pool.append(mono)
-        else:
-            done[mono] = c
-    while active:
-        j = rng.randrange(len(pool))
-        mono = pool[j]
-        if mono not in active:
-            pool[j] = pool[-1]
-            pool.pop()
-            continue
-        pool[j] = pool[-1]
-        pool.pop()
-        c = active.pop(mono)
-        if c.is_zero():
-            continue
-        moves = _word_moves(mono.word, abelian)
-        i, tag = moves[rng.randrange(len(moves))]
-        if tag == _R5:
-            w = list(mono.word)
-            w[i], w[i + 1] = w[i + 1], w[i]
-            pieces = [(Monomial(tuple(w), mono.kexp), RF_ONE)]
-        else:
-            pieces = _expand_redex(mono.word, mono.kexp, i, tag)
-        for m2, c2 in pieces:
-            cc = c * c2
-            if _word_moves(m2.word, abelian):
-                acc = active.get(m2)
-                if acc is None:
-                    active[m2] = cc
-                    pool.append(m2)
-                else:
-                    s = acc + cc
-                    if s:
-                        active[m2] = s
-                    else:
-                        del active[m2]
-            else:
-                acc = done.get(m2)
-                s = cc if acc is None else acc + cc
-                if s:
-                    done[m2] = s
-                else:
-                    done.pop(m2, None)
-    out = Element()
-    out.terms = {m: c for m, c in done.items() if c}
-    return out
+    return _reduce(a, mode, rng.randrange)
 
 
 def commutator(a: Element, b: Element, mode: RelationMode = RelationMode.STRICT) -> Element:

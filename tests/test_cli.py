@@ -160,6 +160,28 @@ def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
     assert code == 0  # EP in strict: residuals have empty x-free projection
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"claims": [1]},
+        {"claims": 5},
+        {"n_max": "3"},
+        {"k_max": 2.5},
+        {"n_max": True},
+        {"m_range": 7},
+        {"m_range": [1]},
+        {"p_range": [0, 1.0]},
+    ],
+)
+def test_config_value_of_wrong_type_is_a_config_error(tmp_path, bad):
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps(bad))
+    code, out, err = run_cli(["verify", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_json_report():
     code, out, _ = run_cli(
         [
@@ -236,3 +258,18 @@ def test_engine_recursion_error_is_a_usage_error(monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_input_is_a_usage_error():
+    # the parser and evaluator recurse once per nesting level
+    code, out, err = run_cli(["nf", "(" * 400 + "x+[0]" + ")" * 400])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_long_commuting_word_nf():
+    word = "*".join(f"a[{i}]" for i in range(50, 0, -1))
+    code, out, _ = run_cli(["nf", word])
+    assert code == 0
+    assert out == "*".join(f"a[{i}]" for i in range(1, 51)) + "\n"

@@ -199,8 +199,59 @@ def test_clear_caches_leaves_every_memo_empty():
         coeff.qminus,
     )
     is_central(K, S)  # fills _probe_set
-    assert rewrite._NF_CACHE
     rewrite.clear_caches()
-    assert not rewrite._NF_CACHE
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
     assert normal_form(w, S) == before
+
+
+def test_long_commuting_word_normal_forms_without_recursion():
+    # 19,900 rewrite steps, far more than the recursion limit of frames
+    word = tuple(agen(i) for i in range(200, 0, -1))
+    got = normal_form(Element.from_monomial(Monomial(word, 0)), S)
+    assert got.terms == {Monomial(word[::-1], 0): RF_ONE}
+
+
+def test_no_monomial_is_rewritten_twice(monkeypatch):
+    # the worklist takes the largest pending word first, so every
+    # contribution to a monomial is summed before it is rewritten
+    from uqsl2 import rewrite
+
+    rewritten = []
+    expand = rewrite._expand_redex
+
+    def spy(word, kexp, i, tag):
+        rewritten.append((word, kexp))
+        return expand(word, kexp, i, tag)
+
+    monkeypatch.setattr(rewrite, "_expand_redex", spy)
+    word = tuple(map(xminus, range(4))) + tuple(map(xplus, range(0, -4, -1)))
+    normal_form(Element.from_monomial(Monomial(word, 0)), S)
+    assert rewritten
+    assert len(rewritten) == len(set(rewritten))
+
+
+def test_diamond_detects_r5_interleaved_with_r4(monkeypatch):
+    # offering same-sign sorting next to R2-R4 redexes is order-dependent
+    # (module docstring); the diamond check on criterion 1's words must see it
+    from uqsl2 import rewrite
+    from uqsl2.elements import AGEN
+
+    moves = rewrite._word_moves
+
+    def interleaved(word, abelian):
+        out = list(moves(word, False))
+        if abelian:
+            out += [
+                (i, rewrite._R5)
+                for i in range(len(word) - 1)
+                if word[i].kind == word[i + 1].kind != AGEN and word[i].idx > word[i + 1].idx
+            ]
+        return tuple(sorted(out))
+
+    monkeypatch.setattr(rewrite, "_word_moves", interleaved)
+    rng = random.Random(20240)
+    for n in range(500):
+        e = Element.from_monomial(Monomial(rand_word(rng, max_len=6, max_idx=3), 0))
+        if normal_form(e, AX) != normal_form_random(e, AX, random.Random(n)):
+            return
+    raise AssertionError("no word tells the two rewrite orders apart")
