@@ -7,14 +7,9 @@ from .coeff import (
     LaurentPoly,
     PoleError,
     RatFunc,
-    gamma_pow,
     q_pow,
     qint,
     qminus,
-    rf_add,
-    rf_eval,
-    rf_inv,
-    rf_mul,
     u_pow,
 )
 from .currents import phi, psi

@@ -463,31 +463,27 @@ def _coerce(x):
     return NotImplemented
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def q_pow(k: int) -> RatFunc:
     if k == 0:
         return RF_ONE
     return RatFunc(LaurentPoly.monomial(1, k, 0), P_ONE, _raw=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def u_pow(k: int) -> RatFunc:
     if k == 0:
         return RF_ONE
     return RatFunc(LaurentPoly.monomial(1, 0, k), P_ONE, _raw=True)
 
 
-def gamma_pow(k: int) -> RatFunc:
-    return u_pow(2 * k)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def qminus() -> RatFunc:
     """q - q^-1, the denominator of most relations."""
     return RatFunc(LaurentPoly({(1, 0): 1, (-1, 0): -1}), P_ONE, _raw=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def qint(n: int) -> RatFunc:
     """Quantum integer [n] = (q^n - q^-n)/(q - q^-1).
 
@@ -501,18 +497,3 @@ def qint(n: int) -> RatFunc:
         LaurentPoly({(n - 1 - 2 * i, 0): 1 for i in range(n)}), P_ONE, _raw=True
     )
 
-
-def rf_add(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a + b
-
-
-def rf_mul(a: RatFunc, b: RatFunc) -> RatFunc:
-    return a * b
-
-
-def rf_inv(a: RatFunc) -> RatFunc:
-    return a.inv()
-
-
-def rf_eval(a: RatFunc, q0, u0) -> Fraction:
-    return a.evaluate(q0, u0)

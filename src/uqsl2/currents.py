@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .coeff import RatFunc, qminus
+from .coeff import RF_ONE, RatFunc, qminus
 from .elements import Element, Monomial, agen
 
 
@@ -40,13 +40,17 @@ def _partitions(m: int):
 
 
 def _expansion(m: int, index_sign: int, coeff_base: RatFunc, kexp: int) -> Element:
+    # coeff_base ** length for every partition length 0..m
+    powers = [RF_ONE]
+    for _ in range(m):
+        powers.append(powers[-1] * coeff_base)
     terms = {}
     for lam in _partitions(m):
         length = sum(lam.values())
         denom = 1
         for mult in lam.values():
             denom *= factorial(mult)
-        coeff = coeff_base ** length * Fraction(1, denom)
+        coeff = powers[length] * Fraction(1, denom)
         word = []
         for part in sorted(lam, key=lambda p: p * index_sign):
             word.extend([agen(index_sign * part)] * lam[part])
@@ -54,7 +58,7 @@ def _expansion(m: int, index_sign: int, coeff_base: RatFunc, kexp: int) -> Eleme
     return Element(terms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def psi(m: int) -> Element:
     """psi_m as a polynomial word in a_1, a_2, ... times K; zero for m < 0."""
     if m < 0:
@@ -62,7 +66,7 @@ def psi(m: int) -> Element:
     return _expansion(m, +1, qminus(), 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def phi(m: int) -> Element:
     """phi_m as a polynomial word in a_-1, a_-2, ... times K^-1; zero for m > 0."""
     if m > 0:

@@ -36,6 +36,15 @@ The R4 corrections carry psi/phi terms (K-powers and a's) that do not
 commute with x+, so the commutation R5 imposes is not compatible with R4;
 no restriction of R5 repairs that.  Only Drinfeld's quadratic same-sign
 relation itself is compatible with R2-R4.
+
+The rewrite loop does not expand an R4 correction that lands in normal
+position: the redex is the word's last two letters and the prefix before it
+has no a's and no move.  Each term of such a correction is prefix * (sorted
+a-word) * K^(+-1), already normal, so by linearity the loop may sum the
+scalars of all such corrections per (prefix, K-power, psi or phi, index)
+and expand each block once, at the end.  The Cartan parts of an EP/EM
+bracket cancel in these sums and are never expanded.  Corrections inside a
+word are expanded at once: they rarely share a block.
 """
 
 from __future__ import annotations
@@ -68,15 +77,17 @@ class RelationMode(enum.Enum):
 
 
 _R2, _R3, _R4, _R5 = 2, 3, 4, 5
+# the swap half of an R4 step whose correction _reduce keeps in a block
+_R4_SWAP = 6
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _aa_central(k: int) -> RatFunc:
     # [a_k, a_-k] for k > 0
     return qint(2 * k) * Fraction(1, k) * (u_pow(2 * k) - u_pow(-2 * k)) / qminus()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _ax_coeff(n: int, kind: int) -> RatFunc:
     # coefficient of x+-_(n+k) in a_n x+-_k - x+-_k a_n
     c = qint(2 * n) * Fraction(1, n)
@@ -85,16 +96,16 @@ def _ax_coeff(n: int, kind: int) -> RatFunc:
     return -(c * u_pow(abs(n)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _cross_commutator(j: int, i: int) -> Element:
     # [x+_j, x-_i] = (u^(j-i) psi_(i+j) - u^(i-j) phi_(i+j)) / (q - q^-1)
     diff = psi(i + j).scale(u_pow(j - i)) - phi(i + j).scale(u_pow(i - j))
     return diff.scale(qminus().inv())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _replacement(g: Gen, h: Gen, tag: int) -> Element:
-    if tag in (_R2, _R5):
+    if tag in (_R2, _R5, _R4_SWAP):
         terms = {Monomial((h, g), 0): RF_ONE}
         if tag == _R2 and g.idx == -h.idx:
             terms[Monomial((), 0)] = _aa_central(g.idx)
@@ -134,7 +145,13 @@ def _expand_redex(word, kexp: int, i: int, tag: int):
 
 
 def clear_caches():
-    """Empty every memo the engine keeps, so the next computation is cold."""
+    """Empty every memo the engine keeps, so the next computation is cold.
+
+    Every memo is bounded.  The bounds lie above the working set of a
+    verify sweep at n,k <= 16 (at most psi_0..psi_32 and phi_0..phi_-32,
+    _replacement 578 entries, u_pow 86, q_pow 11) and of 8-letter mixed
+    words (_replacement 1,366), so such work is still done once per
+    process."""
     for memo in (
         _word_moves,
         _replacement,
@@ -205,11 +222,28 @@ def _reduce(a: Element, mode: RelationMode, choose) -> Element:
     """The rewrite loop: a worklist of pending monomials, largest first
     under _order_key, so each is rewritten once, after every contribution
     to its coefficient has been summed.  ``choose(n)`` picks which of a
-    word's n moves (listed left to right by _word_moves) to apply."""
+    word's n moves (listed left to right by _word_moves) to apply.
+
+    An R4 step whose correction lands in normal position (the redex is the
+    word's last two letters and the prefix before it has no a's and no move)
+    sends its swap to the worklist as usual, but does not expand the
+    correction.  It adds one scalar to a block keyed by (prefix, K-power,
+    psi or phi, index), and each block whose scalar sums to nonzero is
+    expanded once when the worklist is empty.  That is sound by linearity:
+    every term of a block's expansion is prefix * (sorted a-word) * K^e,
+    already normal, so nothing could have rewritten it.  Corrections that
+    cancel, such as the Cartan part of an EP/EM bracket, are never
+    expanded at all.
+    """
     abelian = mode is RelationMode.ABELIAN_X
     done = {}
     pending = {}
     heap = []
+    blocks = {}
+
+    def bump(table, key, c):
+        acc = table.get(key)
+        table[key] = c if acc is None else acc + c
 
     def add(mono, c):
         if _word_moves(mono.word, abelian):
@@ -220,8 +254,7 @@ def _reduce(a: Element, mode: RelationMode, choose) -> Element:
             else:
                 pending[mono] = acc + c
         else:
-            acc = done.get(mono)
-            done[mono] = c if acc is None else acc + c
+            bump(done, mono, c)
 
     for mono, c in a.terms.items():
         add(mono, c)
@@ -230,10 +263,32 @@ def _reduce(a: Element, mode: RelationMode, choose) -> Element:
         c = pending.pop(mono)
         if not c:
             continue
-        moves = _word_moves(mono.word, abelian)
+        word = mono.word
+        moves = _word_moves(word, abelian)
         i, tag = moves[choose(len(moves))]
-        for m2, c2 in _expand_redex(mono.word, mono.kexp, i, tag):
+        if (
+            tag == _R4
+            and i == len(word) - 2
+            and all(g.kind != AGEN for g in word)
+            and not _word_moves(word[:i], abelian)
+        ):
+            # x-_i x+_j: the correction is -c (u^(j-i) psi_(i+j)
+            # - u^(i-j) phi_(i+j)) / (q - q^-1); psi_m = 0 for m < 0 and
+            # phi_m = 0 for m > 0
+            tag = _R4_SWAP
+            prefix = word[:i]
+            xm, xp = word[i].idx, word[i + 1].idx
+            if xm + xp >= 0:
+                bump(blocks, (prefix, mono.kexp, psi, xm + xp), -(c * u_pow(xp - xm)))
+            if xm + xp <= 0:
+                bump(blocks, (prefix, mono.kexp, phi, xm + xp), c * u_pow(xm - xp))
+        for m2, c2 in _expand_redex(word, mono.kexp, i, tag):
             add(m2, c * c2)
+    for (prefix, kexp, current, m), s in blocks.items():
+        if s:
+            s = s / qminus()
+            for m2, c2 in current(m).terms.items():
+                bump(done, Monomial(prefix + m2.word, kexp + m2.kexp), s * c2)
     out = Element()
     out.terms = {m: c for m, c in done.items() if c}
     return out
@@ -280,7 +335,7 @@ def equals(a: Element, b: Element, mode: RelationMode = RelationMode.STRICT) -> 
     return normal_form(a - b, mode).is_zero()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _probe_set():
     probes = []
     for k in range(-2, 3):

@@ -14,10 +14,6 @@ from uqsl2.coeff import (
     q_pow,
     qint,
     qminus,
-    rf_add,
-    rf_eval,
-    rf_inv,
-    rf_mul,
     u_pow,
 )
 
@@ -26,23 +22,23 @@ HALF = RatFunc.from_fraction(Fraction(1, 2))
 
 def test_add_identity_and_inverse():
     x = q_pow(2) / qminus()
-    assert rf_add(RF_ZERO, x) == x
+    assert RF_ZERO + x == x
     a = q_pow(1) / qminus()
-    assert rf_add(a, -a) == RF_ZERO
-    assert rf_add(HALF, HALF) == RF_ONE
+    assert a + (-a) == RF_ZERO
+    assert HALF + HALF == RF_ONE
 
 
 def test_mul_examples():
-    assert rf_mul(u_pow(2), u_pow(-2)) == RF_ONE
-    assert rf_mul(qminus(), rf_inv(qminus())) == RF_ONE
-    assert rf_mul(qint(2), qminus()) == q_pow(2) - q_pow(-2)
+    assert u_pow(2) * u_pow(-2) == RF_ONE
+    assert qminus() * qminus().inv() == RF_ONE
+    assert qint(2) * qminus() == q_pow(2) - q_pow(-2)
 
 
 def test_inv_examples():
-    assert rf_inv(RF_ONE) == RF_ONE
-    assert rf_inv(qminus()) * qminus() == RF_ONE
+    assert RF_ONE.inv() == RF_ONE
+    assert qminus().inv() * qminus() == RF_ONE
     with pytest.raises(ZeroDivisionError):
-        rf_inv(RF_ZERO)
+        RF_ZERO.inv()
 
 
 def test_qint_values():
@@ -72,12 +68,12 @@ def test_qint_addition_expansion():
 
 
 def test_eval_examples():
-    assert rf_eval(qint(2), 2, 1) == Fraction(5, 2)
-    assert rf_eval(u_pow(2), 5, 3) == 9
+    assert qint(2).evaluate(2, 1) == Fraction(5, 2)
+    assert u_pow(2).evaluate(5, 3) == 9
     with pytest.raises(PoleError):
-        rf_eval(rf_inv(qminus()), 1, 1)
+        qminus().inv().evaluate(1, 1)
     with pytest.raises(ValueError):
-        rf_eval(qint(2), 0, 1)
+        qint(2).evaluate(0, 1)
 
 
 def test_zero_is_canonical():
@@ -131,10 +127,10 @@ def test_numeric_consistency(a, b, seed):
         q0 = Fraction(rng.randrange(2, 9), rng.randrange(1, 5))
         u0 = Fraction(rng.randrange(2, 9), rng.randrange(1, 5))
         try:
-            va = rf_eval(a, q0, u0)
-            vb = rf_eval(b, q0, u0)
-            vab = rf_eval(a * b, q0, u0)
-            vs = rf_eval(a + b, q0, u0)
+            va = a.evaluate(q0, u0)
+            vb = b.evaluate(q0, u0)
+            vab = (a * b).evaluate(q0, u0)
+            vs = (a + b).evaluate(q0, u0)
         except PoleError:
             continue
         assert vab == va * vb

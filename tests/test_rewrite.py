@@ -255,3 +255,96 @@ def test_diamond_detects_r5_interleaved_with_r4(monkeypatch):
         if normal_form(e, AX) != normal_form_random(e, AX, random.Random(n)):
             return
     raise AssertionError("no word tells the two rewrite orders apart")
+
+
+# --- terminal R4 corrections kept as blocks until the loop ends ----------
+
+
+def _bracket(j, i):
+    # [x+_j, x-_i] = (u^(j-i) psi_(i+j) - u^(i-j) phi_(i+j)) / (q - q^-1),
+    # from the current components themselves
+    diff = psi(i + j).scale(u_pow(j - i)) - phi(i + j).scale(u_pow(i - j))
+    return diff.scale(qminus().inv())
+
+
+def _normal_prefix(rng):
+    # an a-free word in normal position for both modes: sorted x+ block,
+    # then sorted x- block
+    xp = sorted(rng.randrange(-3, 4) for _ in range(rng.randrange(3)))
+    xm = sorted(rng.randrange(-3, 4) for _ in range(rng.randrange(3)))
+    return tuple(map(xplus, xp)) + tuple(map(xminus, xm))
+
+
+def test_terminal_r4_correction_matches_the_bracket():
+    # nf(P x-_i x+_j) = nf(P x+_j x-_i) - P [x+_j, x-_i] for a normal,
+    # a-free prefix P, with i + j < 0, = 0 and > 0
+    rng = random.Random(606)
+    for i, j in ((-2, 1), (0, -3), (1, -1), (-2, 2), (0, 0), (2, 1), (-1, 3)):
+        for _ in range(4):
+            pre = Element.from_monomial(Monomial(_normal_prefix(rng), rng.randrange(-1, 2)))
+            pre = pre.scale(u_pow(rng.randrange(-2, 3)) / qminus())
+            word = el_mul(pre, el_mul(g(xminus(i)), g(xplus(j))))
+            swap = el_mul(pre, el_mul(g(xplus(j)), g(xminus(i))))
+            for mode in (S, AX):
+                want = normal_form(swap, mode) - el_mul(pre, _bracket(j, i))
+                assert normal_form(word, mode) == want
+                assert normal_form_random(word, mode, random.Random(i - j)) == want
+
+
+def test_terminal_r4_at_index_sum_zero_feeds_psi_0_and_phi_0():
+    # psi_0 = K and phi_0 = K^-1 are both nonzero, so x-_i x+_-i must leave
+    # both K-terms: -u^(-2i)/(q - q^-1) P K and +u^(2i)/(q - q^-1) P K^-1
+    for prefix in ((), (xplus(1),), (xplus(-2), xplus(2))):
+        for i in (-2, 0, 1):
+            word = prefix + (xminus(i), xplus(-i))
+            for mode in (S, AX):
+                got = normal_form(Element.from_monomial(Monomial(word, 0)), mode)
+                assert got.terms[Monomial(prefix, 1)] == -(u_pow(-2 * i) / qminus())
+                assert got.terms[Monomial(prefix, -1)] == u_pow(2 * i) / qminus()
+
+
+def test_cancelling_cartan_part_is_never_expanded(monkeypatch):
+    # the Cartan parts of an EP bracket cancel, so psi_16/phi_-16 (231
+    # a-words each) must not be multiplied out term by term
+    from uqsl2.coeff import RatFunc
+    from uqsl2.verify import verify_claim
+
+    params = {"n": 0, "k": 16, "m": 1, "p": 1}
+    products = [0]
+    mul = RatFunc.__mul__
+
+    def counting(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    for mode in (S, AX):
+        verify_claim("EP", params, mode)  # warm the memos
+        monkeypatch.setattr(RatFunc, "__mul__", counting)
+        monkeypatch.setattr(RatFunc, "__rmul__", counting)
+        products[0] = 0
+        verify_claim("EP", params, mode)
+        monkeypatch.undo()
+        assert 0 < products[0] < 60, (mode, products[0])
+
+
+def test_every_memo_is_bounded():
+    # no unbounded caches: every memo of the package has a finite maxsize,
+    # and clear_caches() reaches every one of them
+    import importlib
+    import pkgutil
+
+    import uqsl2
+    from uqsl2 import rewrite
+
+    memos = {}
+    for info in pkgutil.iter_modules(uqsl2.__path__):
+        mod = importlib.import_module(f"uqsl2.{info.name}")
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_info"):
+                memos[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    assert "uqsl2.currents.psi" in memos and "uqsl2.rewrite._replacement" in memos
+    assert [n for n, m in memos.items() if m.cache_info().maxsize is None] == []
+    normal_form(el_mul(g(xminus(0)), el_mul(g(agen(1)), g(xplus(0)))), S)
+    is_central(K, S)
+    rewrite.clear_caches()
+    assert [n for n, m in memos.items() if m.cache_info().currsize] == []
