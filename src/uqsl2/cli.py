@@ -202,6 +202,21 @@ _ELEMENT_COMMANDS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Reads a word that begins with a single "-" as an operand unless it is
+    one of the parser's own option strings, so that an expression such as
+    "-x+[0]*K", which is how a negative result prints, needs no "--"."""
+
+    def _parse_optional(self, arg_string):
+        if (
+            arg_string[:1] == "-"
+            and arg_string[1:2] != "-"
+            and arg_string not in self._option_string_actions
+        ):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="uqsl2",
@@ -209,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         "quantized affine sl2 and verification of its Heisenberg-type family.",
     )
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     for cmd, (help_text, names) in _ELEMENT_COMMANDS.items():
         p = sub.add_parser(cmd, help=help_text)

@@ -5,6 +5,13 @@ the deformation parameter q and the central half-power u, where u**2 stands
 for the central element gamma.  All integer arithmetic is arbitrary
 precision, nothing is ever rounded, and equality of fractions is decided by
 cross-multiplication, so no multivariate gcd is needed.
+
+Most coefficients the engine meets are polynomials, and most of those are
+one term, +-q^a u^b (every coefficient of an el_mul bracket of family
+members is).  A polynomial coefficient holds the shared ``P_ONE`` as its
+denominator, so the arithmetic tells it apart by identity, and a product of
+two one-term polynomials is built directly, with no polynomial product and
+no normalization.
 """
 
 from __future__ import annotations
@@ -57,9 +64,7 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
     def __neg__(self):
-        out = LaurentPoly()
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _lp({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         t = dict(self.terms)
@@ -69,19 +74,22 @@ class LaurentPoly:
                 t[e] = s
             else:
                 t.pop(e, None)
-        out = LaurentPoly()
-        out.terms = t
-        return out
+        return _lp(t)
 
     def __sub__(self, other):
-        return self + (-other)
+        t = dict(self.terms)
+        for e, c in other.terms.items():
+            s = t.get(e, 0) - c
+            if s:
+                t[e] = s
+            else:
+                t.pop(e, None)
+        return _lp(t)
 
     def __mul__(self, other):
         if len(self.terms) == 1:
             ((aq, au), ca), = self.terms.items()
-            out = LaurentPoly()
-            out.terms = {(aq + bq, au + bu): ca * cb for (bq, bu), cb in other.terms.items()}
-            return out
+            return _lp({(aq + bq, au + bu): ca * cb for (bq, bu), cb in other.terms.items()})
         if len(other.terms) == 1:
             return other * self
         t = {}
@@ -93,29 +101,21 @@ class LaurentPoly:
                     t[e] = s
                 else:
                     t.pop(e, None)
-        out = LaurentPoly()
-        out.terms = t
-        return out
+        return _lp(t)
 
     def scale(self, n: int) -> "LaurentPoly":
         if n == 0:
             return LaurentPoly()
-        out = LaurentPoly()
-        out.terms = {e: c * n for e, c in self.terms.items()}
-        return out
+        return _lp({e: c * n for e, c in self.terms.items()})
 
     def scale_div(self, n: int) -> "LaurentPoly":
         # exact division of every coefficient
-        out = LaurentPoly()
-        out.terms = {e: c // n for e, c in self.terms.items()}
-        return out
+        return _lp({e: c // n for e, c in self.terms.items()})
 
     def shift(self, dq: int, du: int) -> "LaurentPoly":
         if dq == 0 and du == 0:
             return self
-        out = LaurentPoly()
-        out.terms = {(eq + dq, eu + du): c for (eq, eu), c in self.terms.items()}
-        return out
+        return _lp({(eq + dq, eu + du): c for (eq, eu), c in self.terms.items()})
 
     def content(self) -> int:
         g = 0
@@ -124,9 +124,7 @@ class LaurentPoly:
         return g
 
     def subst_u_inverse(self) -> "LaurentPoly":
-        out = LaurentPoly()
-        out.terms = {(eq, -eu): c for (eq, eu), c in self.terms.items()}
-        return out
+        return _lp({(eq, -eu): c for (eq, eu), c in self.terms.items()})
 
     def evaluate(self, q0: Fraction, u0: Fraction) -> Fraction:
         total = Fraction(0)
@@ -136,6 +134,16 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.terms!r})"
+
+
+_new = object.__new__
+
+
+def _lp(terms: dict) -> LaurentPoly:
+    """A LaurentPoly holding ``terms``, which has no zero coefficient."""
+    p = _new(LaurentPoly)
+    p.terms = terms
+    return p
 
 
 P_ZERO = LaurentPoly()
@@ -178,9 +186,7 @@ def _div_qminus(p: LaurentPoly):
                 t[e - 1] = v
         for eq, c in t.items():
             out[(eq, eu)] = c
-    res = LaurentPoly()
-    res.terms = out
-    return res
+    return _lp(out)
 
 
 def _divide_exact(num: LaurentPoly, den: LaurentPoly):
@@ -237,9 +243,7 @@ def _divide_exact(num: LaurentPoly, den: LaurentPoly):
                 rem[e] = s
             else:
                 rem.pop(e, None)
-    out = LaurentPoly()
-    out.terms = quo
-    return out
+    return _lp(quo)
 
 
 class RatFunc:
@@ -249,15 +253,17 @@ class RatFunc:
     vanishes, its minimal exponents are anchored at (0, 0), its lex-leading
     coefficient is positive, and numerator and denominator share no integer
     content.  Zero is exactly num = 0, den = 1.  Instances are immutable.
+
+    A coefficient equal to a polynomial holds the shared ``P_ONE`` object as
+    its denominator, never another copy of 1, so ``den is P_ONE`` decides
+    "is a polynomial"; the ``_is_one`` compare stays only as a fallback.
+    Products of two such coefficients skip normalization, and one-term
+    numerators are multiplied inline.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = P_ONE, *, _raw=False):
-        if _raw:
-            self.num = num
-            self.den = den
-            return
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = P_ONE):
         r = RatFunc.make(num, den)
         self.num = r.num
         self.den = r.den
@@ -269,7 +275,7 @@ class RatFunc:
         if num.is_zero():
             return RF_ZERO
         if _is_one(den):
-            return cls(num, P_ONE, _raw=True)
+            return _rf(num, P_ONE)
         if len(den.terms) == 1:
             return cls._make_monomial_den(num, den)
         gn = num.content()
@@ -302,11 +308,11 @@ class RatFunc:
         if not (num_blocked and _div_qminus(den) is not None):
             quo = _divide_exact(num, den)
             if quo is not None:
-                return cls(quo, P_ONE, _raw=True)
+                return _rf(quo, P_ONE)
         if den.terms[max(den.terms)] < 0:
             num = -num
             den = -den
-        return cls(num, den, _raw=True)
+        return _rf(num, den)
 
     @classmethod
     def _make_monomial_den(cls, num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
@@ -316,27 +322,26 @@ class RatFunc:
             num = -num
             c = -c
         if c == 1:
-            return cls(num, P_ONE, _raw=True)
+            return _rf(num, P_ONE)
         g = gcd(num.content(), c)
         if g > 1:
             num = num.scale_div(g)
             c //= g
         if c == 1:
-            return cls(num, P_ONE, _raw=True)
-        return cls(num, LaurentPoly.const(c), _raw=True)
+            return _rf(num, P_ONE)
+        return _rf(num, LaurentPoly.const(c))
 
     @classmethod
     def from_int(cls, n: int) -> "RatFunc":
         if n == 0:
             return RF_ZERO
-        return cls(LaurentPoly.const(n), P_ONE, _raw=True)
+        return _rf(LaurentPoly.const(n), P_ONE)
 
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "RatFunc":
-        if fr == 0:
-            return RF_ZERO
-        den = LaurentPoly.const(fr.denominator)
-        return cls(LaurentPoly.const(fr.numerator), den, _raw=True)
+        if fr.denominator == 1:
+            return cls.from_int(fr.numerator)
+        return _rf(LaurentPoly.const(fr.numerator), LaurentPoly.const(fr.denominator))
 
     def is_zero(self) -> bool:
         return not self.num.terms
@@ -350,36 +355,46 @@ class RatFunc:
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
-        if self.den.terms == other.den.terms:
+        if self.den is other.den or self.den.terms == other.den.terms:
             return self.num.terms == other.num.terms
         return (self.num * other.den).terms == (other.num * self.den).terms
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, _raw=True)
+        num = _new(LaurentPoly)
+        num.terms = {e: -c for e, c in self.num.terms.items()}
+        r = _new(RatFunc)
+        r.num = num
+        r.den = self.den
+        return r
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if _is_one(self.den) and _is_one(other.den):
-            return RatFunc(self.num + other.num, P_ONE, _raw=True)
-        if self.den is other.den or self.den.terms == other.den.terms:
-            # shared denominator: no cross-multiplication, canonical shape
-            # of the denominator is untouched
+        if other.__class__ is not RatFunc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        sd = self.den
+        if sd is other.den or sd.terms == other.den.terms:
+            # shared denominator (P_ONE for polynomials): no
+            # cross-multiplication, canonical shape of the denominator is
+            # untouched
             s = self.num + other.num
-            if s.is_zero():
+            if not s.terms:
                 return RF_ZERO
-            return RatFunc(s, self.den, _raw=True)
-        return RatFunc.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+            return _rf(s, sd)
+        return RatFunc.make(self.num * other.den + other.num * sd, sd * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not RatFunc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.den is P_ONE and other.den is P_ONE:
+            s = self.num - other.num
+            if not s.terms:
+                return RF_ZERO
+            return _rf(s, P_ONE)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -391,16 +406,32 @@ class RatFunc:
     def __mul__(self, other):
         if other is RF_ONE:
             return self
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not RatFunc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self is RF_ONE:
             return other
-        if self.is_zero() or other.is_zero():
+        a = self.num.terms
+        b = other.num.terms
+        if not a or not b:
             return RF_ZERO
-        if _is_one(self.den) and _is_one(other.den):
-            return RatFunc(self.num * other.num, P_ONE, _raw=True)
-        return RatFunc.make(self.num * other.num, self.den * other.den)
+        sd = self.den
+        od = other.den
+        if (sd is P_ONE or _is_one(sd)) and (od is P_ONE or _is_one(od)):
+            if len(a) == 1 and len(b) == 1:
+                # +-q^i u^j times +-q^k u^l, the whole of el_mul's work on
+                # family brackets: one new term, nothing to normalize
+                ((aq, au), ca), = a.items()
+                ((bq, bu), cb), = b.items()
+                num = _new(LaurentPoly)
+                num.terms = {(aq + bq, au + bu): ca * cb}
+                r = _new(RatFunc)
+                r.num = num
+                r.den = P_ONE
+                return r
+            return _rf(self.num * other.num, P_ONE)
+        return RatFunc.make(self.num * other.num, sd * od)
 
     __rmul__ = __mul__
 
@@ -429,7 +460,10 @@ class RatFunc:
 
     def canonical(self) -> "RatFunc":
         """Fully normalized copy (fast arithmetic paths may leave a shared
-        factor between num and den; rendering wants it gone)."""
+        factor between num and den; rendering wants it gone).  A polynomial
+        is already normalized and is returned as it is."""
+        if self.den is P_ONE:
+            return self
         return RatFunc.make(self.num, self.den)
 
     def subst_u_inverse(self) -> "RatFunc":
@@ -449,8 +483,17 @@ class RatFunc:
         return f"RatFunc({self.num.terms!r}, {self.den.terms!r})"
 
 
-RF_ZERO = RatFunc(P_ZERO, P_ONE, _raw=True)
-RF_ONE = RatFunc(P_ONE, P_ONE, _raw=True)
+def _rf(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
+    """The RatFunc num/den, taken as normalized: den is P_ONE itself when
+    it is 1."""
+    r = _new(RatFunc)
+    r.num = num
+    r.den = den
+    return r
+
+
+RF_ZERO = _rf(P_ZERO, P_ONE)
+RF_ONE = _rf(P_ONE, P_ONE)
 
 
 def _coerce(x):
@@ -467,20 +510,20 @@ def _coerce(x):
 def q_pow(k: int) -> RatFunc:
     if k == 0:
         return RF_ONE
-    return RatFunc(LaurentPoly.monomial(1, k, 0), P_ONE, _raw=True)
+    return _rf(LaurentPoly.monomial(1, k, 0), P_ONE)
 
 
 @lru_cache(maxsize=256)
 def u_pow(k: int) -> RatFunc:
     if k == 0:
         return RF_ONE
-    return RatFunc(LaurentPoly.monomial(1, 0, k), P_ONE, _raw=True)
+    return _rf(LaurentPoly.monomial(1, 0, k), P_ONE)
 
 
 @lru_cache(maxsize=1)
 def qminus() -> RatFunc:
     """q - q^-1, the denominator of most relations."""
-    return RatFunc(LaurentPoly({(1, 0): 1, (-1, 0): -1}), P_ONE, _raw=True)
+    return _rf(LaurentPoly({(1, 0): 1, (-1, 0): -1}), P_ONE)
 
 
 @lru_cache(maxsize=256)
@@ -493,7 +536,5 @@ def qint(n: int) -> RatFunc:
         return RF_ZERO
     if n < 0:
         return -qint(-n)
-    return RatFunc(
-        LaurentPoly({(n - 1 - 2 * i, 0): 1 for i in range(n)}), P_ONE, _raw=True
-    )
+    return _rf(LaurentPoly({(n - 1 - 2 * i, 0): 1 for i in range(n)}), P_ONE)
 

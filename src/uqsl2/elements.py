@@ -22,12 +22,17 @@ class Gen(NamedTuple):
     idx: int
 
 
+# tuple.__new__ builds a Gen or Monomial without the NamedTuple's
+# Python-level __new__; the hot constructors below use it
+_tuple_new = tuple.__new__
+
+
 def xplus(k: int) -> Gen:
-    return Gen(XPLUS, k)
+    return _tuple_new(Gen, (XPLUS, k))
 
 
 def xminus(k: int) -> Gen:
-    return Gen(XMINUS, k)
+    return _tuple_new(Gen, (XMINUS, k))
 
 
 def agen(n: int) -> Gen:
@@ -68,7 +73,7 @@ class Element:
         t = {}
         if terms:
             for mono, c in terms.items():
-                if c:
+                if c.num.terms:
                     t[mono] = c
         self.terms = t
 
@@ -128,7 +133,20 @@ class Element:
     def __sub__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self + (-other)
+        t = dict(self.terms)
+        for m, c in other.terms.items():
+            acc = t.get(m)
+            if acc is None:
+                t[m] = -c
+                continue
+            s = acc - c
+            if s.num.terms:
+                t[m] = s
+            else:
+                del t[m]
+        out = Element()
+        out.terms = t
+        return out
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -176,21 +194,25 @@ def el_mul(a: Element, b: Element) -> Element:
                 net += 1
             elif g.kind == XMINUS:
                 net -= 1
-        bterms.append((mb, cb, net))
+        bterms.append((mb.word, mb.kexp, cb, net))
     out = {}
     for ma, ca in a.terms.items():
-        e = ma.kexp
-        for mb, cb, net in bterms:
+        wa, e = ma
+        for wb, eb, cb, net in bterms:
             c = ca * cb
             if e and net:
                 c = c * q_pow(2 * e * net)
-            mono = Monomial(ma.word + mb.word, e + mb.kexp)
+            mono = _tuple_new(Monomial, (wa + wb, e + eb))
             acc = out.get(mono)
-            s = c if acc is None else acc + c
-            if s:
+            if acc is None:
+                # a product of nonzero coefficients is nonzero
+                out[mono] = c
+                continue
+            s = acc + c
+            if s.num.terms:
                 out[mono] = s
             else:
-                out.pop(mono, None)
+                del out[mono]
     el = Element()
     el.terms = out
     return el

@@ -1,10 +1,14 @@
 import io
 import json
 import contextlib
+import random
 
 import pytest
 
-from uqsl2.cli import main
+from uqsl2.cli import _ELEMENT_COMMANDS, main
+from uqsl2.render import print_element
+
+from helpers import rand_element
 
 
 def run_cli(argv, env=None, monkeypatch=None):
@@ -273,3 +277,50 @@ def test_long_commuting_word_nf():
     code, out, _ = run_cli(["nf", word])
     assert code == 0
     assert out == "*".join(f"a[{i}]" for i in range(1, 51)) + "\n"
+
+
+# an operand that begins with "-" for each argument name of an element
+# command; integers not listed here take "-1", and c's index n must be >= 0
+_MINUS_OPERANDS = {"expr": "-x+[0]*K", "left": "-x+[1]", "right": "-a[1]*K", "sign": "-", "n": "0"}
+
+
+@pytest.mark.parametrize("cmd", sorted(_ELEMENT_COMMANDS))
+def test_element_commands_take_operands_that_begin_with_minus(cmd):
+    operands = []
+    reference = []  # the same operands, each expression in parentheses
+    for name in _ELEMENT_COMMANDS[cmd][1]:
+        value = _MINUS_OPERANDS.get(name, "-1")
+        if name.startswith("--"):
+            operands += [name, value]
+            reference += [name, value]
+        else:
+            operands.append(value)
+            reference.append(f"({value})" if name in ("expr", "left", "right") else value)
+    code, expected, err = run_cli([cmd, *reference, "--format", "json"])
+    assert code == 0, err
+    # --mode and --format before, between and after the operands
+    for argv in (
+        [cmd, "--mode", "strict", "--format", "json", *operands],
+        [cmd, operands[0], "--format", "json", *operands[1:], "--mode", "strict"],
+        [cmd, *operands, "--mode", "strict", "--format", "json"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out, err) == (0, expected, ""), argv
+
+
+def test_printed_negative_result_feeds_back_to_nf():
+    rng = random.Random(41)
+    negative = 0
+    for _ in range(40):
+        code, printed, _ = run_cli(["nf", "--", print_element(rand_element(rng, max_len=3))])
+        assert code == 0
+        printed = printed.strip()
+        if not printed.startswith("-"):
+            continue
+        negative += 1
+        code, again, err = run_cli(["nf", printed])
+        assert (code, again.strip(), err) == (0, printed, "")
+    code, out, _ = run_cli(["nf", "x-[0]*x+[1] - x+[1]*x-[0]"])
+    assert (code, out.strip()) == (0, "-u*a[1]*K")
+    assert run_cli(["nf", out.strip()])[1] == out
+    assert negative >= 5

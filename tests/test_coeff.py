@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqsl2.coeff import (
+    P_ONE,
     LaurentPoly,
     PoleError,
     RF_ONE,
@@ -16,6 +17,8 @@ from uqsl2.coeff import (
     qminus,
     u_pow,
 )
+
+from helpers import rand_poly, rand_ratfunc
 
 HALF = RatFunc.from_fraction(Fraction(1, 2))
 
@@ -147,3 +150,77 @@ def test_canonical_is_idempotent():
         c = r.canonical()
         c2 = c.canonical()
         assert c.num.terms == c2.num.terms and c.den.terms == c2.den.terms
+
+
+# --- coefficients of the shapes the arithmetic treats differently ----------
+
+
+def _one_term(rng):
+    c = rng.choice([-3, -2, -1, 1, 2, 3])
+    return RatFunc(LaurentPoly.monomial(c, rng.randrange(-3, 4), rng.randrange(-3, 4)))
+
+
+def _polynomial(rng):
+    return RatFunc(rand_poly(rng, nterms=4))
+
+
+def _qminus_power_den(rng):
+    return RatFunc(rand_poly(rng, nterms=4)) / qminus() ** rng.randrange(1, 3)
+
+
+def _rational_number(rng):
+    return RatFunc.from_fraction(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)))
+
+
+_SHAPES = (_one_term, _polynomial, _qminus_power_den, rand_ratfunc, _rational_number)
+
+
+def _shaped_pairs(seed, count):
+    """Pairs whose shapes are drawn independently, so that every fast path
+    meets every other and the general path; every fifth pair is equal in
+    value but built another way."""
+    rng = random.Random(seed)
+    for i in range(count):
+        a = rng.choice(_SHAPES)(rng)
+        b = rng.choice(_SHAPES)(rng)
+        if i % 5 == 4:
+            b = (a * qint(3) + RF_ONE) / qint(3) - RF_ONE / qint(3)
+        yield a, b
+
+
+def _results(a, b):
+    out = {"*": a * b, "+": a + b, "-": a - b, "neg": -a}
+    if not b.is_zero():
+        out["/"] = a / b
+    return out
+
+
+def test_ring_operations_agree_with_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    q, u = sympy.symbols("q u")
+
+    def sym(r):
+        def poly(p):
+            return sum(sympy.Integer(c) * q**eq * u**eu for (eq, eu), c in p.terms.items())
+
+        return poly(r.num) / poly(r.den)
+
+    for a, b in _shaped_pairs(seed=2335, count=100):
+        sa, sb = sym(a), sym(b)
+        expected = {"*": sa * sb, "+": sa + sb, "-": sa - sb, "neg": -sa, "/": sa / sb}
+        for op, got in _results(a, b).items():
+            assert sympy.cancel(sym(got) - expected[op]) == 0, (op, a, b, got)
+        assert (a == b) == (sympy.cancel(sa - sb) == 0), (a, b)
+
+
+def test_polynomial_results_hold_the_shared_denominator():
+    # the arithmetic tells polynomials apart by `den is P_ONE`
+    for value in (RatFunc.from_fraction(Fraction(3)), RatFunc.from_fraction(Fraction(-6, 2))):
+        assert value.den is P_ONE
+    seen = 0
+    for a, b in _shaped_pairs(seed=7, count=400):
+        for got in (a, b, a.canonical(), *_results(a, b).values()):
+            if got.den.terms == {(0, 0): 1}:
+                assert got.den is P_ONE, got
+                seen += 1
+    assert seen > 500

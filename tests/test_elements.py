@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from uqsl2.coeff import RF_ONE, q_pow, u_pow
+from uqsl2.coeff import RF_ONE, LaurentPoly, q_pow, u_pow
 from uqsl2.elements import (
     Element,
     Monomial,
@@ -14,6 +14,7 @@ from uqsl2.elements import (
     xminus,
     xplus,
 )
+from uqsl2.family import expand_general_commutator, family_E_neg, family_E_pos
 
 from helpers import rand_element
 
@@ -103,3 +104,29 @@ def test_element_algebra_basics():
         assert a - a == Element.zero()
         assert (a + b) - b == a
         assert a * 0 == Element.zero()
+
+
+def test_family_brackets_make_no_polynomial_products(monkeypatch):
+    # criterion 4's grid: every coefficient is one term, +-q^a u^b, so the
+    # el_mul chains and the group-by-group expansion multiply no polynomials
+    calls = 0
+    laurent_mul = LaurentPoly.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return laurent_mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    rng = random.Random(4)
+    R = range(-2, 3)
+    for _ in range(1000):
+        sign = rng.choice("+-")
+        n, k = rng.randrange(4), rng.randrange(4)
+        m, l, eta, theta, p = (rng.choice(R) for _ in range(5))
+        a = family_E_pos(n, m, eta, sign)
+        b = family_E_neg(k, l, theta, sign)
+        kp = Element.k_power(p)
+        raw = el_mul(el_mul(a, kp), b) - el_mul(el_mul(b, kp), a)
+        assert raw == expand_general_commutator(n, k, m, l, eta, theta, p, sign)
+    assert calls == 0
