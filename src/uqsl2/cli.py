@@ -3,6 +3,10 @@
 Exit codes: 0 all expectations met, 1 discrepancies found, 2 usage, parse
 or configuration error.  UQSL2_MODE sets the default relation mode; an
 optional JSON config file supplies verify defaults (flags win).
+
+``verify`` renders each report as soon as its claim's sweep returns and
+keeps only the text: a wide sweep holds one claim's reports at a time, not
+every report's elements until the end.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -85,52 +89,111 @@ class SuiteConfig:
 
 @dataclass
 class ReportDoc:
+    """A verify run as rendered text.
+
+    ``reports`` holds one rendered report per claim instance, in sweep order:
+    a JSON object or a text line, as ``format`` says.  ``summary`` holds the
+    counts.  The document keeps no report and no Element: each claim's
+    reports are rendered and counted as soon as its sweep returns, and
+    dropped before the next claim is swept.
+    """
+
     version: str
     mode: str
     ranges: dict
+    format: str
     reports: list
-    summary: dict = field(default_factory=dict)
+    summary: dict
 
-    def tally(self):
-        counts = {"exact_zero": 0, "central": 0, "residual": 0, "paper_mismatch": 0}
-        met = 0
-        for r in self.reports:
-            counts[r.verdict.kind] += 1
-            if not r.paper_match:
-                counts["paper_mismatch"] += 1
-            if expectation_met(r):
-                met += 1
-        counts["reports"] = len(self.reports)
-        counts["expectations_met"] = met
-        self.summary = counts
-        return counts
+
+def _params_text(params: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+
+
+def _report_text(r: VerdictReport, met: bool) -> str:
+    line = (
+        f"claim={r.claim} {_params_text(r.params)} verdict={r.verdict.kind} "
+        f"paper_match={'yes' if r.paper_match else 'no'} "
+        f"expectation={'met' if met else 'FAILED'}"
+    )
+    if not r.paper_match:
+        line += f" discrepancy={print_element(r.discrepancy)}"
+    return line
+
+
+def _renders_alike(a: Element, b: Element) -> bool:
+    """Equal term by term as stored, not only in value: equal fractions over
+    different denominators may print differently."""
+    if a.terms.keys() != b.terms.keys():
+        return False
+    for mono, c in a.terms.items():
+        d = b.terms[mono]
+        if c.num.terms != d.num.terms or c.den.terms != d.den.terms:
+            return False
+    return True
+
+
+def _report_json(r: VerdictReport, met: bool) -> str:
+    value = element_to_obj(r.verdict.value)
+    # EP/EM state 0, so their discrepancy is the residual itself
+    if _renders_alike(r.discrepancy, r.verdict.value):
+        discrepancy = value
+    else:
+        discrepancy = element_to_obj(r.discrepancy)
+    obj = {
+        "claim": r.claim,
+        "params": {k: v for k, v in sorted(r.params.items())},
+        "mode": r.mode.value,
+        "verdict": {"kind": r.verdict.kind, "value": value},
+        "paper_match": r.paper_match,
+        "paper_expected": element_to_obj(r.paper_expected),
+        "discrepancy": discrepancy,
+        "expectation_met": met,
+    }
+    return json.dumps(obj, separators=(",", ":"))
+
+
+_REPORT_RENDERERS = {"text": _report_text, "json": _report_json}
 
 
 def run_verify_suite(config: SuiteConfig) -> ReportDoc:
-    """Run every configured claim sweep and assemble the report document."""
+    """Run every configured claim sweep, rendering and counting each
+    claim's reports as soon as its sweep returns."""
     ranges = {
         "n_max": config.n_max,
         "k_max": config.k_max,
         "m_range": config.m_range,
         "p_range": config.p_range,
     }
-    reports = []
+    render = _REPORT_RENDERERS[config.format]
+    counts = {"exact_zero": 0, "central": 0, "residual": 0, "paper_mismatch": 0}
+    met = 0
+    rendered = []
     for claim in config.claims:
         claim_reports = sweep_claim(claim, ranges, config.mode)
         if not claim_reports:
             raise ConfigError(
                 f"claim {claim} has no valid parameter tuples in the given ranges"
             )
-        reports.extend(claim_reports)
-    doc = ReportDoc(
-        version=__version__, mode=config.mode.value, ranges=ranges, reports=reports
+        for r in claim_reports:
+            ok = expectation_met(r)
+            counts[r.verdict.kind] += 1
+            if not r.paper_match:
+                counts["paper_mismatch"] += 1
+            met += ok
+            rendered.append(render(r, ok))
+        # this claim's reports die here, before the next sweep builds its own
+        del claim_reports, r
+    counts["reports"] = len(rendered)
+    counts["expectations_met"] = met
+    return ReportDoc(
+        version=__version__,
+        mode=config.mode.value,
+        ranges=ranges,
+        format=config.format,
+        reports=rendered,
+        summary=counts,
     )
-    doc.tally()
-    return doc
-
-
-def _params_text(params: dict) -> str:
-    return " ".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
 def report_doc_text(doc: ReportDoc) -> str:
@@ -138,40 +201,16 @@ def report_doc_text(doc: ReportDoc) -> str:
         f"uqsl2 verify report (version {doc.version}, mode {doc.mode})",
         "ranges: n=0..{n_max} k=0..{k_max} m={m_range[0]}..{m_range[1]} "
         "p={p_range[0]}..{p_range[1]}".format(**doc.ranges),
-    ]
-    for r in doc.reports:
-        line = (
-            f"claim={r.claim} {_params_text(r.params)} verdict={r.verdict.kind} "
-            f"paper_match={'yes' if r.paper_match else 'no'} "
-            f"expectation={'met' if expectation_met(r) else 'FAILED'}"
-        )
-        if not r.paper_match:
-            line += f" discrepancy={print_element(r.discrepancy)}"
-        lines.append(line)
-    s = doc.summary
-    lines.append(
+        *doc.reports,
         "summary: reports={reports} exact_zero={exact_zero} central={central} "
         "residual={residual} paper_mismatch={paper_mismatch} "
-        "expectations_met={expectations_met}/{reports}".format(**s)
-    )
+        "expectations_met={expectations_met}/{reports}".format(**doc.summary),
+    ]
     return "\n".join(lines)
 
 
-def _report_to_obj(r: VerdictReport) -> dict:
-    return {
-        "claim": r.claim,
-        "params": {k: v for k, v in sorted(r.params.items())},
-        "mode": r.mode.value,
-        "verdict": {"kind": r.verdict.kind, "value": element_to_obj(r.verdict.value)},
-        "paper_match": r.paper_match,
-        "paper_expected": element_to_obj(r.paper_expected),
-        "discrepancy": element_to_obj(r.discrepancy),
-        "expectation_met": expectation_met(r),
-    }
-
-
 def report_doc_json(doc: ReportDoc) -> str:
-    obj = {
+    head = {
         "version": doc.version,
         "mode": doc.mode,
         "ranges": {
@@ -181,9 +220,14 @@ def report_doc_json(doc: ReportDoc) -> str:
             "p_range": list(doc.ranges["p_range"]),
         },
         "summary": doc.summary,
-        "reports": [_report_to_obj(r) for r in doc.reports],
     }
-    return json.dumps(obj, separators=(",", ":"))
+    # the reports are JSON already: splice them in as the last key, which
+    # gives the bytes one dump of the whole document would
+    text = json.dumps(head, separators=(",", ":"))
+    return text[:-1] + ',"reports":[' + ",".join(doc.reports) + "]}"
+
+
+_DOC_ASSEMBLERS = {"text": report_doc_text, "json": report_doc_json}
 
 
 # element subcommands: help text, then the arguments of the evaluator call
@@ -342,10 +386,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             config = _verify_config(args)
             doc = run_verify_suite(config)
-            if config.format == "json":
-                print(report_doc_json(doc))
-            else:
-                print(report_doc_text(doc))
+            print(_DOC_ASSEMBLERS[doc.format](doc))
             met = doc.summary["expectations_met"] == doc.summary["reports"]
             return 0 if met else 1
         element = _element_command(args)

@@ -458,6 +458,19 @@ class RatFunc:
             n >>= 1
         return out
 
+    def mul_q_pow(self, k: int) -> "RatFunc":
+        """self * q^k, by shifting the numerator's q-exponents.  q^k is a
+        unit, so the fraction stays normalized and keeps its denominator;
+        this is how a K-power passing x's scales a coefficient."""
+        if not k:
+            return self
+        num = _new(LaurentPoly)
+        num.terms = {(eq + k, eu): c for (eq, eu), c in self.num.terms.items()}
+        r = _new(RatFunc)
+        r.num = num
+        r.den = self.den
+        return r
+
     def canonical(self) -> "RatFunc":
         """Fully normalized copy (fast arithmetic paths may leave a shared
         factor between num and den; rendering wants it gone).  A polynomial
@@ -506,18 +519,24 @@ def _coerce(x):
     return NotImplemented
 
 
+def one_term(c: int, eq: int, eu: int) -> RatFunc:
+    """The one-term polynomial c q^eq u^eu, for a nonzero integer c; 1 is
+    ``RF_ONE`` itself."""
+    if c == 1 and not eq and not eu:
+        return RF_ONE
+    num = _new(LaurentPoly)
+    num.terms = {(eq, eu): c}
+    return _rf(num, P_ONE)
+
+
 @lru_cache(maxsize=256)
 def q_pow(k: int) -> RatFunc:
-    if k == 0:
-        return RF_ONE
-    return _rf(LaurentPoly.monomial(1, k, 0), P_ONE)
+    return one_term(1, k, 0)
 
 
 @lru_cache(maxsize=256)
 def u_pow(k: int) -> RatFunc:
-    if k == 0:
-        return RF_ONE
-    return _rf(LaurentPoly.monomial(1, 0, k), P_ONE)
+    return one_term(1, 0, k)
 
 
 @lru_cache(maxsize=1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coeff import RF_ONE, RF_ZERO, RatFunc, _coerce, q_pow
+from .coeff import RF_ONE, RatFunc, _coerce
 
 XPLUS, XMINUS, AGEN = 0, 1, 2
 _KIND_NAMES = {XPLUS: "x+", XMINUS: "x-", AGEN: "a"}
@@ -25,6 +25,7 @@ class Gen(NamedTuple):
 # tuple.__new__ builds a Gen or Monomial without the NamedTuple's
 # Python-level __new__; the hot constructors below use it
 _tuple_new = tuple.__new__
+_object_new = object.__new__
 
 
 def xplus(k: int) -> Gen:
@@ -111,9 +112,7 @@ class Element:
         return isinstance(other, Element) and self.terms == other.terms
 
     def __neg__(self):
-        out = Element()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _element({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, Element):
@@ -126,9 +125,7 @@ class Element:
                 t[m] = s
             else:
                 t.pop(m, None)
-        out = Element()
-        out.terms = t
-        return out
+        return _element(t)
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -144,9 +141,7 @@ class Element:
                 t[m] = s
             else:
                 del t[m]
-        out = Element()
-        out.terms = t
-        return out
+        return _element(t)
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -165,9 +160,7 @@ class Element:
     def scale(self, coeff: RatFunc) -> "Element":
         if coeff.is_zero():
             return Element()
-        out = Element()
-        out.terms = {m: c * coeff for m, c in self.terms.items()}
-        return out
+        return _element({m: c * coeff for m, c in self.terms.items()})
 
     def sorted_terms(self):
         """Deterministic iteration for printing and serialization."""
@@ -181,6 +174,14 @@ class Element:
             gens = ".".join(f"{_KIND_NAMES[g.kind]}{g.idx}" for g in m.word)
             bits.append(f"[{c!r}]*{gens or '1'}*K^{m.kexp}")
         return "Element(" + " + ".join(bits) + ")"
+
+
+def _element(terms: dict) -> Element:
+    """The Element holding ``terms`` itself, neither copied nor filtered:
+    the caller hands over a fresh dict with no zero coefficient."""
+    el = _object_new(Element)
+    el.terms = terms
+    return el
 
 
 def el_mul(a: Element, b: Element) -> Element:
@@ -201,7 +202,7 @@ def el_mul(a: Element, b: Element) -> Element:
         for wb, eb, cb, net in bterms:
             c = ca * cb
             if e and net:
-                c = c * q_pow(2 * e * net)
+                c = c.mul_q_pow(2 * e * net)
             mono = _tuple_new(Monomial, (wa + wb, e + eb))
             acc = out.get(mono)
             if acc is None:
@@ -213,9 +214,7 @@ def el_mul(a: Element, b: Element) -> Element:
                 out[mono] = s
             else:
                 del out[mono]
-    el = Element()
-    el.terms = out
-    return el
+    return _element(out)
 
 
 _OMEGA_KIND = {XPLUS: XMINUS, XMINUS: XPLUS, AGEN: AGEN}
@@ -249,6 +248,4 @@ def project_x_free(a: Element) -> Element:
     for mono, c in a.terms.items():
         if all(g.kind == AGEN for g in mono.word):
             out[mono] = c
-    el = Element()
-    el.terms = out
-    return el
+    return _element(out)

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coeff import RF_ONE, q_pow, qminus, u_pow
+from .coeff import RF_ONE, one_term, q_pow, qminus, u_pow
 from .currents import phi, psi
-from .elements import Element, Monomial, el_mul, xminus, xplus
+from .elements import Element, Monomial, _element, _tuple_new, el_mul, xminus, xplus
 
 SIGNS = ("+", "-")
 
@@ -45,10 +45,10 @@ def family_E_pos(n: int, m: int, eta: int, sign: str) -> Element:
     if n < 0:
         raise ValueError(f"nonnegative-branch index must satisfy n >= 0, got {n}")
     s = _sgn(sign)
-    return Element(
+    return _element(
         {
-            Monomial((xplus(n),), m): u_pow(s * (2 * n + 1)),
-            Monomial((xminus(n + 1),), eta): RF_ONE,
+            _tuple_new(Monomial, ((xplus(n),), m)): u_pow(s * (2 * n + 1)),
+            _tuple_new(Monomial, ((xminus(n + 1),), eta)): RF_ONE,
         }
     )
 
@@ -57,10 +57,10 @@ def family_E_neg(n: int, l: int, theta: int, sign: str) -> Element:
     if n < 0:
         raise ValueError(f"negative-branch index must satisfy n >= 0, got {n}")
     s = _sgn(sign)
-    return Element(
+    return _element(
         {
-            Monomial((xplus(-n - 1),), l): RF_ONE,
-            Monomial((xminus(-n),), theta): u_pow(s * (2 * n + 1)),
+            _tuple_new(Monomial, ((xplus(-n - 1),), l)): RF_ONE,
+            _tuple_new(Monomial, ((xminus(-n),), theta)): u_pow(s * (2 * n + 1)),
         }
     )
 
@@ -106,24 +106,28 @@ def _general_groups(
     # direct K-passing gives m+l+p on the x+x+ group; the stated display
     # prints eta+theta+p there instead
     kpp = eta + theta + p if printed else m + l + p
-    g1 = u_pow(2 * s * (n + k + 1))
-    terms = {
-        Monomial((xplus(n), xminus(-k)), m + theta + p): g1 * q_pow(-2 * (m + p)),
-        Monomial((xminus(-k), xplus(n)), m + theta + p): -(g1 * q_pow(2 * (theta + p))),
-        Monomial((xminus(n + 1), xplus(-k - 1)), eta + l + p): q_pow(2 * (eta + p)),
-        Monomial((xplus(-k - 1), xminus(n + 1)), eta + l + p): -q_pow(-2 * (l + p)),
-        Monomial((xplus(n), xplus(-k - 1)), kpp): u_pow(s * (2 * n + 1))
-        * q_pow(2 * (m + p)),
-        Monomial((xplus(-k - 1), xplus(n)), kpp): -(
-            u_pow(s * (2 * n + 1)) * q_pow(2 * (l + p))
-        ),
-        Monomial((xminus(n + 1), xminus(-k)), eta + theta + p): u_pow(s * (2 * k + 1))
-        * q_pow(-2 * (eta + p)),
-        Monomial((xminus(-k), xminus(n + 1)), eta + theta + p): -(
-            u_pow(s * (2 * k + 1)) * q_pow(-2 * (theta + p))
-        ),
-    }
-    return Element(terms)
+    k_mix = m + theta + p
+    k_swap = eta + l + p
+    k_minus = eta + theta + p
+    g1 = 2 * s * (n + k + 1)
+    gn = s * (2 * n + 1)
+    gk = s * (2 * k + 1)
+    xp_n, xm_k = xplus(n), xminus(-k)
+    xm_n, xp_k = xminus(n + 1), xplus(-k - 1)
+    new, M = _tuple_new, Monomial
+    # each coefficient is +-q^a u^b: gamma-power times the K-passing q-power
+    return _element(
+        {
+            new(M, ((xp_n, xm_k), k_mix)): one_term(1, -2 * (m + p), g1),
+            new(M, ((xm_k, xp_n), k_mix)): one_term(-1, 2 * (theta + p), g1),
+            new(M, ((xm_n, xp_k), k_swap)): one_term(1, 2 * (eta + p), 0),
+            new(M, ((xp_k, xm_n), k_swap)): one_term(-1, -2 * (l + p), 0),
+            new(M, ((xp_n, xp_k), kpp)): one_term(1, 2 * (m + p), gn),
+            new(M, ((xp_k, xp_n), kpp)): one_term(-1, 2 * (l + p), gn),
+            new(M, ((xm_n, xm_k), k_minus)): one_term(1, -2 * (eta + p), gk),
+            new(M, ((xm_k, xm_n), k_minus)): one_term(-1, -2 * (theta + p), gk),
+        }
+    )
 
 
 def expand_general_commutator(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .coeff import LaurentPoly, RatFunc, _is_one
+from .coeff import P_ONE, LaurentPoly, RatFunc, _is_one
 from .elements import (
     AGEN,
     XMINUS,
@@ -69,6 +69,9 @@ def _pow(st: _Style, base: str, e: int) -> str:
 
 
 def _poly(p: LaurentPoly, st: _Style) -> str:
+    if p is P_ONE:
+        # the denominator of every polynomial coefficient
+        return "1"
     if p.is_zero():
         return "0"
     out = []

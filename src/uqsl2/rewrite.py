@@ -63,6 +63,7 @@ from .elements import (
     Element,
     Gen,
     Monomial,
+    _element,
     agen,
     el_mul,
     project_x_free,
@@ -139,7 +140,7 @@ def _expand_redex(word, kexp: int, i: int, tag: int):
     for m2, c2 in repl.terms.items():
         e2 = m2.kexp
         if e2 and net:
-            c2 = c2 * q_pow(2 * e2 * net)
+            c2 = c2.mul_q_pow(2 * e2 * net)
         out.append((Monomial(prefix + m2.word + suffix, kexp + e2), c2))
     return out
 
@@ -289,9 +290,7 @@ def _reduce(a: Element, mode: RelationMode, choose) -> Element:
             s = s / qminus()
             for m2, c2 in current(m).terms.items():
                 bump(done, Monomial(prefix + m2.word, kexp + m2.kexp), s * c2)
-    out = Element()
-    out.terms = {m: c for m, c in done.items() if c}
-    return out
+    return _element({m: c for m, c in done.items() if c})
 
 
 def normal_form(a: Element, mode: RelationMode = RelationMode.STRICT) -> Element:

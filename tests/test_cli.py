@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import contextlib
@@ -5,8 +6,13 @@ import random
 
 import pytest
 
-from uqsl2.cli import _ELEMENT_COMMANDS, main
-from uqsl2.render import print_element
+from uqsl2 import __version__
+from uqsl2.cli import _ELEMENT_COMMANDS, SuiteConfig, main, run_verify_suite
+from uqsl2.coeff import RatFunc
+from uqsl2.elements import Element
+from uqsl2.render import element_to_obj, print_element
+from uqsl2.rewrite import RelationMode
+from uqsl2.verify import CLAIMS, Verdict, VerdictReport, expectation_met, sweep_claim
 
 from helpers import rand_element
 
@@ -229,6 +235,90 @@ def test_verify_output_deterministic():
     _, out1, _ = run_cli(argv)
     _, out2, _ = run_cli(argv)
     assert out1 == out2
+
+
+_SMALL = {"n_max": 2, "k_max": 2, "m_range": (-1, 1), "p_range": (-1, 0)}
+_SWEPT = [name for name, c in CLAIMS.items() if c.cli_name]
+
+
+def _whole_document(mode, fmt):
+    # the report built from every report at once: one json.dumps of the
+    # whole document, or one line per report
+    reports = [r for claim in _SWEPT for r in sweep_claim(claim, _SMALL, mode)]
+    counts = {"exact_zero": 0, "central": 0, "residual": 0, "paper_mismatch": 0}
+    for r in reports:
+        counts[r.verdict.kind] += 1
+        counts["paper_mismatch"] += not r.paper_match
+    counts["reports"] = len(reports)
+    counts["expectations_met"] = sum(map(expectation_met, reports))
+    if fmt == "json":
+        obj = {
+            "version": __version__,
+            "mode": mode.value,
+            "ranges": {k: list(v) if isinstance(v, tuple) else v for k, v in _SMALL.items()},
+            "summary": counts,
+            "reports": [
+                {
+                    "claim": r.claim,
+                    "params": dict(sorted(r.params.items())),
+                    "mode": r.mode.value,
+                    "verdict": {"kind": r.verdict.kind, "value": element_to_obj(r.verdict.value)},
+                    "paper_match": r.paper_match,
+                    "paper_expected": element_to_obj(r.paper_expected),
+                    "discrepancy": element_to_obj(r.discrepancy),
+                    "expectation_met": expectation_met(r),
+                }
+                for r in reports
+            ],
+        }
+        return json.dumps(obj, separators=(",", ":"))
+    lines = [
+        f"uqsl2 verify report (version {__version__}, mode {mode.value})",
+        "ranges: n=0..2 k=0..2 m=-1..1 p=-1..0",
+    ]
+    for r in reports:
+        params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
+        line = (
+            f"claim={r.claim} {params} verdict={r.verdict.kind} "
+            f"paper_match={'yes' if r.paper_match else 'no'} "
+            f"expectation={'met' if expectation_met(r) else 'FAILED'}"
+        )
+        if not r.paper_match:
+            line += f" discrepancy={print_element(r.discrepancy)}"
+        lines.append(line)
+    lines.append(
+        "summary: reports={reports} exact_zero={exact_zero} central={central} "
+        "residual={residual} paper_mismatch={paper_mismatch} "
+        "expectations_met={expectations_met}/{reports}".format(**counts)
+    )
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("mode", list(RelationMode))
+def test_verify_prints_the_whole_document_byte_for_byte(mode):
+    claims = ",".join(CLAIMS[name].cli_name for name in _SWEPT)
+    for fmt in ("json", "text"):
+        argv = ["verify", "--claims", claims, "--n-max", "2", "--k-max", "2"]
+        argv += ["--m-range=-1:1", "--p-range=-1:0", "--mode", mode.value, "--format", fmt]
+        _, out, _ = run_cli(argv)
+        assert out == _whole_document(mode, fmt) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_report_doc_keeps_no_reports_or_elements(fmt):
+    config = SuiteConfig(claims=_SWEPT, **_SMALL, format=fmt)
+    doc = run_verify_suite(config)
+    assert doc.summary["reports"] == len(doc.reports) > 0
+    seen = set()
+    todo = [doc]
+    while todo:
+        obj = todo.pop()
+        # a class leads to its module and on to every cache in the program
+        if isinstance(obj, type) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (Element, VerdictReport, Verdict, RatFunc)), obj
+        todo.extend(gc.get_referents(obj))
 
 
 def test_explicit_claims_flag_beats_config_file(tmp_path, monkeypatch):

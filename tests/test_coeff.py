@@ -224,3 +224,23 @@ def test_polynomial_results_hold_the_shared_denominator():
                 assert got.den is P_ONE, got
                 seen += 1
     assert seen > 500
+
+
+def test_mul_q_pow_is_the_product_with_q_pow():
+    # a K-power passing x's scales a coefficient by q^k through this shift
+    seen = 0
+    for a, b in _shaped_pairs(seed=2335, count=100):
+        for c in (a, b):
+            for k in (-4, -2, 0, 1, 2, 6):
+                got = c.mul_q_pow(k)
+                want = c * q_pow(k)
+                assert got == want, (c, k)
+                # and prints alike: the shift leaves a shared factor of num
+                # and den in place, and canonical() removes it
+                got, want = got.canonical(), want.canonical()
+                assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
+                if c.den is P_ONE:
+                    assert got.den is P_ONE
+                    seen += 1
+    assert c.mul_q_pow(0) is c
+    assert seen > 300

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from uqsl2.coeff import RF_ONE, LaurentPoly, q_pow, u_pow
+from uqsl2.coeff import RF_ONE, LaurentPoly, RatFunc, q_pow, u_pow
 from uqsl2.elements import (
     Element,
     Monomial,
@@ -130,3 +130,30 @@ def test_family_brackets_make_no_polynomial_products(monkeypatch):
         raw = el_mul(el_mul(a, kp), b) - el_mul(el_mul(b, kp), a)
         assert raw == expand_general_commutator(n, k, m, l, eta, theta, p, sign)
     assert calls == 0
+
+
+def test_k_passing_makes_no_second_coefficient_product(monkeypatch):
+    # a K-power passing x's shifts q-exponents (RatFunc.mul_q_pow), so each
+    # chain makes one coefficient product per term pair: 2 + 4 per chain
+    calls = 0
+    ratfunc_mul = RatFunc.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return ratfunc_mul(self, other)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counted)
+    rng = random.Random(4)
+    R = range(-2, 3)
+    brackets = 1000
+    for _ in range(brackets):
+        sign = rng.choice("+-")
+        n, k = rng.randrange(4), rng.randrange(4)
+        m, l, eta, theta, p = (rng.choice(R) for _ in range(5))
+        a = family_E_pos(n, m, eta, sign)
+        b = family_E_neg(k, l, theta, sign)
+        kp = Element.k_power(p)
+        el_mul(el_mul(a, kp), b)
+        el_mul(el_mul(b, kp), a)
+    assert calls <= 12 * brackets

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from uqsl2.coeff import RF_ONE, q_pow, qminus, u_pow
+from uqsl2.coeff import P_ONE, RF_ONE, q_pow, qminus, u_pow
 from uqsl2.elements import Element, Monomial, el_mul, omega, xminus, xplus
 from uqsl2.family import (
     FamilyParams,
@@ -98,6 +99,48 @@ def test_expansion_equals_deformed_commutator():
         exp = expand_general_commutator(n, k, m, l, eta, theta, p, sign)
         for mode in (S, AX):
             assert equals(deformed_commutator(a, b, p, mode), exp, mode)
+
+
+def _product_built_groups(n, k, m, l, eta, theta, p, sign, printed):
+    # the expansion written with q_pow/u_pow products and negations
+    s = 1 if sign == "+" else -1
+    kpp = eta + theta + p if printed else m + l + p
+    g1 = u_pow(2 * s * (n + k + 1))
+    gn = u_pow(s * (2 * n + 1))
+    gk = u_pow(s * (2 * k + 1))
+    return Element(
+        {
+            Monomial((xplus(n), xminus(-k)), m + theta + p): g1 * q_pow(-2 * (m + p)),
+            Monomial((xminus(-k), xplus(n)), m + theta + p): -(g1 * q_pow(2 * (theta + p))),
+            Monomial((xminus(n + 1), xplus(-k - 1)), eta + l + p): q_pow(2 * (eta + p)),
+            Monomial((xplus(-k - 1), xminus(n + 1)), eta + l + p): -q_pow(-2 * (l + p)),
+            Monomial((xplus(n), xplus(-k - 1)), kpp): gn * q_pow(2 * (m + p)),
+            Monomial((xplus(-k - 1), xplus(n)), kpp): -(gn * q_pow(2 * (l + p))),
+            Monomial((xminus(n + 1), xminus(-k)), eta + theta + p): gk * q_pow(-2 * (eta + p)),
+            Monomial((xminus(-k), xminus(n + 1)), eta + theta + p): -(
+                gk * q_pow(-2 * (theta + p))
+            ),
+        }
+    )
+
+
+def test_expansion_and_fixture_match_the_product_built_formulas():
+    R = (-1, 0, 2)
+    for n, k, m, l, eta, theta, p in itertools.product(range(3), range(3), R, R, R, R, R):
+        for sign in "+-":
+            args = (n, k, m, l, eta, theta, p, sign)
+            for built, printed in (
+                (expand_general_commutator(*args), False),
+                (general_display_fixture(*args), True),
+            ):
+                assert built == _product_built_groups(*args, printed)
+                assert all(c.den is P_ONE for c in built.terms.values())
+    assert family_E_pos(2, 1, -1, "-") == Element(
+        {Monomial((xplus(2),), 1): u_pow(-5), Monomial((xminus(3),), -1): RF_ONE}
+    )
+    assert family_E_neg(2, 1, -1, "+") == Element(
+        {Monomial((xplus(-3),), 1): RF_ONE, Monomial((xminus(-2),), -1): u_pow(5)}
+    )
 
 
 def test_same_sign_group_coefficients_match_when_weights_agree():
