@@ -1,8 +1,10 @@
 """Command-line front end: expression commands and the verification suite.
 
 Exit codes: 0 all expectations met, 1 discrepancies found, 2 usage, parse
-or configuration error.  UQSL2_MODE sets the default relation mode; an
-optional JSON config file supplies verify defaults (flags win).
+or configuration error.  The relation mode is "strict" (the default) or
+"full", which adds Drinfeld's same-sign x relation (see ``rewrite``).
+UQSL2_MODE sets the default mode; an optional JSON config file supplies
+verify defaults (flags win).
 
 ``verify`` renders each report as soon as its claim's sweep returns and
 keeps only the text: a wide sweep holds one claim's reports at a time, not
@@ -42,13 +44,14 @@ class ConfigError(ValueError):
 
 _CLI_CLAIMS = {c.cli_name: name for name, c in CLAIMS.items() if c.cli_name}
 _DEFAULT_CLAIMS = ",".join(_CLI_CLAIMS)
+_MODES = tuple(m.value for m in RelationMode)
 
 
 def _mode_from_name(name: str) -> RelationMode:
     try:
         return RelationMode(name)
     except ValueError:
-        raise ConfigError(f"unknown mode {name!r} (use strict or abelianx)")
+        raise ConfigError(f"unknown mode {name!r} (use {' or '.join(_MODES)})")
 
 
 def _default_mode() -> str:
@@ -222,9 +225,13 @@ def report_doc_json(doc: ReportDoc) -> str:
         "summary": doc.summary,
     }
     # the reports are JSON already: splice them in as the last key, which
-    # gives the bytes one dump of the whole document would
+    # gives the bytes one dump of the whole document would.  One join over
+    # every piece copies the reports' text once.
     text = json.dumps(head, separators=(",", ":"))
-    return text[:-1] + ',"reports":[' + ",".join(doc.reports) + "]}"
+    pieces = [s for r in doc.reports for s in (",", r)]
+    pieces[:1] = [text[:-1] + ',"reports":[']  # in place of the first ","
+    pieces.append("]}")
+    return "".join(pieces)
 
 
 _DOC_ASSEMBLERS = {"text": report_doc_text, "json": report_doc_json}
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(name, type=int, default=0)
             else:
                 p.add_argument(name, type=int)
-        p.add_argument("--mode", default=None, choices=("strict", "abelianx"))
+        p.add_argument("--mode", default=None, choices=_MODES)
         p.add_argument("--format", default="text", choices=("text", "latex", "json"))
 
     p = sub.add_parser("verify", help="run claim verification sweeps")
@@ -290,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--m-range", default=None)
     p.add_argument("--p-range", default=None)
-    p.add_argument("--mode", default=None, choices=("strict", "abelianx"))
+    p.add_argument("--mode", default=None, choices=_MODES)
     p.add_argument("--format", default=None, choices=("text", "json"))
     p.add_argument("--config", default=None, help="JSON file with verify defaults")
     return ap

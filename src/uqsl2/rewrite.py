@@ -1,6 +1,7 @@
 """Normal ordering: a terminating rewrite system on generator words.
 
-Canonical word shape: x+ block, x- block, a block sorted ascending, K-power.
+Canonical word shape: x+ block, x- block (each sorted ascending in full
+mode), a block sorted ascending, K-power.
 The rules, read off the defining relations:
 
   R1  K-powers pass x generators during multiplication (done in el_mul);
@@ -8,34 +9,20 @@ The rules, read off the defining relations:
       for k > l;
   R3  a_n x+-_k -> x+-_k a_n  +-  [2n]/n u^(-+|n|) x+-_(n+k);
   R4  x-_i x+_j -> x+_j x-_i - (u^(j-i) psi_(i+j) - u^(i-j) phi_(i+j))/(q - q^-1);
-  R5  (AbelianX mode only) same-sign x pairs sorted ascending, no correction.
+  R6  (full mode only) x+-_i x+-_j -> s x_j x_i + s x_(i-1) x_(j+1) - x_(j+1) x_(i-1)
+      for i > j + 1, and x+-_(j+1) x+-_j -> s x_j x_(j+1), with s = q^(+-2).
 
-Neither mode imposes Drinfeld's quadratic same-sign x relation, and that is
-a choice, not a termination problem.  Ordered by index, with s = q^(+-2) for
-x+-, it gives the rules
+R6 is Drinfeld's quadratic same-sign relation
 
-  x_i x_j -> s x_j x_i + s x_(i-1) x_(j+1) - x_(j+1) x_(i-1)    for i > j + 1,
-  x_(j+1) x_j -> s x_j x_(j+1),
+  x_(k+1) x_l - s x_l x_(k+1) = s x_k x_(l+1) - x_(l+1) x_k,
 
-and every step shrinks the index gap, so they terminate.  Strict mode leaves
-it out and computes in the quotient of the free algebra by R2-R4 and the
-K/gamma relations only; AbelianX sorts same-sign x's instead (R5).
-
-R5 is applied only to words that have no R2-R4 redex left.  Interleaving it
-freely with R4 is not order-independent: commuting x+_1 x+_0 before or
-after resolving an x-_0 to their left changes which current corrections
-arise, and the results differ.  With R5 restricted this way both modes are
-empirically confluent (see the diamond tests), but AbelianX's normal form is
-not multiplicative, so it names no quotient algebra.  Witness: AbelianX sets
-x+[0]*x+[-1] = x+[-1]*x+[0], yet
-
-    nf(x-[-1]*x+[0]*x+[-1] - x-[-1]*x+[-1]*x+[0])
-
-is a nonzero sum of x+ a K^-1 words whose coefficients all vanish at q = 1.
-The R4 corrections carry psi/phi terms (K-powers and a's) that do not
-commute with x+, so the commutation R5 imposes is not compatible with R4;
-no restriction of R5 repairs that.  Only Drinfeld's quadratic same-sign
-relation itself is compatible with R2-R4.
+solved for its word with the larger first index.  Every step shrinks the
+index gap, so it terminates.  Confluence fixes its convention: with
+s = q^(-+2) instead, two rewrite orders of one word can reach different
+normal forms, and the diamond tests see it.  Full mode offers R6 beside
+R2-R4 in one pass and computes in U_q(sl2-hat).  Strict mode leaves R6 out:
+it computes in the quotient of the free algebra by R2-R4 and the K/gamma
+relations only, where same-sign x words are not reordered.
 
 The rewrite loop does not expand an R4 correction that lands in normal
 position: the redex is the word's last two letters and the prefix before it
@@ -74,12 +61,12 @@ from .elements import (
 
 class RelationMode(enum.Enum):
     STRICT = "strict"
-    ABELIAN_X = "abelianx"
+    FULL = "full"
 
 
-_R2, _R3, _R4, _R5 = 2, 3, 4, 5
+_R2, _R3, _R4, _R6 = 2, 3, 4, 6
 # the swap half of an R4 step whose correction _reduce keeps in a block
-_R4_SWAP = 6
+_R4_SWAP = 7
 
 
 @lru_cache(maxsize=128)
@@ -106,7 +93,7 @@ def _cross_commutator(j: int, i: int) -> Element:
 
 @lru_cache(maxsize=1 << 12)
 def _replacement(g: Gen, h: Gen, tag: int) -> Element:
-    if tag in (_R2, _R5, _R4_SWAP):
+    if tag in (_R2, _R4_SWAP):
         terms = {Monomial((h, g), 0): RF_ONE}
         if tag == _R2 and g.idx == -h.idx:
             terms[Monomial((), 0)] = _aa_central(g.idx)
@@ -118,6 +105,16 @@ def _replacement(g: Gen, h: Gen, tag: int) -> Element:
                 Monomial((Gen(h.kind, g.idx + h.idx),), 0): _ax_coeff(g.idx, h.kind),
             }
         )
+    if tag == _R6:
+        # g = x_i, h = x_j, i > j; at i = j + 1 the relation reads
+        # x_(j+1) x_j = s x_j x_(j+1)
+        s = q_pow(2 if g.kind == XPLUS else -2)
+        out = Element({Monomial((h, g), 0): s})
+        if g.idx > h.idx + 1:
+            hi, lo = Gen(g.kind, g.idx - 1), Gen(g.kind, h.idx + 1)
+            out = out + Element({Monomial((hi, lo), 0): s})
+            out = out - Element.from_monomial(Monomial((lo, hi), 0))
+        return out
     # R4: g = x-_i, h = x+_j
     swapped = Element.from_monomial(Monomial((h, g), 0))
     return swapped - _cross_commutator(h.idx, g.idx)
@@ -171,10 +168,9 @@ def clear_caches():
 
 
 @lru_cache(maxsize=1 << 16)
-def _word_moves(word, abelian: bool):
-    """All admissible moves for one word, left to right: every R2-R4 redex,
-    and if none exist and same-sign sorting is on, every out-of-order
-    same-sign x pair."""
+def _word_moves(word, full: bool):
+    """All admissible moves for one word, left to right: every R2-R4 redex
+    and, in full mode, every out-of-order same-sign x pair (R6)."""
     moves = []
     for i in range(len(word) - 1):
         g = word[i]
@@ -186,12 +182,8 @@ def _word_moves(word, abelian: bool):
                 moves.append((i, _R2))
         elif g.kind == XMINUS and h.kind == XPLUS:
             moves.append((i, _R4))
-    if not moves and abelian:
-        for i in range(len(word) - 1):
-            g = word[i]
-            h = word[i + 1]
-            if g.kind == h.kind and g.kind != AGEN and g.idx > h.idx:
-                moves.append((i, _R5))
+        elif full and g.kind == h.kind and g.idx > h.idx:
+            moves.append((i, _R6))
     return tuple(moves)
 
 
@@ -200,14 +192,15 @@ def _order_key(word):
 
     Words are ordered by (#x generators, #a generators, the word itself
     compared lexicographically, generators compared as (kind, idx)).  Every
-    rule strictly lowers this order: a swap (R2-R5) keeps both counts and
-    puts a smaller generator first at its position; an R2/R3 correction
-    drops an a and keeps the x's; an R4 correction drops two x's.  Words of
-    equal counts have equal length, so the lexicographic part compares like
-    with like.  No rule lengthens a word or raises the sum of its |indices|,
-    so everything reachable from a finite element lies in a finite set of
-    words and rewriting terminates; and a word taken off the heap
-    largest-first can never be produced again.  The key is O(length), which
+    rule strictly lowers this order: a swap (R2-R4, R6) keeps both counts
+    and puts a smaller generator first at its position; an R2/R3 correction
+    drops an a and keeps the x's; an R4 correction drops two x's; an R6
+    correction keeps both counts and puts x_(i-1) or x_(j+1) where x_i was.
+    Words of equal counts have equal length, so the lexicographic part
+    compares like with like.  No rule lengthens a word or raises the sum of
+    its |indices|, so everything reachable from a finite element lies in a
+    finite set of words and rewriting terminates; and a word taken off the
+    heap largest-first can never be produced again.  The key is O(length), which
     matters: a key that counts inversions is quadratic in the length.
     """
     nx = 0
@@ -236,7 +229,7 @@ def _reduce(a: Element, mode: RelationMode, choose) -> Element:
     cancel, such as the Cartan part of an EP/EM bracket, are never
     expanded at all.
     """
-    abelian = mode is RelationMode.ABELIAN_X
+    full = mode is RelationMode.FULL
     done = {}
     pending = {}
     heap = []
@@ -247,7 +240,7 @@ def _reduce(a: Element, mode: RelationMode, choose) -> Element:
         table[key] = c if acc is None else acc + c
 
     def add(mono, c):
-        if _word_moves(mono.word, abelian):
+        if _word_moves(mono.word, full):
             acc = pending.get(mono)
             if acc is None:
                 pending[mono] = c
@@ -265,13 +258,13 @@ def _reduce(a: Element, mode: RelationMode, choose) -> Element:
         if not c:
             continue
         word = mono.word
-        moves = _word_moves(word, abelian)
+        moves = _word_moves(word, full)
         i, tag = moves[choose(len(moves))]
         if (
             tag == _R4
             and i == len(word) - 2
             and all(g.kind != AGEN for g in word)
-            and not _word_moves(word[:i], abelian)
+            and not _word_moves(word[:i], full)
         ):
             # x-_i x+_j: the correction is -c (u^(j-i) psi_(i+j)
             # - u^(i-j) phi_(i+j)) / (q - q^-1); psi_m = 0 for m < 0 and
@@ -325,11 +318,10 @@ def deformed_commutator(
 def equals(a: Element, b: Element, mode: RelationMode = RelationMode.STRICT) -> bool:
     """Whether a - b normal-forms to zero.
 
-    Sound for Strict mode's quotient only: the quadratic same-sign x
-    relation is never imposed, so this does not decide equality in the full
-    quantized enveloping algebra (a further quotient).  Under AbelianX it is
-    not sound at all: that normal form is not multiplicative (see the module
-    docstring), so a zero here is not equality in any algebra.
+    In full mode this is equality in U_q(sl2-hat).  In Strict mode it is
+    equality in the quotient by R2-R4 only: the quadratic same-sign x
+    relation is never imposed, so a nonzero difference there may still
+    vanish in U_q(sl2-hat).
     """
     return normal_form(a - b, mode).is_zero()
 

@@ -63,9 +63,6 @@ class VerdictReport:
     paper_expected: Element
     discrepancy: Element
 
-    def key(self):
-        return (self.claim, tuple(sorted(self.params.items())), self.mode.value)
-
 
 def _report(claim, params, mode, result, expected) -> VerdictReport:
     disc = normal_form(result - expected, mode)
@@ -238,19 +235,16 @@ def check_index_reflection_identity(
 
 
 def expectation_met(report: VerdictReport) -> bool:
-    """Claim- and mode-aware success rule used for exit codes.
+    """Success rule used for exit codes, the same in every mode.
 
-    EP/EM hold exactly in AbelianX mode; in Strict mode the literally-true
-    statement is that the residual is made of same-sign x terms only.  All
-    other claims are in-or-out comparisons against the stated value.
-
-    The AbelianX zero is not a theorem about any algebra: AbelianX's normal
-    form is not multiplicative (see the rewrite module docstring), so it
-    decides equality in no quotient of the free algebra.
+    EP/EM state that the bracket is 0, and it is not: in full mode the
+    residual is a nonzero sum of same-sign x pairs whose coefficients all
+    vanish at q = 1, and in Strict mode the same-sign x words stay
+    unreduced.  The rule checks what does hold in both modes: the residual
+    has no x-free term.  All other claims are in-or-out comparisons against
+    the stated value.
     """
     if report.claim in ("EP", "EM"):
-        if report.mode is RelationMode.ABELIAN_X:
-            return report.verdict.kind == EXACT_ZERO
         return project_x_free(report.verdict.value).is_zero()
     return report.paper_match
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from uqsl2.coeff import RF_ONE, LaurentPoly, PoleError, RatFunc, q_pow, qminus, u_pow
-from uqsl2.elements import Element, Monomial, agen, xminus, xplus
+from uqsl2.elements import AGEN, Element, Monomial, agen, xminus, xplus
 
 
 def rand_gen(rng, max_idx=3):
@@ -76,6 +76,18 @@ def assert_coeffs_match_numerically(a: Element, b: Element, rng, points=3):
                 continue
             assert va == vb, (mono, q0, u0)
             done += 1
+
+
+def is_same_sign_residual(el: Element, u0=Fraction(3)) -> bool:
+    """Nonzero, every word a pair x+-_i x+-_j of one sign, and every
+    coefficient zero at q = 1 (u = u0): the shape of an EP/EM bracket in
+    full mode."""
+    return bool(el.terms) and all(
+        len(m.word) == 2
+        and m.word[0].kind == m.word[1].kind != AGEN
+        and c.evaluate(1, u0) == 0
+        for m, c in el.terms.items()
+    )
 
 
 # --- independent series oracle for the current components ---------------

@@ -47,11 +47,16 @@ def test_mul_and_comm():
 
 
 def test_dcomm_command():
+    # EP at n = 0, k = 1 in full mode: not 0 but a sum of same-sign pairs
+    # whose coefficients vanish at q = 1
     code, out, _ = run_cli(
-        ["dcomm", "E(+,0,0,0)", "E(+,0,0,-2)", "--p", "0", "--mode", "abelianx"]
+        ["dcomm", "E(+,0,0,0)", "E(+,0,0,-2)", "--p", "0", "--mode", "full"]
     )
     assert code == 0
-    assert out.strip() == "0"
+    assert out.strip() == (
+        "(-u^3 + q^-2*u^3)*x-[-1]*x-[1] + (-u^3 + q^-2*u^3)*x-[0]*x-[0]"
+        " + (q^2*u - u)*x+[-2]*x+[0] + (q^2*u - u)*x+[-1]*x+[-1]"
+    )
 
 
 def test_e_and_c_commands():
@@ -91,7 +96,7 @@ def test_exit_code_0_all_expectations_met():
             "--p-range",
             "0:0",
             "--mode",
-            "abelianx",
+            "full",
         ]
     )
     assert code == 0
@@ -111,7 +116,7 @@ def test_exit_code_1_discrepancies():
             "--p-range",
             "0:0",
             "--mode",
-            "abelianx",
+            "full",
         ]
     )
     assert code == 1
@@ -134,10 +139,11 @@ def test_exit_code_2_bad_config():
 
 
 def test_env_var_default_mode(monkeypatch):
-    monkeypatch.setenv("UQSL2_MODE", "abelianx")
+    # full mode applies x+_1 x+_0 = q^2 x+_0 x+_1; Strict leaves the word
+    monkeypatch.setenv("UQSL2_MODE", "full")
     code, out, _ = run_cli(["nf", "x+[1]*x+[0]"])
     assert code == 0
-    assert out.strip() == "x+[0]*x+[1]"
+    assert out.strip() == "q^2*x+[0]*x+[1]"
     monkeypatch.setenv("UQSL2_MODE", "strict")
     code, out, _ = run_cli(["nf", "x+[1]*x+[0]"])
     assert out.strip() == "x+[1]*x+[0]"
@@ -157,13 +163,13 @@ def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
                 "k_max": 2,
                 "m_range": "0:0",
                 "p_range": "0:0",
-                "mode": "abelianx",
+                "mode": "full",
             }
         )
     )
     code, out, _ = run_cli(["verify", "--config", str(cfg)])
-    assert code == 0
-    assert "mode abelianx" in out
+    assert code == 0  # EP in full: same-sign residuals with no x-free term
+    assert "mode full" in out
     # flags win over the config file
     code, out, _ = run_cli(["verify", "--config", str(cfg), "--mode", "strict"])
     assert "mode strict" in out
@@ -228,7 +234,7 @@ def test_verify_output_deterministic():
         "--p-range",
         "0:0",
         "--mode",
-        "abelianx",
+        "full",
         "--format",
         "json",
     ]

@@ -27,7 +27,7 @@ from uqsl2.rewrite import (
 from helpers import assert_coeffs_match_numerically, rand_element, rand_word
 
 S = RelationMode.STRICT
-AX = RelationMode.ABELIAN_X
+F = RelationMode.FULL
 K = Element.k_power(1)
 KINV = Element.k_power(-1)
 
@@ -62,14 +62,14 @@ def test_r4_single_step():
 def test_normal_input_is_fixed():
     e = el_mul(g(xplus(1)), el_mul(g(xminus(0)), g(agen(2))))
     assert normal_form(e, S) == e
-    assert normal_form(e, AX) == e
+    assert normal_form(e, F) == e
 
 
 def test_idempotence():
     rng = random.Random(17)
     for _ in range(60):
         e = rand_element(rng, max_len=4)
-        for mode in (S, AX):
+        for mode in (S, F):
             nf = normal_form(e, mode)
             assert normal_form(nf, mode) == nf
 
@@ -79,7 +79,7 @@ def test_diamond_small():
     for _ in range(60):
         w = rand_word(rng, max_len=5)
         e = Element.from_monomial(Monomial(w, rng.randrange(-1, 2)))
-        for mode in (S, AX):
+        for mode in (S, F):
             det = normal_form(e, mode)
             assert normal_form_random(e, mode, random.Random(1)) == det
             assert normal_form_random(e, mode, random.Random(2)) == det
@@ -133,7 +133,11 @@ def test_equals_and_modes():
     xx = el_mul(g(xplus(0)), g(xplus(1)))
     yy = el_mul(g(xplus(1)), g(xplus(0)))
     assert not equals(xx, yy, S)
-    assert equals(xx, yy, AX)
+    # same-sign x's do not commute in U_q(sl2-hat): x+_1 x+_0 = q^2 x+_0 x+_1
+    # (R6 at gap 1), and Strict leaves both words as they are
+    assert not equals(xx, yy, F)
+    assert equals(yy, xx.scale(q_pow(2)), F)
+    assert not equals(yy, xx.scale(q_pow(2)), S)
     rng = random.Random(4)
     for _ in range(10):
         a = rand_element(rng)
@@ -152,7 +156,7 @@ def test_multiplicativity_under_normal_form():
     for _ in range(40):
         a = rand_element(rng, max_len=3, nterms=2)
         b = rand_element(rng, max_len=3, nterms=2)
-        for mode in (S, AX):
+        for mode in (S, F):
             assert equals(el_mul(normal_form(a, mode), normal_form(b, mode)), el_mul(a, b), mode)
 
 
@@ -230,31 +234,41 @@ def test_no_monomial_is_rewritten_twice(monkeypatch):
     assert len(rewritten) == len(set(rewritten))
 
 
-def test_diamond_detects_r5_interleaved_with_r4(monkeypatch):
-    # offering same-sign sorting next to R2-R4 redexes is order-dependent
-    # (module docstring); the diamond check on criterion 1's words must see it
+def test_diamond_detects_the_wrong_r6_convention(monkeypatch):
+    # R6 with s = q^(-+2) in place of q^(+-2) is not confluent (module
+    # docstring); the diamond check on criterion 1's words must see it
     from uqsl2 import rewrite
-    from uqsl2.elements import AGEN
 
-    moves = rewrite._word_moves
-
-    def interleaved(word, abelian):
-        out = list(moves(word, False))
-        if abelian:
-            out += [
-                (i, rewrite._R5)
-                for i in range(len(word) - 1)
-                if word[i].kind == word[i + 1].kind != AGEN and word[i].idx > word[i + 1].idx
-            ]
-        return tuple(sorted(out))
-
-    monkeypatch.setattr(rewrite, "_word_moves", interleaved)
+    rewrite.clear_caches()
+    monkeypatch.setattr(rewrite, "q_pow", lambda k: q_pow(-k))
     rng = random.Random(20240)
-    for n in range(500):
-        e = Element.from_monomial(Monomial(rand_word(rng, max_len=6, max_idx=3), 0))
-        if normal_form(e, AX) != normal_form_random(e, AX, random.Random(n)):
-            return
+    try:
+        for n in range(500):
+            e = Element.from_monomial(Monomial(rand_word(rng, max_len=6, max_idx=3), 0))
+            if normal_form(e, F) != normal_form_random(e, F, random.Random(n)):
+                return
+    finally:
+        monkeypatch.undo()
+        rewrite.clear_caches()
     raise AssertionError("no word tells the two rewrite orders apart")
+
+
+def test_quadratic_relation_holds_in_full_mode_only():
+    # x_(k+1) x_l - s x_l x_(k+1) - s x_k x_(l+1) + x_(l+1) x_k with
+    # s = q^(+-2) for x+-: Drinfeld's same-sign relation, both signs,
+    # k, l in [-3, 2], 72 instances
+    for mk, s in ((xplus, q_pow(2)), (xminus, q_pow(-2))):
+        for k in range(-3, 3):
+            for l in range(-3, 3):
+                rel = (
+                    el_mul(g(mk(k + 1)), g(mk(l)))
+                    - el_mul(g(mk(l)), g(mk(k + 1))).scale(s)
+                    - el_mul(g(mk(k)), g(mk(l + 1))).scale(s)
+                    + el_mul(g(mk(l + 1)), g(mk(k)))
+                )
+                assert normal_form(rel, F).is_zero()
+                assert normal_form(omega(rel), F).is_zero()
+                assert not normal_form(rel, S).is_zero()
 
 
 # --- terminal R4 corrections kept as blocks until the loop ends ----------
@@ -285,7 +299,7 @@ def test_terminal_r4_correction_matches_the_bracket():
             pre = pre.scale(u_pow(rng.randrange(-2, 3)) / qminus())
             word = el_mul(pre, el_mul(g(xminus(i)), g(xplus(j))))
             swap = el_mul(pre, el_mul(g(xplus(j)), g(xminus(i))))
-            for mode in (S, AX):
+            for mode in (S, F):
                 want = normal_form(swap, mode) - el_mul(pre, _bracket(j, i))
                 assert normal_form(word, mode) == want
                 assert normal_form_random(word, mode, random.Random(i - j)) == want
@@ -297,7 +311,7 @@ def test_terminal_r4_at_index_sum_zero_feeds_psi_0_and_phi_0():
     for prefix in ((), (xplus(1),), (xplus(-2), xplus(2))):
         for i in (-2, 0, 1):
             word = prefix + (xminus(i), xplus(-i))
-            for mode in (S, AX):
+            for mode in (S, F):
                 got = normal_form(Element.from_monomial(Monomial(word, 0)), mode)
                 assert got.terms[Monomial(prefix, 1)] == -(u_pow(-2 * i) / qminus())
                 assert got.terms[Monomial(prefix, -1)] == u_pow(2 * i) / qminus()
@@ -317,14 +331,20 @@ def test_cancelling_cartan_part_is_never_expanded(monkeypatch):
         products[0] += 1
         return mul(self, other)
 
-    for mode in (S, AX):
+    # full mode also sorts the same-sign pairs x+_0 x+_-17 and x-_1 x-_-16
+    # by R6: each step shrinks the index gap 17 by 2, so each pair takes 9
+    # steps, and a step scales at most 3 words.  That bound stays far below
+    # the 231 products of expanding one psi_16.
+    gap = params["n"] + params["k"] + 1
+    bounds = {S: 60, F: 60 + 2 * ((gap + 1) // 2) * 3}
+    for mode in (S, F):
         verify_claim("EP", params, mode)  # warm the memos
         monkeypatch.setattr(RatFunc, "__mul__", counting)
         monkeypatch.setattr(RatFunc, "__rmul__", counting)
         products[0] = 0
         verify_claim("EP", params, mode)
         monkeypatch.undo()
-        assert 0 < products[0] < 60, (mode, products[0])
+        assert 0 < products[0] < bounds[mode], (mode, products[0])
 
 
 def test_every_memo_is_bounded():

@@ -1,7 +1,7 @@
 import pytest
 
-from uqsl2.coeff import q_pow, qminus, u_pow
-from uqsl2.elements import Element, project_x_free
+from uqsl2.coeff import RF_ONE, q_pow, qminus, u_pow
+from uqsl2.elements import Element, Monomial, project_x_free, xminus, xplus
 from uqsl2.family import FamilyParams
 from uqsl2.rewrite import RelationMode
 from uqsl2.verify import (
@@ -14,8 +14,10 @@ from uqsl2.verify import (
     verify_claim,
 )
 
+from helpers import is_same_sign_residual
+
 S = RelationMode.STRICT
-AX = RelationMode.ABELIAN_X
+F = RelationMode.FULL
 
 
 def test_classify():
@@ -24,10 +26,13 @@ def test_classify():
     assert classify(Element.k_power(1)).kind == "residual"
 
 
-def test_ep_base_case_abelianx():
-    r = verify_claim("EP", {"n": 0, "k": 1, "m": 0, "p": 0}, AX)
-    assert r.verdict.kind == "exact_zero"
-    assert r.paper_match
+def test_ep_base_case_full():
+    # EP is false in U_q(sl2-hat): the bracket is a sum of same-sign pairs
+    # whose coefficients vanish at q = 1, and it has no x-free term
+    r = verify_claim("EP", {"n": 0, "k": 1, "m": 0, "p": 0}, F)
+    assert r.verdict.kind == "residual"
+    assert is_same_sign_residual(r.verdict.value)
+    assert not r.paper_match
     assert expectation_met(r)
 
 
@@ -41,53 +46,64 @@ def test_ep_base_case_strict_residual():
 
 def test_regime_errors():
     with pytest.raises(RegimeError):
-        verify_claim("EP", {"n": 1, "k": 1, "m": 0, "p": 0}, AX)
+        verify_claim("EP", {"n": 1, "k": 1, "m": 0, "p": 0}, F)
     with pytest.raises(RegimeError):
-        verify_claim("EM", {"n": 0, "k": 2, "m": 0, "p": 0}, AX)
+        verify_claim("EM", {"n": 0, "k": 2, "m": 0, "p": 0}, F)
     with pytest.raises(RegimeError):
-        verify_claim("COMMC", {"n": -1, "m": 0, "sign": "+", "convention": "literal"}, AX)
+        verify_claim("COMMC", {"n": -1, "m": 0, "sign": "+", "convention": "literal"}, F)
     with pytest.raises(RegimeError):
-        verify_claim("COMMC", {"n": 0, "m": 0, "sign": "+", "convention": "bogus"}, AX)
+        verify_claim("COMMC", {"n": 0, "m": 0, "sign": "+", "convention": "bogus"}, F)
 
 
 def test_em_mirror():
-    r = verify_claim("EM", {"n": 3, "k": 1, "m": -1, "p": 2}, AX)
-    assert r.verdict.kind == "exact_zero"
+    r = verify_claim("EM", {"n": 3, "k": 1, "m": -1, "p": 2}, F)
+    assert r.verdict.kind == "residual"
+    assert is_same_sign_residual(r.verdict.value)
     r = verify_claim("EM", {"n": 3, "k": 1, "m": -1, "p": 2}, S)
     assert project_x_free(r.verdict.value).is_zero()
 
 
 def test_commc_literal_is_residual():
-    r = verify_claim("COMMC", {"n": 0, "m": 0, "sign": "+", "convention": "literal"}, AX)
+    r = verify_claim("COMMC", {"n": 0, "m": 0, "sign": "+", "convention": "literal"}, F)
     assert r.verdict.kind == "residual"
     assert not r.paper_match
     assert r.params["bracket"] == -1 and r.params["p"] == 1
 
 
 def test_commc_matching_is_central_but_differs():
-    # engine value: q^(-2(m+1)) (gamma^(3n+1) - gamma^(-n-1)) / (q - q^-1)
-    for n, m in ((0, 0), (2, 1), (4, -2)):
-        r = verify_claim("COMMC", {"n": n, "m": m, "sign": "+", "convention": "matching"}, AX)
-        assert r.verdict.kind == "central"
-        want = Element.from_coeff(
-            q_pow(-2 * (m + 1)) * (u_pow(2 * (3 * n + 1)) - u_pow(-2 * (n + 1))) / qminus()
-        )
-        assert r.verdict.value == want
-        assert not r.paper_match  # differs from the stated c+ in prefactor and exponent
-    for n, m in ((0, 0), (1, 2)):
-        r = verify_claim("COMMC", {"n": n, "m": m, "sign": "-", "convention": "matching"}, AX)
-        assert r.verdict.kind == "central"
-        want = Element.from_coeff(
-            q_pow(-2 * (m - 1)) * (u_pow(2 * (n + 1)) - u_pow(-2 * (3 * n + 1))) / qminus()
-        )
-        assert r.verdict.value == want
-        assert not r.paper_match
+    # the x-free part of the bracket is central:
+    # q^(-2(m+1)) (gamma^(3n+1) - gamma^(-n-1)) / (q - q^-1) for sign +,
+    # and it differs from the stated c+ in prefactor and exponent.  In full
+    # mode the bracket also keeps a same-sign residual, so its verdict is
+    # "residual": for n = m = 0, sign +, that residual is
+    # (q^4 - q^2) u x+_-1 x+_0 K + (1 - q^2) u x-_0 x-_1 K^-3.
+    for sign, cases in (("+", ((0, 0), (2, 1), (4, -2))), ("-", ((0, 0), (1, 2)))):
+        for n, m in cases:
+            r = verify_claim("COMMC", {"n": n, "m": m, "sign": sign, "convention": "matching"}, F)
+            assert r.verdict.kind == "residual"
+            if sign == "+":
+                gam = u_pow(2 * (3 * n + 1)) - u_pow(-2 * (n + 1))
+                want = q_pow(-2 * (m + 1)) * gam / qminus()
+            else:
+                gam = u_pow(2 * (n + 1)) - u_pow(-2 * (3 * n + 1))
+                want = q_pow(-2 * (m - 1)) * gam / qminus()
+            central = project_x_free(r.verdict.value)
+            assert central == Element.from_coeff(want)
+            assert is_same_sign_residual(r.verdict.value - central)
+            assert not r.paper_match
+    r = verify_claim("COMMC", {"n": 0, "m": 0, "sign": "+", "convention": "matching"}, F)
+    assert r.verdict.value - project_x_free(r.verdict.value) == Element(
+        {
+            Monomial((xplus(-1), xplus(0)), 1): (q_pow(4) - q_pow(2)) * u_pow(1),
+            Monomial((xminus(0), xminus(1)), -3): (RF_ONE - q_pow(2)) * u_pow(1),
+        }
+    )
 
 
 def test_commc_reports_are_deterministic():
     params = {"n": 1, "m": -1, "sign": "-", "convention": "literal"}
-    a = verify_claim("COMMC", params, AX)
-    b = verify_claim("COMMC", params, AX)
+    a = verify_claim("COMMC", params, F)
+    b = verify_claim("COMMC", params, F)
     assert a.verdict == b.verdict
     assert a.paper_match == b.paper_match
     assert a.discrepancy == b.discrepancy
@@ -138,22 +154,28 @@ def test_proof_display_1_report():
 
 
 def test_proof_display_2_report():
-    # in the vanishing regime both sides are zero, so the report matches
-    r = verify_claim("PROOF_DISPLAY_2", {"n": 0, "k": 2, "m": 0, "p": 1, "sign": "+"}, AX)
-    assert r.verdict.kind == "exact_zero"
-    assert r.paper_match
-    # at n = k the printed overall K-power disagrees with the derived one
-    r = verify_claim("PROOF_DISPLAY_2", {"n": 1, "k": 1, "m": 0, "p": 1, "sign": "+"}, AX)
+    # in the vanishing regime the stated closed form is zero, but the
+    # bracket is the EP same-sign residual, so the discrepancy is exactly
+    # that residual and has no x-free term
+    r = verify_claim("PROOF_DISPLAY_2", {"n": 0, "k": 2, "m": 0, "p": 1, "sign": "+"}, F)
+    assert r.verdict.kind == "residual"
     assert not r.paper_match
+    assert r.discrepancy == r.verdict.value
+    assert is_same_sign_residual(r.discrepancy)
+    # at n = k the printed overall K-power disagrees with the derived one,
+    # which shows in the x-free part of the discrepancy
+    r = verify_claim("PROOF_DISPLAY_2", {"n": 1, "k": 1, "m": 0, "p": 1, "sign": "+"}, F)
+    assert not r.paper_match
+    assert not project_x_free(r.discrepancy).is_zero()
 
 
 def test_sweep_claim_shapes():
     cfg = {"n_max": 1, "k_max": 2, "m_range": (0, 0), "p_range": (0, 0)}
-    reports = sweep_claim("EP", cfg, AX)
+    reports = sweep_claim("EP", cfg, F)
     assert [(r.params["n"], r.params["k"]) for r in reports] == [(0, 1), (0, 2), (1, 2)]
-    reports = sweep_claim("EM", cfg, AX)
+    reports = sweep_claim("EM", cfg, F)
     assert [(r.params["n"], r.params["k"]) for r in reports] == [(1, 0)]
-    reports = sweep_claim("COMMC", {"n_max": 0, "k_max": 0, "m_range": (0, 0), "p_range": (0, 0)}, AX)
+    reports = sweep_claim("COMMC", {"n_max": 0, "k_max": 0, "m_range": (0, 0), "p_range": (0, 0)}, F)
     assert len(reports) == 4  # both signs x both conventions
 
     # full parameter order of every sweepable claim
@@ -161,7 +183,7 @@ def test_sweep_claim_shapes():
     ms, ps, ns = (0, 1), (-1, 0), (0, 1)
 
     def order(claim, keys):
-        return [tuple(r.params[x] for x in keys) for r in sweep_claim(claim, cfg, AX)]
+        return [tuple(r.params[x] for x in keys) for r in sweep_claim(claim, cfg, F)]
 
     assert order("EP", "nkmp") == [
         (n, k, m, p) for n in ns for k in range(3) if n < k for m in ms for p in ps
