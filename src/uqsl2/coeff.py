@@ -9,9 +9,11 @@ cross-multiplication, so no multivariate gcd is needed.
 Most coefficients the engine meets are polynomials, and most of those are
 one term, +-q^a u^b (every coefficient of an el_mul bracket of family
 members is).  A polynomial coefficient holds the shared ``P_ONE`` as its
-denominator, so the arithmetic tells it apart by identity, and a product of
-two one-term polynomials is built directly, with no polynomial product and
-no normalization.
+denominator, so the arithmetic tells it apart by identity.  A one-term
+polynomial is a shared value from the bounded memo ``one_term``: products,
+negations and q-shifts of one-term polynomials look it up, with no
+polynomial product, no normalization and, on a hit, no allocation.  Identity
+is only a shortcut: an evicted value is rebuilt as an equal fresh object.
 """
 
 from __future__ import annotations
@@ -256,9 +258,8 @@ class RatFunc:
 
     A coefficient equal to a polynomial holds the shared ``P_ONE`` object as
     its denominator, never another copy of 1, so ``den is P_ONE`` decides
-    "is a polynomial"; the ``_is_one`` compare stays only as a fallback.
-    Products of two such coefficients skip normalization, and one-term
-    numerators are multiplied inline.
+    "is a polynomial".  Products of two such coefficients skip
+    normalization, and one-term ones come from ``one_term``.
     """
 
     __slots__ = ("num", "den")
@@ -353,6 +354,8 @@ class RatFunc:
         return bool(self.num.terms)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, RatFunc):
             return NotImplemented
         if self.den is other.den or self.den.terms == other.den.terms:
@@ -360,12 +363,11 @@ class RatFunc:
         return (self.num * other.den).terms == (other.num * self.den).terms
 
     def __neg__(self):
-        num = _new(LaurentPoly)
-        num.terms = {e: -c for e, c in self.num.terms.items()}
-        r = _new(RatFunc)
-        r.num = num
-        r.den = self.den
-        return r
+        t = self.num.terms
+        if self.den is P_ONE and len(t) == 1:
+            ((eq, eu), c), = t.items()
+            return one_term(-c, eq, eu)
+        return _rf(_lp({e: -c for e, c in t.items()}), self.den)
 
     def __add__(self, other):
         if other.__class__ is not RatFunc:
@@ -418,18 +420,13 @@ class RatFunc:
             return RF_ZERO
         sd = self.den
         od = other.den
-        if (sd is P_ONE or _is_one(sd)) and (od is P_ONE or _is_one(od)):
+        if sd is P_ONE and od is P_ONE:
             if len(a) == 1 and len(b) == 1:
                 # +-q^i u^j times +-q^k u^l, the whole of el_mul's work on
-                # family brackets: one new term, nothing to normalize
+                # family brackets: one shared term, nothing to normalize
                 ((aq, au), ca), = a.items()
                 ((bq, bu), cb), = b.items()
-                num = _new(LaurentPoly)
-                num.terms = {(aq + bq, au + bu): ca * cb}
-                r = _new(RatFunc)
-                r.num = num
-                r.den = P_ONE
-                return r
+                return one_term(ca * cb, aq + bq, au + bu)
             return _rf(self.num * other.num, P_ONE)
         return RatFunc.make(self.num * other.num, sd * od)
 
@@ -464,12 +461,11 @@ class RatFunc:
         this is how a K-power passing x's scales a coefficient."""
         if not k:
             return self
-        num = _new(LaurentPoly)
-        num.terms = {(eq + k, eu): c for (eq, eu), c in self.num.terms.items()}
-        r = _new(RatFunc)
-        r.num = num
-        r.den = self.den
-        return r
+        t = self.num.terms
+        if self.den is P_ONE and len(t) == 1:
+            ((eq, eu), c), = t.items()
+            return one_term(c, eq + k, eu)
+        return _rf(_lp({(eq + k, eu): c for (eq, eu), c in t.items()}), self.den)
 
     def canonical(self) -> "RatFunc":
         """Fully normalized copy (fast arithmetic paths may leave a shared
@@ -519,14 +515,13 @@ def _coerce(x):
     return NotImplemented
 
 
+@lru_cache(maxsize=4096)
 def one_term(c: int, eq: int, eu: int) -> RatFunc:
-    """The one-term polynomial c q^eq u^eu, for a nonzero integer c; 1 is
-    ``RF_ONE`` itself."""
+    """The one-term polynomial c q^eq u^eu, for a nonzero integer c, as a
+    shared value; 1 is ``RF_ONE`` itself."""
     if c == 1 and not eq and not eu:
         return RF_ONE
-    num = _new(LaurentPoly)
-    num.terms = {(eq, eu): c}
-    return _rf(num, P_ONE)
+    return _rf(_lp({(eq, eu): c}), P_ONE)
 
 
 @lru_cache(maxsize=256)

@@ -241,8 +241,10 @@ def expectation_met(report: VerdictReport) -> bool:
     residual is a nonzero sum of same-sign x pairs whose coefficients all
     vanish at q = 1, and in Strict mode the same-sign x words stay
     unreduced.  The rule checks what does hold in both modes: the residual
-    has no x-free term.  All other claims are in-or-out comparisons against
-    the stated value.
+    has no x-free term.  No q-commutator repairs EP in full mode either: for
+    (n,k) in {(0,1),(0,2),(1,2),(1,3)} and m, p in {-1,0,1}, no exponent
+    p' in [-3,3] and no scalar lam make a K^p' b - lam b K^p' a vanish.
+    All other claims are in-or-out comparisons against the stated value.
     """
     if report.claim in ("EP", "EM"):
         return project_x_free(report.verdict.value).is_zero()

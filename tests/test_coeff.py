@@ -12,6 +12,7 @@ from uqsl2.coeff import (
     RF_ONE,
     RF_ZERO,
     RatFunc,
+    one_term,
     q_pow,
     qint,
     qminus,
@@ -224,6 +225,13 @@ def test_polynomial_results_hold_the_shared_denominator():
                 assert got.den is P_ONE, got
                 seen += 1
     assert seen > 500
+
+
+def test_one_term_results_are_shared_values():
+    assert q_pow(2) * u_pow(1) is one_term(1, 2, 1)
+    assert -one_term(3, 1, 0) is one_term(-3, 1, 0)
+    assert one_term(1, 0, 0) is RF_ONE
+    assert q_pow(3).mul_q_pow(2) is q_pow(5)
 
 
 def test_mul_q_pow_is_the_product_with_q_pow():

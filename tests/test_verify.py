@@ -1,9 +1,9 @@
 import pytest
 
-from uqsl2.coeff import RF_ONE, q_pow, qminus, u_pow
-from uqsl2.elements import Element, Monomial, project_x_free, xminus, xplus
-from uqsl2.family import FamilyParams
-from uqsl2.rewrite import RelationMode
+from uqsl2.coeff import P_ONE, RF_ONE, one_term, q_pow, qminus, u_pow
+from uqsl2.elements import Element, Monomial, el_mul, project_x_free, xminus, xplus
+from uqsl2.family import FamilyParams, family_E
+from uqsl2.rewrite import RelationMode, clear_caches, normal_form
 from uqsl2.verify import (
     RegimeError,
     check_index_reflection_identity,
@@ -200,3 +200,71 @@ def test_sweep_claim_shapes():
     assert order("REFLECT", ("n", "m", "eta", "sign")) == [
         (n, m, eta, s) for n in ns for m in ms for eta in ms for s in "+-"
     ]
+
+
+def _some_scalar_kills(x, y):
+    """Whether x - lam*y is zero for some scalar lam (x, y in normal form)."""
+    if x.is_zero():
+        return True
+    if x.terms.keys() != y.terms.keys():
+        return False
+    mono = next(iter(x.terms))
+    return (x - y.scale(x.terms[mono] / y.terms[mono])).is_zero()
+
+
+def test_ep_has_no_q_commutator_repair():
+    # the x+x+ group of a K^p' bracket is a q-commutator of x+_n and
+    # x+_(-k-1), index gap n+k+1 >= 2, which R6 rewrites into other PBW
+    # words for every lam: no exponent p' and no scalar lam make
+    # a K^p' b - lam b K^p' a vanish in the full algebra
+    pairs = 0
+    for n, k in ((0, 1), (0, 2), (1, 2), (1, 3)):
+        for m in (-1, 0, 1):
+            for p in (-1, 0, 1):
+                a = family_E(FamilyParams("+", p, m, n))
+                b = family_E(FamilyParams("+", p, m, -k - 1))
+                for p2 in range(-3, 4):
+                    kp = Element.k_power(p2)
+                    x = normal_form(el_mul(el_mul(a, kp), b), F)
+                    y = normal_form(el_mul(el_mul(b, kp), a), F)
+                    assert not _some_scalar_kills(x, y), (n, k, m, p, p2)
+                    pairs += 1
+    assert pairs == 252
+    assert _some_scalar_kills(x, x.scale(q_pow(3))) and _some_scalar_kills(Element.zero(), x)
+
+
+def _shared_values():
+    return {
+        (c, eq, eu): one_term(c, eq, eu)
+        for c in (-2, -1, 1, 2)
+        for eq in range(-6, 7)
+        for eu in range(-6, 7)
+    }
+
+
+def test_values_built_after_clear_caches_equal_those_before():
+    # identity between shared values is only a shortcut: fresh objects
+    # built after the memos are emptied compare equal to the old ones
+    params = {"n": 0, "k": 2, "m": 1, "p": -1}
+    before = _shared_values()
+    products = [q_pow(2) * u_pow(1), -one_term(3, 1, 0), q_pow(3).mul_q_pow(2)]
+    bracket = verify_claim("EP", params, F).verdict.value
+    clear_caches()
+    after = _shared_values()
+    assert all(after[key] == v for key, v in before.items())
+    assert [key for key, v in before.items() if after[key] is v] == [(1, 0, 0)]  # RF_ONE
+    assert [q_pow(2) * u_pow(1), -one_term(3, 1, 0), q_pow(3).mul_q_pow(2)] == products
+    assert verify_claim("EP", params, F).verdict.value == bracket
+
+
+def test_sweeps_leave_shared_values_unchanged():
+    # every one-term result of the arithmetic is one of these objects, so a
+    # caller that changed one in place would change every coefficient
+    values = _shared_values()
+    cfg = {"n_max": 3, "k_max": 3, "m_range": (-1, 1), "p_range": (-1, 1)}
+    for mode in (S, F):
+        for claim in ("EP", "EM", "COMMC", "OMEGA_E", "REFLECT"):
+            sweep_claim(claim, cfg, mode)
+    for (c, eq, eu), v in values.items():
+        assert v.num.terms == {(eq, eu): c} and v.den is P_ONE
+        assert one_term(c, eq, eu) is v
