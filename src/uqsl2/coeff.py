@@ -105,11 +105,6 @@ class LaurentPoly:
                     t.pop(e, None)
         return _lp(t)
 
-    def scale(self, n: int) -> "LaurentPoly":
-        if n == 0:
-            return LaurentPoly()
-        return _lp({e: c * n for e, c in self.terms.items()})
-
     def scale_div(self, n: int) -> "LaurentPoly":
         # exact division of every coefficient
         return _lp({e: c // n for e, c in self.terms.items()})
@@ -150,7 +145,6 @@ def _lp(terms: dict) -> LaurentPoly:
 
 P_ZERO = LaurentPoly()
 P_ONE = LaurentPoly.const(1)
-_QMINUS = LaurentPoly({(1, 0): 1, (-1, 0): -1})  # q - q^-1
 
 
 def _is_one(p: LaurentPoly) -> bool:
@@ -196,8 +190,10 @@ def _divide_exact(num: LaurentPoly, den: LaurentPoly):
 
     Plain single-divisor division against the lex-leading term of ``den``;
     since the lex order on exponent pairs is multiplicative this succeeds
-    exactly when den divides num over the integers.  Cheap rejections come
-    first; the full loop runs mostly when the division will succeed.
+    exactly when den divides num over the integers, and the span of num
+    bounds the number of steps.  ``RatFunc.make`` calls it only on explicit
+    division by a polynomial that is neither a monomial nor, up to a
+    monomial factor, a power of (q - q^-1).
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -213,18 +209,6 @@ def _divide_exact(num: LaurentPoly, den: LaurentPoly):
         return None
     lead = max(den.terms)
     lead_c = den.terms[lead]
-    if num.terms[max(num.terms)] % lead_c:
-        return None
-    if num.terms[min(num.terms)] % den.terms[min(den.terms)]:
-        return None
-    # numeric gate at (q, u) = (2, 3) after shifting to true polynomials
-    dv = sum(c * 2 ** (eq - min(dq)) * 3 ** (eu - min(du)) for (eq, eu), c in den.terms.items())
-    if dv:
-        nv = sum(
-            c * 2 ** (eq - min(nq)) * 3 ** (eu - min(nu)) for (eq, eu), c in num.terms.items()
-        )
-        if nv % dv:
-            return None
     budget = (span_q + 1) * (span_u + 1)
     rem = dict(num.terms)
     quo = {}
@@ -524,23 +508,22 @@ def one_term(c: int, eq: int, eu: int) -> RatFunc:
     return _rf(_lp({(eq, eu): c}), P_ONE)
 
 
-@lru_cache(maxsize=256)
 def q_pow(k: int) -> RatFunc:
     return one_term(1, k, 0)
 
 
-@lru_cache(maxsize=256)
 def u_pow(k: int) -> RatFunc:
     return one_term(1, 0, k)
 
 
-@lru_cache(maxsize=1)
+_QMINUS = _rf(LaurentPoly({(1, 0): 1, (-1, 0): -1}), P_ONE)
+
+
 def qminus() -> RatFunc:
     """q - q^-1, the denominator of most relations."""
-    return _rf(LaurentPoly({(1, 0): 1, (-1, 0): -1}), P_ONE)
+    return _QMINUS
 
 
-@lru_cache(maxsize=256)
 def qint(n: int) -> RatFunc:
     """Quantum integer [n] = (q^n - q^-n)/(q - q^-1).
 
@@ -551,4 +534,3 @@ def qint(n: int) -> RatFunc:
     if n < 0:
         return -qint(-n)
     return _rf(LaurentPoly({(n - 1 - 2 * i, 0): 1 for i in range(n)}), P_ONE)
-

@@ -329,9 +329,14 @@ def _invert(el: Element) -> Element:
 def _power(el: Element, n: int) -> Element:
     if n < 0:
         return _power(_invert(el), -n)
+    # by squaring: at most 2 log2(n) + 2 products
     out = Element.unit()
-    for _ in range(n):
-        out = el_mul(out, el)
+    while n:
+        if n & 1:
+            out = el_mul(out, el)
+        n >>= 1
+        if n:
+            el = el_mul(el, el)
     return out
 
 

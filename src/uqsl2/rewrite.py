@@ -69,13 +69,11 @@ _R2, _R3, _R4, _R6 = 2, 3, 4, 6
 _R4_SWAP = 7
 
 
-@lru_cache(maxsize=128)
 def _aa_central(k: int) -> RatFunc:
     # [a_k, a_-k] for k > 0
     return qint(2 * k) * Fraction(1, k) * (u_pow(2 * k) - u_pow(-2 * k)) / qminus()
 
 
-@lru_cache(maxsize=256)
 def _ax_coeff(n: int, kind: int) -> RatFunc:
     # coefficient of x+-_(n+k) in a_n x+-_k - x+-_k a_n
     c = qint(2 * n) * Fraction(1, n)
@@ -84,7 +82,6 @@ def _ax_coeff(n: int, kind: int) -> RatFunc:
     return -(c * u_pow(abs(n)))
 
 
-@lru_cache(maxsize=1 << 10)
 def _cross_commutator(j: int, i: int) -> Element:
     # [x+_j, x-_i] = (u^(j-i) psi_(i+j) - u^(i-j) phi_(i+j)) / (q - q^-1)
     diff = psi(i + j).scale(u_pow(j - i)) - phi(i + j).scale(u_pow(i - j))
@@ -145,27 +142,15 @@ def _expand_redex(word, kexp: int, i: int, tag: int):
 def clear_caches():
     """Empty every memo the engine keeps, so the next computation is cold.
 
-    Every memo is bounded.  The bounds lie above the working set of a
-    verify sweep at n,k <= 16 (at most psi_0..psi_32 and phi_0..phi_-32,
-    _replacement 578 entries, u_pow 86, q_pow 11) and of 8-letter mixed
-    words (_replacement 1,366), so such work is still done once per
-    process.  one_term holds 2,160 values after that sweep, 418-430 after
-    100,000 family brackets and 163 after the long mixed words."""
-    for memo in (
-        _word_moves,
-        _replacement,
-        _cross_commutator,
-        _ax_coeff,
-        _aa_central,
-        _probe_set,
-        psi,
-        phi,
-        qint,
-        one_term,
-        q_pow,
-        u_pow,
-        qminus,
-    ):
+    There are five, each bounded: _word_moves, _replacement, one_term, psi
+    and phi.  Their bounds lie above the working sets of one round of each
+    perfbench workload: the Strict verify sweep of all five claims at
+    n,k <= 16 leaves _word_moves 2,347 words, _replacement 578 entries,
+    one_term 2,160 values and psi, phi one each; the five 8-letter mixed
+    words of nf-long-words leave 19,737, 1,366, 146 and 9 each; 100,000
+    family brackets use only one_term (430) and psi, phi (6 each).  Such
+    work is therefore done once per process."""
+    for memo in (_word_moves, _replacement, one_term, psi, phi):
         memo.cache_clear()
 
 
@@ -328,22 +313,17 @@ def equals(a: Element, b: Element, mode: RelationMode = RelationMode.STRICT) -> 
     return normal_form(a - b, mode).is_zero()
 
 
-@lru_cache(maxsize=1)
-def _probe_set():
-    probes = []
-    for k in range(-2, 3):
-        probes.append(Element.from_gen(xplus(k)))
-        probes.append(Element.from_gen(xminus(k)))
-    for n in (-2, -1, 1, 2):
-        probes.append(Element.from_gen(agen(n)))
-    probes.append(Element.k_power(1))
-    return tuple(probes)
+_PROBES = (
+    *(Element.from_gen(mk(k)) for k in range(-2, 3) for mk in (xplus, xminus)),
+    *(Element.from_gen(agen(n)) for n in (-2, -1, 1, 2)),
+    Element.k_power(1),
+)
 
 
 def is_central(a: Element, mode: RelationMode = RelationMode.STRICT) -> bool:
     """Commutes with every probe generator (x+-_k for |k| <= 2, a_(+-1),
     a_(+-2), and K).  Expects ``a`` in normal form."""
-    return all(commutator(a, g, mode).is_zero() for g in _probe_set())
+    return all(commutator(a, g, mode).is_zero() for g in _PROBES)
 
 
 def relation_instances(bound: int = 3):

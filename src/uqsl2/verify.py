@@ -145,15 +145,14 @@ def _verify_reflect(params, mode):
         sigma: family_E_neg(n, m, eta, sigma).scale(u_pow(-s * (2 * n + 1)))
         for sigma in SIGNS
     }
-    matched = [
-        sigma
-        for sigma in SIGNS
-        if normal_form(substituted - candidates[sigma], mode).is_zero()
-    ]
-    flip = "-" if sign == "+" else "+"
     full = dict(params)
+    reports = {
+        sigma: _report("REFLECT", full, mode, substituted, candidates[sigma])
+        for sigma in SIGNS
+    }
+    matched = [sigma for sigma in SIGNS if reports[sigma].paper_match]
     full["matched_sign"] = matched[0] if len(matched) == 1 else None
-    return _report("REFLECT", full, mode, substituted, candidates[flip])
+    return reports["-" if sign == "+" else "+"]
 
 
 def _verify_display1(params, mode):

@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from uqsl2.coeff import RF_ONE, q_pow, qminus, u_pow
+from uqsl2.coeff import RF_ONE, one_term, q_pow, qminus, u_pow
 from uqsl2.currents import phi, psi
 from uqsl2.elements import Element, Monomial, agen, el_mul, xminus, xplus
 from uqsl2.expr import Call, EvalError, GenAtom, ParseError, eval_ast, parse
@@ -77,6 +78,30 @@ def test_eval_builtins_agree_with_api():
     assert eval_ast(parse("1/2 + 1/2")) == Element.unit()
     assert eval_ast(parse("K^-2")) == Element.k_power(-2)
     assert eval_ast(parse("(q - q^-1)^-1")) == Element.from_coeff(qminus().inv())
+
+
+def test_power_by_squaring(monkeypatch):
+    # q^(10^6) in at most 2 log2(n) + 2 products, not one per unit of n
+    from uqsl2 import expr
+
+    calls = [0]
+
+    def counting(a, b):
+        calls[0] += 1
+        return el_mul(a, b)
+
+    monkeypatch.setattr(expr, "el_mul", counting)
+    n = 10**6
+    assert eval_ast(parse(f"q^{n}")) == Element.from_coeff(one_term(1, n, 0))
+    assert 0 < calls[0] <= 2 * math.log2(n) + 2
+    monkeypatch.undo()
+    # and the same element as repeated products, on a non-commuting sum
+    src = "x+[0] + 2*a[1]*K - q^-1*x-[1]/(q + 1)"
+    x = eval_ast(parse(src))
+    want = Element.unit()
+    for k in range(8):
+        assert eval_ast(parse(f"({src})^{k}")) == want
+        want = el_mul(want, x)
 
 
 def test_division_restrictions():

@@ -191,18 +191,11 @@ def test_clear_caches_leaves_every_memo_empty():
     memos = (
         rewrite._word_moves,
         rewrite._replacement,
-        rewrite._cross_commutator,
-        rewrite._ax_coeff,
-        rewrite._aa_central,
-        rewrite._probe_set,
+        coeff.one_term,
         currents.psi,
         currents.phi,
-        coeff.qint,
-        coeff.q_pow,
-        coeff.u_pow,
-        coeff.qminus,
     )
-    is_central(K, S)  # fills _probe_set
+    assert set(memos) == set(_package_memos().values())
     rewrite.clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
     assert normal_form(w, S) == before
@@ -347,14 +340,11 @@ def test_cancelling_cartan_part_is_never_expanded(monkeypatch):
         assert 0 < products[0] < bounds[mode], (mode, products[0])
 
 
-def test_every_memo_is_bounded():
-    # no unbounded caches: every memo of the package has a finite maxsize,
-    # and clear_caches() reaches every one of them
+def _package_memos():
     import importlib
     import pkgutil
 
     import uqsl2
-    from uqsl2 import rewrite
 
     memos = {}
     for info in pkgutil.iter_modules(uqsl2.__path__):
@@ -362,9 +352,46 @@ def test_every_memo_is_bounded():
         for obj in vars(mod).values():
             if hasattr(obj, "cache_info"):
                 memos[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return memos
+
+
+def test_every_memo_is_bounded():
+    # no unbounded caches: every memo of the package has a finite maxsize,
+    # and clear_caches() reaches every one of them
+    from uqsl2 import rewrite
+
+    memos = _package_memos()
     assert "uqsl2.currents.psi" in memos and "uqsl2.rewrite._replacement" in memos
     assert [n for n, m in memos.items() if m.cache_info().maxsize is None] == []
     normal_form(el_mul(g(xminus(0)), el_mul(g(agen(1)), g(xplus(0)))), S)
     is_central(K, S)
     rewrite.clear_caches()
     assert [n for n, m in memos.items() if m.cache_info().currsize] == []
+
+
+def test_every_memo_gets_hits_on_a_small_representative_run():
+    # a memo that a run of every kind of work never hits only costs memory
+    # and a line in clear_caches(): EP/EM sweeps in both modes, one long
+    # mixed word (an nf benchmark template) and 100 family brackets
+    from uqsl2 import rewrite
+    from uqsl2.family import expand_general_commutator, family_E_neg, family_E_pos
+    from uqsl2.verify import sweep_claim
+
+    rewrite.clear_caches()
+    cfg = {"n_max": 3, "k_max": 3, "m_range": (0, 1), "p_range": (0, 1)}
+    for mode in (S, F):
+        for claim in ("EP", "EM"):
+            sweep_claim(claim, cfg, mode)
+    word = (agen(2), agen(-1)) + tuple(map(xminus, (0, 1, 2))) + tuple(map(xplus, (0, -1, -2)))
+    normal_form(Element.from_monomial(Monomial(word, 0)), S)
+    rng = random.Random(100)
+    for _ in range(100):
+        n, k = rng.randrange(4), rng.randrange(4)
+        m, l, eta, theta, p = (rng.randrange(-2, 3) for _ in range(5))
+        sign = rng.choice("+-")
+        a, b = family_E_pos(n, m, eta, sign), family_E_neg(k, l, theta, sign)
+        kp = Element.k_power(p)
+        raw = el_mul(el_mul(a, kp), b) - el_mul(el_mul(b, kp), a)
+        assert raw == expand_general_commutator(n, k, m, l, eta, theta, p, sign)
+    memos = _package_memos()
+    assert [n for n, m in memos.items() if not m.cache_info().hits] == []
