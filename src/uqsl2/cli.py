@@ -8,7 +8,10 @@ verify defaults (flags win).
 
 ``verify`` renders each report as soon as its claim's sweep returns and
 keeps only the text: a wide sweep holds one claim's reports at a time, not
-every report's elements until the end.
+every report's elements until the end.  One ``render.Printer`` serves the
+whole document, so each distinct coefficient and word is rendered once.
+The document is written to stdout piece by piece (head, then each report,
+then the tail), never joined into one string.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .expr import (
     parse,
 )
 from .family import SIGNS
-from .render import element_to_obj, print_element
+from .render import Printer, print_element
 from .rewrite import RelationMode
 from .verify import CLAIMS, VerdictReport, expectation_met, sweep_claim
 
@@ -113,47 +116,44 @@ def _params_text(params: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in sorted(params.items()))
 
 
-def _report_text(r: VerdictReport, met: bool) -> str:
+def _report_text(r: VerdictReport, met: bool, printer: Printer) -> str:
     line = (
         f"claim={r.claim} {_params_text(r.params)} verdict={r.verdict.kind} "
         f"paper_match={'yes' if r.paper_match else 'no'} "
         f"expectation={'met' if met else 'FAILED'}"
     )
     if not r.paper_match:
-        line += f" discrepancy={print_element(r.discrepancy)}"
+        line += f" discrepancy={printer.element(r.discrepancy)}"
     return line
 
 
-def _renders_alike(a: Element, b: Element) -> bool:
-    """Equal term by term as stored, not only in value: equal fractions over
-    different denominators may print differently."""
-    if a.terms.keys() != b.terms.keys():
-        return False
-    for mono, c in a.terms.items():
-        d = b.terms[mono]
-        if c.num.terms != d.num.terms or c.den.terms != d.den.terms:
-            return False
-    return True
+# one encoder for every report: json.dumps with separators builds a new one
+# per call
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _report_json(r: VerdictReport, met: bool) -> str:
-    value = element_to_obj(r.verdict.value)
-    # EP/EM state 0, so their discrepancy is the residual itself
-    if _renders_alike(r.discrepancy, r.verdict.value):
+def _report_json(r: VerdictReport, met: bool, printer: Printer) -> str:
+    value = printer.element(r.verdict.value)
+    # a zero stated value (EP/EM) makes the residual its own discrepancy
+    if r.discrepancy is r.verdict.value:
         discrepancy = value
     else:
-        discrepancy = element_to_obj(r.discrepancy)
-    obj = {
-        "claim": r.claim,
-        "params": {k: v for k, v in sorted(r.params.items())},
-        "mode": r.mode.value,
-        "verdict": {"kind": r.verdict.kind, "value": value},
-        "paper_match": r.paper_match,
-        "paper_expected": element_to_obj(r.paper_expected),
-        "discrepancy": discrepancy,
-        "expectation_met": met,
-    }
-    return json.dumps(obj, separators=(",", ":"))
+        discrepancy = printer.element(r.discrepancy)
+    head = _compact_json(
+        {
+            "claim": r.claim,
+            "params": {k: v for k, v in sorted(r.params.items())},
+            "mode": r.mode.value,
+            "verdict": {"kind": r.verdict.kind},
+        }
+    )
+    # the elements are JSON already: splice them in where one dump of the
+    # whole report would put them (head[:-2] leaves "verdict" open)
+    return (
+        f'{head[:-2]},"value":{value}}},"paper_match":{_compact_json(r.paper_match)},'
+        f'"paper_expected":{printer.element(r.paper_expected)},'
+        f'"discrepancy":{discrepancy},"expectation_met":{_compact_json(met)}}}'
+    )
 
 
 _REPORT_RENDERERS = {"text": _report_text, "json": _report_json}
@@ -169,6 +169,7 @@ def run_verify_suite(config: SuiteConfig) -> ReportDoc:
         "p_range": config.p_range,
     }
     render = _REPORT_RENDERERS[config.format]
+    printer = Printer(config.format)
     counts = {"exact_zero": 0, "central": 0, "residual": 0, "paper_mismatch": 0}
     met = 0
     rendered = []
@@ -184,7 +185,7 @@ def run_verify_suite(config: SuiteConfig) -> ReportDoc:
             if not r.paper_match:
                 counts["paper_mismatch"] += 1
             met += ok
-            rendered.append(render(r, ok))
+            rendered.append(render(r, ok, printer))
         # this claim's reports die here, before the next sweep builds its own
         del claim_reports, r
     counts["reports"] = len(rendered)
@@ -199,20 +200,27 @@ def run_verify_suite(config: SuiteConfig) -> ReportDoc:
     )
 
 
-def report_doc_text(doc: ReportDoc) -> str:
-    lines = [
-        f"uqsl2 verify report (version {doc.version}, mode {doc.mode})",
+def report_doc_text(doc: ReportDoc):
+    """The text document as pieces whose concatenation is the whole
+    document, final newline included."""
+    yield f"uqsl2 verify report (version {doc.version}, mode {doc.mode})\n"
+    yield (
         "ranges: n=0..{n_max} k=0..{k_max} m={m_range[0]}..{m_range[1]} "
-        "p={p_range[0]}..{p_range[1]}".format(**doc.ranges),
-        *doc.reports,
+        "p={p_range[0]}..{p_range[1]}\n".format(**doc.ranges)
+    )
+    for r in doc.reports:
+        yield r
+        yield "\n"
+    yield (
         "summary: reports={reports} exact_zero={exact_zero} central={central} "
         "residual={residual} paper_mismatch={paper_mismatch} "
-        "expectations_met={expectations_met}/{reports}".format(**doc.summary),
-    ]
-    return "\n".join(lines)
+        "expectations_met={expectations_met}/{reports}\n".format(**doc.summary)
+    )
 
 
-def report_doc_json(doc: ReportDoc) -> str:
+def report_doc_json(doc: ReportDoc):
+    """The JSON document as pieces whose concatenation is the whole
+    document, final newline included."""
     head = {
         "version": doc.version,
         "mode": doc.mode,
@@ -225,13 +233,13 @@ def report_doc_json(doc: ReportDoc) -> str:
         "summary": doc.summary,
     }
     # the reports are JSON already: splice them in as the last key, which
-    # gives the bytes one dump of the whole document would.  One join over
-    # every piece copies the reports' text once.
-    text = json.dumps(head, separators=(",", ":"))
-    pieces = [s for r in doc.reports for s in (",", r)]
-    pieces[:1] = [text[:-1] + ',"reports":[']  # in place of the first ","
-    pieces.append("]}")
-    return "".join(pieces)
+    # gives the bytes one dump of the whole document would
+    yield _compact_json(head)[:-1] + ',"reports":['
+    for i, r in enumerate(doc.reports):
+        if i:
+            yield ","
+        yield r
+    yield "]}\n"
 
 
 _DOC_ASSEMBLERS = {"text": report_doc_text, "json": report_doc_json}
@@ -393,7 +401,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             config = _verify_config(args)
             doc = run_verify_suite(config)
-            print(_DOC_ASSEMBLERS[doc.format](doc))
+            sys.stdout.writelines(_DOC_ASSEMBLERS[doc.format](doc))
             met = doc.summary["expectations_met"] == doc.summary["reports"]
             return 0 if met else 1
         element = _element_command(args)

@@ -50,13 +50,19 @@ class Monomial(NamedTuple):
 UNIT_MONO = Monomial((), 0)
 
 
+def word_sort_key(word: tuple):
+    """The part of ``mono_sort_key`` that the word fixes: x+ indices, then
+    x- indices, then a indices."""
+    xp = tuple(g.idx for g in word if g.kind == XPLUS)
+    xm = tuple(g.idx for g in word if g.kind == XMINUS)
+    aa = tuple(g.idx for g in word if g.kind == AGEN)
+    return (xp, xm, aa)
+
+
 def mono_sort_key(m: Monomial):
     """Total order: x+ indices, then x- indices, then a indices, then the
     K-power, with the raw word breaking ties between interleavings."""
-    xp = tuple(g.idx for g in m.word if g.kind == XPLUS)
-    xm = tuple(g.idx for g in m.word if g.kind == XMINUS)
-    aa = tuple(g.idx for g in m.word if g.kind == AGEN)
-    return (xp, xm, aa, m.kexp, m.word)
+    return (word_sort_key(m.word), m.kexp, m.word)
 
 
 class Element:

@@ -4,6 +4,13 @@ Text output parses back through expr.parse; JSON follows the schema
 {"terms":[{"coeff":{"num":...,"den":...},"word":[{"g":"x+","k":0},...],
 "kexp":0},...]} with polynomials as canonical text.  In human-facing text
 even powers of u print as powers of gamma; JSON keeps raw u powers.
+
+A ``Printer`` renders each distinct coefficient and each distinct word once
+and reuses the text.  Its memos are plain dicts that live as long as the
+printer, and a caller makes one printer per document: a ``verify`` report
+repeats a few thousand coefficients and words tens of thousands of times,
+while a memo kept for the whole process would hold every document's
+fragments, which costs memory that nothing bounds or clears.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .elements import (
     Element,
     Gen,
     Monomial,
+    word_sort_key,
 )
 from . import expr as _expr
 
@@ -113,39 +121,16 @@ def _coeff(rf: RatFunc, st: _Style) -> str:
     return st.frac.format(num, den)
 
 
-def _word(mono: Monomial, st: _Style) -> str:
-    bits = [st.gen[g.kind].format(g.idx) for g in mono.word]
-    if mono.kexp:
-        bits.append(_pow(st, "K", mono.kexp))
-    return st.join.join(bits)
-
-
-def _element(e: Element, st: _Style) -> str:
-    if e.is_zero():
-        return "0"
-    parts = []
-    for mono, c in e.sorted_terms():
-        c = c.canonical()
-        word = _word(mono, st)
-        if not word:
-            parts.append(_coeff(c, st))
-        elif c.is_one():
-            parts.append(word)
-        elif (-c).is_one():
-            parts.append("-" + word)
-        else:
-            parts.append(_coeff(c, st) + st.join + word)
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out
+def _signed(text: str) -> tuple:
+    """A term that begins with ``text``, as the first term of a sum and as
+    a later one."""
+    if text.startswith("-"):
+        return text, " - " + text[1:]
+    return text, " + " + text
 
 
 def element_text(e: Element) -> str:
-    return _element(e, _TEXT)
+    return Printer("text").element(e)
 
 
 # --- JSON --------------------------------------------------------------
@@ -169,7 +154,7 @@ def element_to_obj(e: Element) -> dict:
 
 
 def element_json(e: Element) -> str:
-    return json.dumps(element_to_obj(e), separators=(",", ":"))
+    return Printer("json").element(e)
 
 
 def _poly_from_text(text: str) -> LaurentPoly:
@@ -201,12 +186,90 @@ def element_from_json(s: str) -> Element:
     return element_from_obj(json.loads(s))
 
 
+class Printer:
+    """Prints elements in one format ("text", "latex" or "json").
+
+    A coefficient is rendered once per distinct stored (numerator terms,
+    denominator terms), from its ``canonical()`` form, and a word once per
+    distinct tuple of generators, together with its part of
+    ``mono_sort_key``.  A JSON fragment is escaped once, when it is made; a
+    term is its coefficient's fragment, its word's and its K-power, which
+    gives the bytes of ``json.dumps(element_to_obj(e))``.
+    """
+
+    __slots__ = ("_json", "_style", "_coeffs", "_words")
+
+    def __init__(self, format: str = "text"):
+        self._json = format == "json"
+        self._style = _TEXT_U if self._json else _STYLES.get(format)
+        if self._style is None:
+            raise ValueError(f"unknown format {format!r}")
+        self._coeffs = {}
+        self._words = {}
+
+    def element(self, e: Element) -> str:
+        coeffs, words = self._coeffs, self._words
+        terms = []
+        for (word, kexp), c in e.terms.items():
+            w = words.get(word)
+            if w is None:
+                w = words[word] = (word_sort_key(word), self._word_fragment(word))
+            key = (tuple(c.num.terms.items()), tuple(c.den.terms.items()))
+            cf = coeffs.get(key)
+            if cf is None:
+                cf = coeffs[key] = self._coeff_fragment(c.canonical())
+            terms.append((w[0], kexp, word, cf, w[1]))
+        # the first three items are mono_sort_key, unique per term, so the
+        # sort never compares fragments
+        terms.sort()
+        if self._json:
+            return (
+                '{"terms":['
+                + ",".join([f'{cf}{wf},"kexp":{kexp}}}' for _, kexp, _, cf, wf in terms])
+                + "]}"
+            )
+        if not terms:
+            return "0"
+        st = self._style
+        out = []
+        for _, kexp, _, cf, wf in terms:
+            later = 1 if out else 0
+            if kexp:
+                k = _pow(st, "K", kexp)
+                wf = wf + st.join + k if wf else k
+            if wf:
+                out += (cf[later], wf)
+            else:
+                out.append(cf[2 + later])
+        return "".join(out)
+
+    def _coeff_fragment(self, c: RatFunc):
+        """JSON: the term's text up to its word.  Otherwise the lead and
+        later prefixes of a term with a word, then the lead and later text
+        of a term without one (see ``_signed``)."""
+        st = self._style
+        if self._json:
+            num = json.dumps(_poly(c.num, st))
+            den = json.dumps(_poly(c.den, st))
+            return '{"coeff":{"num":' + num + ',"den":' + den + '},"word":'
+        alone = _coeff(c, st)
+        if c.is_one():
+            prefix = ""
+        elif (-c).is_one():
+            prefix = "-"
+        else:
+            prefix = alone + st.join
+        return _signed(prefix) + _signed(alone)
+
+    def _word_fragment(self, word: tuple) -> str:
+        if self._json:
+            return json.dumps(
+                [{"g": _GEN_TEXT[g.kind], "k": g.idx} for g in word], separators=(",", ":")
+            )
+        return self._style.join.join([self._style.gen[g.kind].format(g.idx) for g in word])
+
+
 def print_element(e: Element, format: str = "text") -> str:
     """Deterministic rendering in the requested format; text output parses
     back to an equal element."""
-    if format == "json":
-        return element_json(e)
-    style = _STYLES.get(format)
-    if style is None:
-        raise ValueError(f"unknown format {format!r}")
-    return _element(e, style)
+    return Printer(format).element(e)

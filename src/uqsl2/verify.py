@@ -65,7 +65,14 @@ class VerdictReport:
 
 
 def _report(claim, params, mode, result, expected) -> VerdictReport:
-    disc = normal_form(result - expected, mode)
+    """The report on ``result``, which must be a normal form, against the
+    stated value ``expected``.  When the stated value is zero, ``result``
+    itself is the discrepancy: normal_form is idempotent, so normal-forming
+    it again would give the same terms."""
+    if expected.is_zero():
+        disc = result
+    else:
+        disc = normal_form(result - expected, mode)
     return VerdictReport(
         claim=claim,
         params=params,

@@ -310,6 +310,33 @@ def test_verify_prints_the_whole_document_byte_for_byte(mode):
         assert out == _whole_document(mode, fmt) + "\n"
 
 
+class _Writes(io.StringIO):
+    """stdout that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_streams_the_document(fmt):
+    # the document goes out piece by piece: no write is longer than the
+    # longest report, so the whole document is never one string
+    claims = ",".join(CLAIMS[name].cli_name for name in _SWEPT)
+    argv = ["verify", "--claims", claims, "--n-max", "2", "--k-max", "2"]
+    argv += ["--m-range=-1:1", "--p-range=-1:0", "--format", fmt]
+    out = _Writes()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    reports = run_verify_suite(SuiteConfig(claims=_SWEPT, **_SMALL, format=fmt)).reports
+    assert max(out.sizes) <= max(map(len, reports))
+    assert len(out.sizes) > len(reports)
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_report_doc_keeps_no_reports_or_elements(fmt):
     config = SuiteConfig(claims=_SWEPT, **_SMALL, format=fmt)

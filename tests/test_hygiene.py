@@ -46,3 +46,111 @@ def test_every_private_module_name_is_read_somewhere():
         if name not in read
     ]
     assert dead == []
+
+
+_MUTATORS = {"append", "update", "setdefault", "pop", "clear", "add", "extend", "insert"}
+
+
+def _module_names(tree):
+    """Every name a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        else:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                    names.add(sub.id)
+    return names
+
+
+def _bound_names(func):
+    """Every name a function binds anywhere inside it, nested scopes too:
+    its parameters, assignment and loop targets, imports and definitions."""
+    names = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+    return names
+
+
+def _module_state_writes(source):
+    """Where a function of ``source`` writes into module-level state: a
+    ``global`` or ``nonlocal`` declaration, a subscript store or delete on a
+    module-level name, or a mutating method called on one."""
+    tree = ast.parse(source)
+    module = _module_names(tree)
+    found = []
+    outer = [
+        f
+        for node in tree.body
+        for f in ([node] if not isinstance(node, ast.ClassDef) else node.body)
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    for func in outer:
+        shared = module - _bound_names(func)
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                found.append((node.lineno, type(node).__name__.lower()))
+            elif (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and isinstance(node.value, ast.Name)
+                and node.value.id in shared
+            ):
+                found.append((node.lineno, node.value.id))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATORS
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in shared
+            ):
+                found.append((node.lineno, node.func.value.id))
+    return found
+
+
+def test_module_state_scan_sees_each_kind_of_write():
+    source = """
+_TABLE = {}
+_SEEN = []
+def store(k): _TABLE[k] = 1
+def drop(k): del _TABLE[k]
+def grow(k): _SEEN.append(k)
+def count():
+    global _N
+def outer():
+    x = 0
+    def inner():
+        nonlocal x
+def own(_TABLE):
+    _TABLE[0] = 1
+    _SEEN2 = []
+    _SEEN2.append(1)
+class C:
+    def method(self, k):
+        _TABLE.setdefault(k, 0)
+        self.cache = {}
+        self.cache[k] = 1
+"""
+    found = _module_state_writes(source)
+    assert [line for line, _ in found] == [4, 5, 6, 8, 12, 19]
+
+
+def test_no_function_writes_module_level_state():
+    # module-level state that code mutates is shared by every caller in the
+    # process and grows without bound; memos are bounded lru_caches, and a
+    # cache that lives for one task belongs to an object the caller makes
+    found = {
+        p.name: _module_state_writes(p.read_text())
+        for p in sorted(SRC.glob("*.py"))
+    }
+    assert {name: f for name, f in found.items() if f} == {}

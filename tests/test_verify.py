@@ -3,6 +3,7 @@ import pytest
 from uqsl2.coeff import P_ONE, RF_ONE, one_term, q_pow, qminus, u_pow
 from uqsl2.elements import Element, Monomial, el_mul, project_x_free, xminus, xplus
 from uqsl2.family import FamilyParams, family_E
+from uqsl2 import rewrite, verify
 from uqsl2.rewrite import RelationMode, clear_caches, normal_form
 from uqsl2.verify import (
     RegimeError,
@@ -61,6 +62,28 @@ def test_em_mirror():
     assert is_same_sign_residual(r.verdict.value)
     r = verify_claim("EM", {"n": 3, "k": 1, "m": -1, "p": 2}, S)
     assert project_x_free(r.verdict.value).is_zero()
+
+
+@pytest.mark.parametrize("mode", [S, F])
+def test_ep_em_discrepancy_is_the_result_normal_formed_once(monkeypatch, mode):
+    # the stated value is 0, so the normal-formed bracket is its own
+    # discrepancy, and normal_form runs once per instance: for the bracket
+    calls = []
+
+    def counted(a, mode=S):
+        calls.append(a)
+        return normal_form(a, mode)
+
+    monkeypatch.setattr(rewrite, "normal_form", counted)
+    monkeypatch.setattr(verify, "normal_form", counted)
+    cfg = {"n_max": 3, "k_max": 3, "m_range": (-1, 1), "p_range": (-1, 1)}
+    for claim in ("EP", "EM"):
+        calls.clear()
+        reports = sweep_claim(claim, cfg, mode)
+        assert len(calls) == len(reports) == 54
+        for r in reports:
+            assert r.discrepancy is r.verdict.value
+            assert not r.paper_match
 
 
 def test_commc_literal_is_residual():
