@@ -3,24 +3,29 @@
 Coefficients are fractions of integer Laurent polynomials in two variables:
 the deformation parameter q and the central half-power u, where u**2 stands
 for the central element gamma.  All integer arithmetic is arbitrary
-precision, nothing is ever rounded, and equality of fractions is decided by
-cross-multiplication, so no multivariate gcd is needed.
+precision and nothing is ever rounded.
 
-Most coefficients the engine meets are polynomials, and most of those are
-one term, +-q^a u^b (every coefficient of an el_mul bracket of family
-members is).  A polynomial coefficient holds the shared ``P_ONE`` as its
-denominator, so the arithmetic tells it apart by identity.  A one-term
-polynomial is a shared value from the bounded memo ``one_term``: products,
-negations and q-shifts of one-term polynomials look it up, with no
-polynomial product, no normalization and, on a hit, no allocation.  Identity
-is only a shortcut: an evicted value is rebuilt as an equal fresh object.
+Almost every denominator is an integer (the 1/prod(mult!) of psi and phi)
+times a power of Q = q - q^-1 (from the relations), so a coefficient is
+stored as num / (den Q^d).  Over an integer den, equal values have equal
+fields, so equality compares fields; only values with different (den, d)
+are cross-multiplied, and no multivariate gcd is ever needed.
+
+Most coefficients are polynomials, and most of those are one term,
++-q^a u^b (every coefficient of an el_mul bracket of family members is).  A
+polynomial holds the shared ``P_ONE`` as den and d = 0, so the arithmetic
+tells it apart by identity.  A one-term polynomial is a shared value from
+the bounded memo ``one_term``: products, negations and q-shifts of one-term
+polynomials look it up, with no polynomial product, no normalization and,
+on a hit, no allocation.  Identity is only a shortcut: an evicted value is
+rebuilt as an equal fresh object.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 
 class PoleError(ZeroDivisionError):
@@ -114,12 +119,6 @@ class LaurentPoly:
             return self
         return _lp({(eq + dq, eu + du): c for (eq, eu), c in self.terms.items()})
 
-    def content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, c)
-        return g
-
     def subst_u_inverse(self) -> "LaurentPoly":
         return _lp({(eq, -eu): c for (eq, eu), c in self.terms.items()})
 
@@ -154,12 +153,13 @@ def _is_one(p: LaurentPoly) -> bool:
 def _div_qminus(p: LaurentPoly):
     """Exact quotient p/(q - q^-1), or None when not divisible.
 
-    Divisibility is pre-checked by evaluating at q = 1 and q = -1 column by
-    column (both must vanish since q^2 - 1 is monic); the division itself is
-    a linear running-sum recurrence per u-column.
+    Divisibility is pre-checked by evaluating at (q, u) = (1, 1), then at
+    q = 1 and q = -1 column by column (all must vanish since q^2 - 1 is
+    monic); the division itself is a linear running-sum recurrence per
+    u-column.
     """
-    if p.is_zero():
-        return P_ZERO
+    if sum(p.terms.values()):
+        return None
     s1 = {}
     s2 = {}
     for (eq, eu), c in p.terms.items():
@@ -191,14 +191,9 @@ def _divide_exact(num: LaurentPoly, den: LaurentPoly):
     Plain single-divisor division against the lex-leading term of ``den``;
     since the lex order on exponent pairs is multiplicative this succeeds
     exactly when den divides num over the integers, and the span of num
-    bounds the number of steps.  ``RatFunc.make`` calls it only on explicit
-    division by a polynomial that is neither a monomial nor, up to a
-    monomial factor, a power of (q - q^-1).
+    bounds the number of steps.  Only a general den, from explicit division
+    by a polynomial, is ever divided, and never into a zero num.
     """
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero():
-        return P_ZERO
     nq = [e[0] for e in num.terms]
     nu = [e[1] for e in num.terms]
     dq = [e[0] for e in den.terms]
@@ -232,95 +227,86 @@ def _divide_exact(num: LaurentPoly, den: LaurentPoly):
     return _lp(quo)
 
 
+def _lift(p: LaurentPoly, m: int, k: int) -> LaurentPoly:
+    """p m (q - q^-1)^k, the power expanded by the binomial theorem."""
+    if k:
+        return p * _lp({(k - 2 * i, 0): m * comb(k, i) * (-1) ** i for i in range(k + 1)})
+    return p if m == 1 else _lp({e: c * m for e, c in p.terms.items()})
+
+
+def _norm(num: LaurentPoly, den: LaurentPoly, d: int) -> "RatFunc":
+    """num / (den (q - q^-1)^d) in normal form, for any nonzero den: the
+    (q - q^-1) factors of den move into d, a monomial den into num, and a
+    general den is anchored and, when it divides what num keeps after the
+    peeling, divided out."""
+    if not num.terms:
+        return RF_ZERO
+    while len(den.terms) > 1 and (d2 := _div_qminus(den)) is not None:
+        den, d = d2, d + 1
+    if len(den.terms) == 1:
+        ((eq, eu), c), = den.terms.items()
+        num = num.shift(-eq, -eu)
+        if c < 0:
+            num, c = -num, -c
+        return _reduced(num, P_ONE if c == 1 else LaurentPoly.const(c), d)
+    aq, au = min(e[0] for e in den.terms), min(e[1] for e in den.terms)
+    num, den = num.shift(-aq, -au), den.shift(-aq, -au)
+    if den.terms[max(den.terms)] < 0:
+        num, den = -num, -den
+    r = _reduced(num, den, d)
+    quo = _divide_exact(r.num, r.den)
+    return r if quo is None else _rf(quo, P_ONE, r.d)
+
+
+def _reduced(num: LaurentPoly, den: LaurentPoly, d: int) -> "RatFunc":
+    """num / (den (q - q^-1)^d) for a nonzero num and a den that is already
+    anchored, positive-led and free of (q - q^-1): the content gcd, then
+    (q - q^-1) peeled off num while d > 0."""
+    if den is not P_ONE:
+        g = gcd(*den.terms.values(), *num.terms.values())
+        if g > 1:
+            num = num.scale_div(g)
+            den = den.scale_div(g)
+            if _is_one(den):
+                den = P_ONE
+    while d and (n2 := _div_qminus(num)) is not None:
+        num, d = n2, d - 1
+    return _rf(num, den, d)
+
+
 class RatFunc:
-    """Fraction of two integer Laurent polynomials in (q, u).
+    """The fraction num / (den (q - q^-1)^d) of integer Laurent polynomials
+    in (q, u), immutable and kept in normal form:
 
-    Kept canonical enough for decidable equality: the denominator never
-    vanishes, its minimal exponents are anchored at (0, 0), its lex-leading
-    coefficient is positive, and numerator and denominator share no integer
-    content.  Zero is exactly num = 0, den = 1.  Instances are immutable.
+    - d >= 0, and when d > 0, (q - q^-1) does not divide num;
+    - den has no factor (q - q^-1), is anchored (minimal exponents (0, 0)),
+      has a positive lex-leading coefficient and an integer content coprime
+      to that of num, and is the shared ``P_ONE`` when it is 1;
+    - zero is num = 0, den = 1, d = 0.
 
-    A coefficient equal to a polynomial holds the shared ``P_ONE`` object as
-    its denominator, never another copy of 1, so ``den is P_ONE`` decides
-    "is a polynomial".  Products of two such coefficients skip
-    normalization, and one-term ones come from ``one_term``.
+    So equal values over an integer den, the only den the rewriting makes,
+    have identical (num, den, d).  A product multiplies numerators and
+    integer dens and adds the d's, and a sum of equal (den, d) adds
+    numerators: no denominator is multiplied or divided as a polynomial.  A
+    general den (explicit division by, say, q + 1) is divided out when it
+    divides num, but may share with num a factor only a polynomial gcd finds.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "d")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = P_ONE):
         r = RatFunc.make(num, den)
-        self.num = r.num
-        self.den = r.den
+        self.num, self.den, self.d = r.num, r.den, r.d
 
     @classmethod
     def make(cls, num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            return RF_ZERO
-        if _is_one(den):
-            return _rf(num, P_ONE)
-        if len(den.terms) == 1:
-            return cls._make_monomial_den(num, den)
-        gn = num.content()
-        gd = den.content()
-        g = gcd(gn, gd)
-        if g > 1:
-            num = num.scale_div(g)
-            den = den.scale_div(g)
-        # the (q - q^-1) factor is ubiquitous; cancel common powers of it
-        num_blocked = False
-        while True:
-            n2 = _div_qminus(num)
-            if n2 is None:
-                num_blocked = True
-                break
-            d2 = _div_qminus(den)
-            if d2 is None:
-                break
-            num, den = n2, d2
-        if len(den.terms) == 1:
-            return cls._make_monomial_den(num, den)
-        aq = min(e[0] for e in den.terms)
-        au = min(e[1] for e in den.terms)
-        if aq or au:
-            num = num.shift(-aq, -au)
-            den = den.shift(-aq, -au)
-        # exotic denominators (only reachable through explicit inversion) may
-        # still divide the numerator outright; a den that kept a (q - q^-1)
-        # factor the num lacks cannot
-        if not (num_blocked and _div_qminus(den) is not None):
-            quo = _divide_exact(num, den)
-            if quo is not None:
-                return _rf(quo, P_ONE)
-        if den.terms[max(den.terms)] < 0:
-            num = -num
-            den = -den
-        return _rf(num, den)
-
-    @classmethod
-    def _make_monomial_den(cls, num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
-        ((eq, eu), c), = den.terms.items()
-        num = num.shift(-eq, -eu)
-        if c < 0:
-            num = -num
-            c = -c
-        if c == 1:
-            return _rf(num, P_ONE)
-        g = gcd(num.content(), c)
-        if g > 1:
-            num = num.scale_div(g)
-            c //= g
-        if c == 1:
-            return _rf(num, P_ONE)
-        return _rf(num, LaurentPoly.const(c))
+        return _norm(num, den, 0)
 
     @classmethod
     def from_int(cls, n: int) -> "RatFunc":
-        if n == 0:
-            return RF_ZERO
-        return _rf(LaurentPoly.const(n), P_ONE)
+        return _rf(LaurentPoly.const(n), P_ONE) if n else RF_ZERO
 
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "RatFunc":
@@ -332,7 +318,13 @@ class RatFunc:
         return not self.num.terms
 
     def is_one(self) -> bool:
-        return _is_one(self.num) and _is_one(self.den)
+        return not self.d and _is_one(self.num) and _is_one(self.den)
+
+    def as_poly(self) -> LaurentPoly | None:
+        """The value as a Laurent polynomial, or None when it is not one."""
+        if self.den is P_ONE and not self.d:
+            return self.num
+        return None
 
     def __bool__(self):
         return bool(self.num.terms)
@@ -342,32 +334,47 @@ class RatFunc:
             return True
         if not isinstance(other, RatFunc):
             return NotImplemented
-        if self.den is other.den or self.den.terms == other.den.terms:
+        sd, od, d, e = self.den, other.den, self.d, other.d
+        if d == e and (sd is od or sd.terms == od.terms):
             return self.num.terms == other.num.terms
-        return (self.num * other.den).terms == (other.num * self.den).terms
+        top = max(d, e)
+        return _lift(self.num * od, 1, top - d).terms == _lift(other.num * sd, 1, top - e).terms
 
     def __neg__(self):
         t = self.num.terms
-        if self.den is P_ONE and len(t) == 1:
+        if self.den is P_ONE and not self.d and len(t) == 1:
             ((eq, eu), c), = t.items()
             return one_term(-c, eq, eu)
-        return _rf(_lp({e: -c for e, c in t.items()}), self.den)
+        return _rf(_lp({e: -c for e, c in t.items()}), self.den, self.d)
 
     def __add__(self, other):
         if other.__class__ is not RatFunc:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        sd = self.den
-        if sd is other.den or sd.terms == other.den.terms:
-            # shared denominator (P_ONE for polynomials): no
-            # cross-multiplication, canonical shape of the denominator is
-            # untouched
+        sd, od, d, e = self.den, other.den, self.d, other.d
+        if d == e and (sd is od or sd.terms == od.terms):
             s = self.num + other.num
             if not s.terms:
                 return RF_ZERO
-            return _rf(s, sd)
-        return RatFunc.make(self.num * other.den + other.num * sd, sd * other.den)
+            if sd is P_ONE and not d:
+                return _rf(s, P_ONE)
+            if len(sd.terms) == 1:
+                return _reduced(s, sd, d)
+            return _norm(s, sd, d)
+        top = max(d, e)
+        if len(sd.terms) == 1 and len(od.terms) == 1:
+            # integer dens: over their lcm, with the smaller d lifted
+            a = sd.terms[(0, 0)]
+            b = od.terms[(0, 0)]
+            m = a * b // gcd(a, b)
+            s = _lift(self.num, m // a, top - d) + _lift(other.num, m // b, top - e)
+            if not s.terms:
+                return RF_ZERO
+            den = sd if m == a else od if m == b else LaurentPoly.const(m)
+            return _reduced(s, den, top)
+        s = _lift(self.num * od, 1, top - d) + _lift(other.num * sd, 1, top - e)
+        return _norm(s, sd * od, top)
 
     __radd__ = __add__
 
@@ -376,7 +383,7 @@ class RatFunc:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.den is P_ONE and other.den is P_ONE:
+        if self.den is P_ONE and other.den is P_ONE and not self.d and not other.d:
             s = self.num - other.num
             if not s.terms:
                 return RF_ZERO
@@ -404,15 +411,26 @@ class RatFunc:
             return RF_ZERO
         sd = self.den
         od = other.den
+        d = self.d + other.d
         if sd is P_ONE and od is P_ONE:
-            if len(a) == 1 and len(b) == 1:
+            if not d and len(a) == 1 and len(b) == 1:
                 # +-q^i u^j times +-q^k u^l, the whole of el_mul's work on
                 # family brackets: one shared term, nothing to normalize
                 ((aq, au), ca), = a.items()
                 ((bq, bu), cb), = b.items()
                 return one_term(ca * cb, aq + bq, au + bu)
-            return _rf(self.num * other.num, P_ONE)
-        return RatFunc.make(self.num * other.num, sd * od)
+            num = self.num * other.num
+            if not d or len(a) == 1 and other.d or len(b) == 1 and self.d:
+                # a polynomial product, or a unit times a num free of
+                # (q - q^-1): already normal
+                return _rf(num, P_ONE, d)
+            return _reduced(num, P_ONE, d)
+        if len(sd.terms) == 1 and len(od.terms) == 1:
+            den = od if sd is P_ONE else sd if od is P_ONE else LaurentPoly.const(
+                sd.terms[(0, 0)] * od.terms[(0, 0)]
+            )
+            return _reduced(self.num * other.num, den, d)
+        return _norm(self.num * other.num, sd * od, d)
 
     __rmul__ = __mul__
 
@@ -425,7 +443,7 @@ class RatFunc:
     def inv(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc.make(self.den, self.num)
+        return _norm(_lift(self.den, 1, self.d), self.num, 0)
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
@@ -441,47 +459,48 @@ class RatFunc:
 
     def mul_q_pow(self, k: int) -> "RatFunc":
         """self * q^k, by shifting the numerator's q-exponents.  q^k is a
-        unit, so the fraction stays normalized and keeps its denominator;
+        unit, so the fraction stays normalized and keeps its den and d;
         this is how a K-power passing x's scales a coefficient."""
         if not k:
             return self
         t = self.num.terms
-        if self.den is P_ONE and len(t) == 1:
+        if self.den is P_ONE and not self.d and len(t) == 1:
             ((eq, eu), c), = t.items()
             return one_term(c, eq + k, eu)
-        return _rf(_lp({(eq + k, eu): c for (eq, eu), c in t.items()}), self.den)
+        return _rf(_lp({(eq + k, eu): c for (eq, eu), c in t.items()}), self.den, self.d)
 
     def canonical(self) -> "RatFunc":
-        """Fully normalized copy (fast arithmetic paths may leave a shared
-        factor between num and den; rendering wants it gone).  A polynomial
-        is already normalized and is returned as it is."""
-        if self.den is P_ONE:
+        """The display form num q^d / (den (q^2 - 1)^d), a value with d = 0.
+        Its den may hold factors q^2 - 1, so it is for printing, not a
+        normal form; a value with d = 0 is returned as it is."""
+        d = self.d
+        if not d:
             return self
-        return RatFunc.make(self.num, self.den)
+        return _rf(self.num.shift(d, 0), _lift(self.den, 1, d).shift(d, 0))
 
     def subst_u_inverse(self) -> "RatFunc":
-        return RatFunc.make(self.num.subst_u_inverse(), self.den.subst_u_inverse())
+        return _norm(self.num.subst_u_inverse(), self.den.subst_u_inverse(), self.d)
 
     def evaluate(self, q0, u0) -> Fraction:
         q0 = Fraction(q0)
         u0 = Fraction(u0)
         if q0 == 0 or u0 == 0:
             raise ValueError("evaluation requires nonzero q0 and u0")
-        dv = self.den.evaluate(q0, u0)
+        dv = self.den.evaluate(q0, u0) * (q0 - 1 / q0) ** self.d
         if dv == 0:
             raise PoleError(f"denominator vanishes at q={q0}, u={u0}")
         return self.num.evaluate(q0, u0) / dv
 
     def __repr__(self):
-        return f"RatFunc({self.num.terms!r}, {self.den.terms!r})"
+        return f"RatFunc({self.num.terms!r}, {self.den.terms!r}, d={self.d})"
 
 
-def _rf(num: LaurentPoly, den: LaurentPoly) -> RatFunc:
-    """The RatFunc num/den, taken as normalized: den is P_ONE itself when
-    it is 1."""
+def _rf(num: LaurentPoly, den: LaurentPoly, d: int = 0) -> RatFunc:
+    """The RatFunc num / (den (q - q^-1)^d), taken as in normal form."""
     r = _new(RatFunc)
     r.num = num
     r.den = den
+    r.d = d
     return r
 
 

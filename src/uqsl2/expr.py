@@ -144,6 +144,20 @@ def _tokenize(text: str):
 # --- Parser ------------------------------------------------------------
 
 
+def _int(digits: str) -> int:
+    """The integer a run of decimal digits spells.  Past the interpreter's
+    limit on str-to-int conversion (4,300 digits by default) ``int``
+    refuses, and the value is built from blocks of 4,000 digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        n = 0
+        for i in range(0, len(digits), 4000):
+            block = digits[i : i + 4000]
+            n = n * 10 ** len(block) + int(block)
+        return n
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -179,7 +193,7 @@ class _Parser:
         if kind != "int":
             self.fail(("integer",))
         self.advance()
-        return sign * int(text)
+        return sign * _int(text)
 
     def parse_expr(self):
         parts = []
@@ -224,7 +238,7 @@ class _Parser:
             return GenAtom(text, idx)
         if kind == "int":
             self.advance()
-            return RationalLiteral(Fraction(int(text)))
+            return RationalLiteral(Fraction(_int(text)))
         if kind == "op" and text == "(":
             self.advance()
             inner = self.parse_expr()
@@ -303,9 +317,9 @@ def _as_int(el: Element, what: str) -> int:
         return 0
     if len(el.terms) == 1:
         mono, c = next(iter(el.terms.items()))
-        if mono == Monomial((), 0) and c.den.terms == {(0, 0): 1}:
-            if list(c.num.terms) == [(0, 0)]:
-                return c.num.terms[(0, 0)]
+        p = c.as_poly()
+        if mono == Monomial((), 0) and p is not None and list(p.terms) == [(0, 0)]:
+            return p.terms[(0, 0)]
     raise EvalError(f"{what} must be an integer literal")
 
 

@@ -2,15 +2,18 @@
 
 Text output parses back through expr.parse; JSON follows the schema
 {"terms":[{"coeff":{"num":...,"den":...},"word":[{"g":"x+","k":0},...],
-"kexp":0},...]} with polynomials as canonical text.  In human-facing text
-even powers of u print as powers of gamma; JSON keeps raw u powers.
+"kexp":0},...]} with polynomials as canonical text.  A coefficient stored as
+num / (den (q - q^-1)^d) prints its display form ``canonical()``, num q^d
+over den (q^2 - 1)^d.  In human-facing text even powers of u print as
+powers of gamma; JSON keeps raw u powers.
 
-A ``Printer`` renders each distinct coefficient and each distinct word once
-and reuses the text.  Its memos are plain dicts that live as long as the
-printer, and a caller makes one printer per document: a ``verify`` report
-repeats a few thousand coefficients and words tens of thousands of times,
-while a memo kept for the whole process would hold every document's
-fragments, which costs memory that nothing bounds or clears.
+A ``Printer`` renders each distinct coefficient, keyed by its stored (num
+terms, den terms, d), and each distinct word once, and reuses the text.
+Its memos are plain dicts that live as long as the printer, and a caller
+makes one printer per document: a ``verify`` report repeats a few thousand
+coefficients and words tens of thousands of times, while a memo kept for
+the whole process would hold every document's fragments, which costs
+memory that nothing bounds or clears.
 """
 
 from __future__ import annotations
@@ -94,13 +97,28 @@ def _poly(p: LaurentPoly, st: _Style) -> str:
                 bits.append(_pow(st, "u", eu))
         mag = abs(c)
         if mag != 1 or not bits:
-            bits = [str(mag)] + bits
+            bits = [_digits(mag)] + bits
         body = st.join.join(bits)
         if not out:
             out.append(body if c > 0 else "-" + body)
         else:
             out.append(("+ " if c > 0 else "- ") + body)
     return " ".join(out)
+
+
+def _digits(n: int) -> str:
+    """The decimal digits of n >= 0.  Past the interpreter's limit on
+    int-to-str conversion (4,300 digits by default) ``str`` refuses, and the
+    digits are made by blocks of 4,000."""
+    try:
+        return str(n)
+    except ValueError:
+        block = 10**4000
+        parts = []
+        while n:
+            n, r = divmod(n, block)
+            parts.append(r)
+        return str(parts.pop()) + "".join([str(r).zfill(4000) for r in reversed(parts)])
 
 
 def poly_text(p: LaurentPoly, use_gamma: bool = True) -> str:
@@ -164,9 +182,10 @@ def _poly_from_text(text: str) -> LaurentPoly:
     if len(el.terms) != 1:
         raise ValueError(f"not a polynomial: {text!r}")
     mono, c = next(iter(el.terms.items()))
-    if mono != Monomial((), 0) or not _is_one(c.den):
+    p = c.as_poly()
+    if mono != Monomial((), 0) or p is None:
         raise ValueError(f"not a polynomial: {text!r}")
-    return c.num
+    return p
 
 
 def element_from_obj(obj: dict) -> Element:
@@ -189,12 +208,13 @@ def element_from_json(s: str) -> Element:
 class Printer:
     """Prints elements in one format ("text", "latex" or "json").
 
-    A coefficient is rendered once per distinct stored (numerator terms,
-    denominator terms), from its ``canonical()`` form, and a word once per
-    distinct tuple of generators, together with its part of
-    ``mono_sort_key``.  A JSON fragment is escaped once, when it is made; a
-    term is its coefficient's fragment, its word's and its K-power, which
-    gives the bytes of ``json.dumps(element_to_obj(e))``.
+    A coefficient is rendered once per distinct stored (num terms, den
+    terms, d), the fields of its value num / (den (q - q^-1)^d), from its
+    display form ``canonical()``; a word once per distinct tuple of
+    generators, together with its part of ``mono_sort_key``.  A JSON
+    fragment is escaped once, when it is made; a term is its coefficient's
+    fragment, its word's and its K-power, which gives the bytes of
+    ``json.dumps(element_to_obj(e))``.
     """
 
     __slots__ = ("_json", "_style", "_coeffs", "_words")
@@ -214,7 +234,7 @@ class Printer:
             w = words.get(word)
             if w is None:
                 w = words[word] = (word_sort_key(word), self._word_fragment(word))
-            key = (tuple(c.num.terms.items()), tuple(c.den.terms.items()))
+            key = (tuple(c.num.terms.items()), tuple(c.den.terms.items()), c.d)
             cf = coeffs.get(key)
             if cf is None:
                 cf = coeffs[key] = self._coeff_fragment(c.canonical())

@@ -1,3 +1,4 @@
+import decimal
 import gc
 import io
 import json
@@ -10,7 +11,8 @@ from uqsl2 import __version__
 from uqsl2.cli import _ELEMENT_COMMANDS, SuiteConfig, main, run_verify_suite
 from uqsl2.coeff import RatFunc
 from uqsl2.elements import Element
-from uqsl2.render import element_to_obj, print_element
+from uqsl2.expr import eval_ast, parse
+from uqsl2.render import element_from_json, element_to_obj, print_element
 from uqsl2.rewrite import RelationMode
 from uqsl2.verify import CLAIMS, Verdict, VerdictReport, expectation_met, sweep_claim
 
@@ -447,3 +449,22 @@ def test_printed_negative_result_feeds_back_to_nf():
     assert (code, out.strip()) == (0, "-u*a[1]*K")
     assert run_cli(["nf", out.strip()])[1] == out
     assert negative >= 5
+
+
+def test_integers_past_the_conversion_limit_print_and_parse_exactly():
+    # Python refuses int <-> str past 4,300 digits unless told otherwise;
+    # the engine prints and parses such coefficients without touching that
+    # interpreter-wide limit
+    want = Element.from_coeff(RatFunc.from_int(2**20000))
+    code, out, _ = run_cli(["nf", "2^20000"])
+    text = out.strip()
+    assert code == 0 and text.isdigit() and len(text) == 6021
+    with decimal.localcontext() as ctx:
+        ctx.prec = 7000
+        assert decimal.Decimal(text) == decimal.Decimal(2) ** 20000
+    assert eval_ast(parse(text)) == want
+    code, out, _ = run_cli(["nf", "2^20000", "--format", "json"])
+    assert code == 0 and element_from_json(out) == want
+    digits = "7" * 5000
+    code, out, _ = run_cli(["nf", digits + "*x+[0]"])
+    assert code == 0 and out.strip() == digits + "*x+[0]"

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uqsl2 import coeff
 from uqsl2.coeff import (
     P_ONE,
     LaurentPoly,
@@ -204,6 +206,7 @@ def test_ring_operations_agree_with_sympy_cancel():
         def poly(p):
             return sum(sympy.Integer(c) * q**eq * u**eu for (eq, eu), c in p.terms.items())
 
+        r = r.canonical()
         return poly(r.num) / poly(r.den)
 
     for a, b in _shaped_pairs(seed=2335, count=100):
@@ -243,12 +246,90 @@ def test_mul_q_pow_is_the_product_with_q_pow():
                 got = c.mul_q_pow(k)
                 want = c * q_pow(k)
                 assert got == want, (c, k)
-                # and prints alike: the shift leaves a shared factor of num
-                # and den in place, and canonical() removes it
+                # and prints alike: both have the same display form
                 got, want = got.canonical(), want.canonical()
                 assert got.num.terms == want.num.terms and got.den.terms == want.den.terms
-                if c.den is P_ONE:
-                    assert got.den is P_ONE
+                if c.as_poly() is not None:
+                    assert got.as_poly() is not None
                     seen += 1
     assert c.mul_q_pow(0) is c
     assert seen > 300
+
+
+# --- the stored form num / (den (q - q^-1)^d) --------------------------------
+
+
+def _assert_normal(r):
+    num, den, d = r.num, r.den, r.d
+    assert d >= 0
+    if d:
+        assert coeff._div_qminus(num) is None, r
+    assert min(e[0] for e in den.terms) == 0 and min(e[1] for e in den.terms) == 0, r
+    assert den.terms[max(den.terms)] > 0, r
+    if len(den.terms) > 1:
+        assert coeff._div_qminus(den) is None, r
+    assert math.gcd(*num.terms.values(), *den.terms.values()) == 1 or not num.terms, r
+    assert (den is P_ONE) == (den.terms == {(0, 0): 1}), r
+
+
+def test_every_result_is_in_normal_form():
+    for a, b in _shaped_pairs(seed=11, count=300):
+        for got in (a, b, *_results(a, b).values()):
+            _assert_normal(got)
+
+
+def test_equal_values_over_an_integer_den_have_identical_fields():
+    # so __eq__ on the rewriting's coefficients is a field compare
+    rng = random.Random(13)
+    seen = 0
+    for _ in range(400):
+        a = rng.choice(_SHAPES)(rng) / qminus() ** rng.randrange(4)
+        b = rng.choice(_SHAPES)(rng) / qminus() ** rng.randrange(4)
+        k = rng.randrange(4)
+        for other in (
+            b,
+            (a * qint(3) + RF_ONE) / qint(3) - RF_ONE / qint(3),
+            a * qminus() ** k * 6 / (qminus() ** k * 6),
+            (a + b / qminus()) - b / qminus(),
+            a.mul_q_pow(k) * q_pow(-k),
+        ):
+            if len(a.den.terms) == 1 and len(other.den.terms) == 1 and a == other:
+                assert (a.num.terms, a.den.terms, a.d) == (other.num.terms, other.den.terms, other.d)
+                seen += 1
+    assert seen > 800
+
+
+def test_product_over_qminus_powers_multiplies_only_the_numerators(monkeypatch):
+    x = RatFunc(LaurentPoly({(2, 0): 1, (0, 1): 3})) / qminus()
+    y = RatFunc(LaurentPoly({(1, 0): 2, (0, -1): -1})) / qminus() ** 2
+    calls = {"mul": 0, "divide": 0}
+    mul = LaurentPoly.__mul__
+    divide = coeff._divide_exact
+
+    def counting_mul(p, other):
+        calls["mul"] += 1
+        return mul(p, other)
+
+    def counting_divide(num, den):
+        calls["divide"] += 1
+        return divide(num, den)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(coeff, "_divide_exact", counting_divide)
+    z = x * y
+    assert calls == {"mul": 1, "divide": 0}
+    assert z.den is P_ONE and z.d == 3
+    assert z.num.terms == {(3, 0): 2, (2, -1): -1, (1, 1): 6, (0, 0): -3}
+
+
+def test_as_poly_answers_is_it_a_polynomial():
+    v = qint(3)
+    assert v.as_poly() is v.num
+    assert RF_ZERO.as_poly().is_zero()
+    # 1/(q - q^-1) stores the numerator 1 over the den 1
+    assert qminus().inv().as_poly() is None
+    assert (q_pow(1) / qminus() * qminus()).as_poly() == LaurentPoly({(1, 0): 1})
+    assert RatFunc.from_fraction(Fraction(1, 2)).as_poly() is None
+    assert RatFunc.make(LaurentPoly({(2, 0): 1, (0, 0): -1}), LaurentPoly({(1, 0): 1, (0, 0): 1})).as_poly() == (
+        LaurentPoly({(1, 0): 1, (0, 0): -1})
+    )

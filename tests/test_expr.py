@@ -3,20 +3,23 @@ import random
 
 import pytest
 
-from uqsl2.coeff import RF_ONE, one_term, q_pow, qminus, u_pow
+from uqsl2.coeff import RF_ONE, LaurentPoly, RatFunc, one_term, q_pow, qminus, u_pow
 from uqsl2.currents import phi, psi
 from uqsl2.elements import Element, Monomial, agen, el_mul, xminus, xplus
 from uqsl2.expr import Call, EvalError, GenAtom, ParseError, eval_ast, parse
 from uqsl2.family import FamilyParams, central_c, family_E
 from uqsl2.render import (
+    _poly_from_text,
     element_from_json,
+    element_from_obj,
     element_json,
     element_text,
+    element_to_obj,
     print_element,
 )
 from uqsl2.rewrite import RelationMode, normal_form
 
-from helpers import rand_element
+from helpers import rand_element, rand_poly, rand_word
 
 S = RelationMode.STRICT
 
@@ -214,3 +217,25 @@ def test_output_determinism():
         e2 = Element(dict(shuffled))
         assert element_text(e) == element_text(e2)
         assert element_json(e) == element_json(e2)
+
+
+def test_integer_arguments_are_polynomials_not_fractions():
+    # 1/(q - q^-1) stores the numerator 1 over a power of q - q^-1; it is
+    # not the integer 1
+    for src in ("psi(1/(q-q^-1))", "phi(q/(q^2-1))", "E(+, 1, 0, 1/(q-q^-1))"):
+        with pytest.raises(EvalError):
+            eval_ast(parse(src))
+    with pytest.raises(ValueError):
+        _poly_from_text("1/(q-q^-1)")
+    assert _poly_from_text("(q^2-1)/(q-q^-1)") == LaurentPoly({(1, 0): 1})
+
+
+def test_obj_round_trip_over_powers_of_qminus():
+    rng = random.Random(45)
+    for _ in range(100):
+        terms = {}
+        for _ in range(rng.randrange(1, 4)):
+            mono = Monomial(rand_word(rng, max_len=3), rng.randrange(-2, 3))
+            terms[mono] = RatFunc(rand_poly(rng, nterms=4)) / qminus() ** rng.randrange(4)
+        e = Element(terms)
+        assert element_from_obj(element_to_obj(e)) == e

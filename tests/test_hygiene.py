@@ -154,3 +154,16 @@ def test_no_function_writes_module_level_state():
         for p in sorted(SRC.glob("*.py"))
     }
     assert {name: f for name, f in found.items() if f} == {}
+
+
+def test_only_coeff_and_render_read_the_stored_den():
+    # a coefficient is num / (den (q - q^-1)^d), so den alone is not its
+    # denominator; other modules ask ``as_poly()``, and printing reads the
+    # display form ``canonical()``
+    readers = {
+        p.name
+        for p in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "den"
+    }
+    assert readers <= {"coeff.py", "render.py"}
