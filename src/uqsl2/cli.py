@@ -1,4 +1,6 @@
-"""Command-line front end: expression commands and the verification suite.
+"""Command-line front end: the verification suite and one element command
+per call of the expression language (``expr.CALLS``, whose argument names
+become the command's operands), with "mul" added.
 
 Exit codes: 0 all expectations met, 1 discrepancies found, 2 usage, parse
 or configuration error.  The relation mode is "strict" (the default) or
@@ -21,22 +23,12 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
-from .elements import Element
-from .expr import (
-    Call,
-    EvalError,
-    ParseError,
-    Product,
-    RationalLiteral,
-    SignLit,
-    eval_ast,
-    parse,
-)
+from .elements import Element, el_mul
+from .expr import CALLS, ELEMENT_ARGS, CallSpec, EvalError, ParseError, eval_ast, parse
 from .family import SIGNS
-from .render import Printer, print_element
+from .render import FORMATS, Printer, print_element
 from .rewrite import RelationMode
 from .verify import CLAIMS, VerdictReport, expectation_met, sweep_claim
 
@@ -58,7 +50,7 @@ def _mode_from_name(name: str) -> RelationMode:
 
 
 def _default_mode() -> str:
-    return os.environ.get("UQSL2_MODE", "strict")
+    return os.environ.get("UQSL2_MODE", SuiteConfig.mode.value)
 
 
 def _is_int(value) -> bool:
@@ -67,9 +59,9 @@ def _is_int(value) -> bool:
 
 
 def _parse_range(text):
-    """An "a:b" string, or an [a, b] pair from a config file."""
+    """An "a:b" string, or an (a, b) pair from a config file or the defaults."""
     if not isinstance(text, str):
-        if not (isinstance(text, list) and len(text) == 2 and all(map(_is_int, text))):
+        if not (isinstance(text, (list, tuple)) and len(text) == 2 and all(map(_is_int, text))):
             raise ConfigError(f"bad range {text!r}, expected \"a:b\" or [a, b]")
         return text[0], text[1]
     try:
@@ -156,9 +148,6 @@ def _report_json(r: VerdictReport, met: bool, printer: Printer) -> str:
     )
 
 
-_REPORT_RENDERERS = {"text": _report_text, "json": _report_json}
-
-
 def run_verify_suite(config: SuiteConfig) -> ReportDoc:
     """Run every configured claim sweep, rendering and counting each
     claim's reports as soon as its sweep returns."""
@@ -168,7 +157,7 @@ def run_verify_suite(config: SuiteConfig) -> ReportDoc:
         "m_range": config.m_range,
         "p_range": config.p_range,
     }
-    render = _REPORT_RENDERERS[config.format]
+    render = _VERIFY_FORMATS[config.format][0]
     printer = Printer(config.format)
     counts = {"exact_zero": 0, "central": 0, "residual": 0, "paper_mismatch": 0}
     met = 0
@@ -242,22 +231,20 @@ def report_doc_json(doc: ReportDoc):
     yield "]}\n"
 
 
-_DOC_ASSEMBLERS = {"text": report_doc_text, "json": report_doc_json}
+# each verify format: its report renderer and its document assembler
+_VERIFY_FORMATS = {
+    "text": (_report_text, report_doc_text),
+    "json": (_report_json, report_doc_json),
+}
 
-
-# element subcommands: help text, then the arguments of the evaluator call
-# each one builds, in order ("mul" builds a product instead); a "--" name is
-# an integer option defaulting to 0
-_ELEMENT_COMMANDS = {
-    "nf": ("normal form of an expression", ("expr",)),
-    "mul": ("product of two expressions", ("left", "right")),
-    "comm": ("commutator of two expressions", ("left", "right")),
-    "dcomm": ("K^p-deformed commutator", ("left", "right", "--p")),
-    "psi": ("current component psi_m", ("m",)),
-    "phi": ("current component phi_m", ("m",)),
-    "E": ("family element E(sign, p, m, index)", ("sign", "p", "m", "index")),
-    "c": ("stated central value c(sign, n, m)", ("sign", "n", "m")),
-    "omega": ("apply the automorphism omega", ("expr",)),
+# the element subcommands: every call of the expression language, and "mul"
+# second (spreading CALLS over the dict keeps "nf" in first place)
+_COMMANDS = {
+    "nf": CALLS["nf"],
+    "mul": CallSpec(
+        "product of two expressions", ("left", "right"), lambda mode, a, b: el_mul(a, b)
+    ),
+    **CALLS,
 }
 
 
@@ -285,19 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
-    for cmd, (help_text, names) in _ELEMENT_COMMANDS.items():
-        p = sub.add_parser(cmd, help=help_text)
-        for name in names:
-            if name in ("expr", "left", "right"):
+    for cmd, spec in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=spec.help)
+        for name in spec.args:
+            if name in ELEMENT_ARGS:
                 p.add_argument(name)
             elif name == "sign":
                 p.add_argument(name, choices=SIGNS)
-            elif name.startswith("--"):
-                p.add_argument(name, type=int, default=0)
             else:
-                p.add_argument(name, type=int)
+                # only an option such as "--p" uses the default
+                p.add_argument(name, type=int, default=0)
         p.add_argument("--mode", default=None, choices=_MODES)
-        p.add_argument("--format", default="text", choices=("text", "latex", "json"))
+        p.add_argument("--format", default="text", choices=FORMATS)
 
     p = sub.add_parser("verify", help="run claim verification sweeps")
     p.add_argument("--claims", default=None)
@@ -306,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-range", default=None)
     p.add_argument("--p-range", default=None)
     p.add_argument("--mode", default=None, choices=_MODES)
-    p.add_argument("--format", default=None, choices=("text", "json"))
+    p.add_argument("--format", default=None, choices=_VERIFY_FORMATS)
     p.add_argument("--config", default=None, help="JSON file with verify defaults")
     return ap
 
@@ -345,24 +331,25 @@ def _verify_config(args) -> SuiteConfig:
     if not claims:
         raise ConfigError("no claims selected")
 
-    n_max = pick(args.n_max, "n_max", 4)
-    k_max = pick(args.k_max, "k_max", 4)
+    n_max = pick(args.n_max, "n_max", SuiteConfig.n_max)
+    k_max = pick(args.k_max, "k_max", SuiteConfig.k_max)
     if not (_is_int(n_max) and _is_int(k_max)):
         raise ConfigError(f"n_max and k_max must be integers, not {n_max!r} and {k_max!r}")
     if n_max < 0 or k_max < 0:
         raise ConfigError("n-max and k-max must be nonnegative")
 
-    m_range = _parse_range(pick(args.m_range, "m_range", "-2:2"))
-    p_range = _parse_range(pick(args.p_range, "p_range", "-2:2"))
+    m_range = _parse_range(pick(args.m_range, "m_range", SuiteConfig.m_range))
+    p_range = _parse_range(pick(args.p_range, "p_range", SuiteConfig.p_range))
     if m_range[0] > m_range[1] or p_range[0] > p_range[1]:
         raise ConfigError("ranges must be nonempty")
 
     mode = _mode_from_name(pick(args.mode, "mode", _default_mode()))
-    fmt = pick(args.format, "format", "text")
-    if fmt not in ("text", "json"):
+    fmt = pick(args.format, "format", SuiteConfig.format)
+    if fmt not in _VERIFY_FORMATS:
         raise ConfigError(f"unknown report format {fmt!r}")
     return SuiteConfig(
-        claims=claims,
+        # a claim named twice is swept once
+        claims=list(dict.fromkeys(claims)),
         n_max=n_max,
         k_max=k_max,
         m_range=m_range,
@@ -372,22 +359,14 @@ def _verify_config(args) -> SuiteConfig:
     )
 
 
-def _arg_node(name: str, value):
-    if name == "sign":
-        return SignLit(value)
-    if isinstance(value, int):
-        return RationalLiteral(Fraction(value))
-    return parse(value)
-
-
 def _element_command(args) -> Element:
     mode = _mode_from_name(args.mode or _default_mode())
-    if args.command == "mul":
-        product = Product((("*", parse(args.left)), ("*", parse(args.right))))
-        return eval_ast(product, mode)
-    names = _ELEMENT_COMMANDS[args.command][1]
-    nodes = tuple(_arg_node(n, getattr(args, n.lstrip("-"))) for n in names)
-    return eval_ast(Call(args.command, nodes), mode)
+    spec = _COMMANDS[args.command]
+    values = []
+    for name in spec.args:
+        value = getattr(args, name.lstrip("-"))
+        values.append(eval_ast(parse(value), mode) if name in ELEMENT_ARGS else value)
+    return spec.fn(mode, *values)
 
 
 def main(argv=None) -> int:
@@ -401,7 +380,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             config = _verify_config(args)
             doc = run_verify_suite(config)
-            sys.stdout.writelines(_DOC_ASSEMBLERS[doc.format](doc))
+            sys.stdout.writelines(_VERIFY_FORMATS[doc.format][1](doc))
             met = doc.summary["expectations_met"] == doc.summary["reports"]
             return 0 if met else 1
         element = _element_command(args)

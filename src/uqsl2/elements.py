@@ -14,7 +14,9 @@ from typing import NamedTuple
 from .coeff import RF_ONE, RatFunc, _coerce
 
 XPLUS, XMINUS, AGEN = 0, 1, 2
-_KIND_NAMES = {XPLUS: "x+", XMINUS: "x-", AGEN: "a"}
+# how each kind of generator is spelled in text and JSON, and back
+GEN_NAMES = {XPLUS: "x+", XMINUS: "x-", AGEN: "a"}
+GEN_KINDS = {name: kind for kind, name in GEN_NAMES.items()}
 
 
 class Gen(NamedTuple):
@@ -177,7 +179,7 @@ class Element:
             return "Element(0)"
         bits = []
         for m, c in self.sorted_terms():
-            gens = ".".join(f"{_KIND_NAMES[g.kind]}{g.idx}" for g in m.word)
+            gens = ".".join(f"{GEN_NAMES[g.kind]}{g.idx}" for g in m.word)
             bits.append(f"[{c!r}]*{gens or '1'}*K^{m.kexp}")
         return "Element(" + " + ".join(bits) + ")"
 

@@ -5,24 +5,26 @@ Grammar (whitespace-insensitive):
     expr    := ["+"|"-"] term (("+"|"-") term)*
     term    := factor (("*"|"/") factor)*
     factor  := atom ("^" int)?
-    atom    := "x+[" int "]" | "x-[" int "]" | "a[" int "]"
-             | "K" | "gamma" | "u" | "q" | int | "(" expr ")" | name "(" args ")"
+    atom    := gen "[" int "]" | name | int | "(" expr ")" | call "(" args ")"
     args    := arg ("," arg)* ;  arg := expr | "+" | "-"
 
-"/" requires an invertible right operand (an element with a single bare
-K-power term), which also makes rational literals like 1/2 work.
-Built-in calls: nf, comm, dcomm, psi, phi, E, c, omega.
+A gen is a spelling of ``elements.GEN_NAMES`` (x+, x-, a), a name a key of
+``NAMES`` (K, gamma, u, q) and a call a key of ``CALLS``, which also lists
+each call's arguments.  "/" requires an invertible right operand (an
+element with a single bare K-power term), which also makes rational
+literals like 1/2 work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .coeff import RatFunc, u_pow
+from .coeff import RatFunc, q_pow, u_pow
 from .currents import phi as phi_el
 from .currents import psi as psi_el
-from .elements import Element, Monomial, agen, el_mul, omega, xminus, xplus
+from .elements import AGEN, GEN_KINDS, Element, Gen, Monomial, el_mul, omega
 from .family import FamilyParams, central_c, family_E
 from .rewrite import RelationMode, commutator, deformed_commutator, normal_form
 
@@ -59,28 +61,13 @@ class Power:
 
 @dataclass(frozen=True)
 class GenAtom:
-    kind: str  # "x+", "x-", "a"
+    kind: str  # a key of GEN_KINDS
     idx: int
 
 
 @dataclass(frozen=True)
-class KAtom:
-    pass
-
-
-@dataclass(frozen=True)
-class GammaAtom:
-    pass
-
-
-@dataclass(frozen=True)
-class UAtom:
-    pass
-
-
-@dataclass(frozen=True)
-class QAtom:
-    pass
+class NameAtom:
+    name: str  # a key of NAMES
 
 
 @dataclass(frozen=True)
@@ -120,10 +107,10 @@ def _tokenize(text: str):
             toks.append(("int", text[i:j], i))
             i = j
             continue
-        if ch == "x" and i + 2 < n and text[i + 1] in "+-" and text[i + 2] == "[":
-            # generator opener, '[' included
-            toks.append(("xgen", "x" + text[i + 1], i))
-            i += 3
+        if text[i : i + 2] in GEN_KINDS and text[i + 2 : i + 3] == "[":
+            # x+ and x- before '[' lex as names, as "a" does
+            toks.append(("name", text[i : i + 2], i))
+            i += 2
             continue
         if ch.isalpha():
             j = i
@@ -231,11 +218,6 @@ class _Parser:
 
     def parse_atom(self):
         kind, text, pos = self.peek()
-        if kind == "xgen":
-            self.advance()
-            idx = self.parse_int()
-            self.expect_op("]")
-            return GenAtom(text, idx)
         if kind == "int":
             self.advance()
             return RationalLiteral(Fraction(_int(text)))
@@ -247,25 +229,19 @@ class _Parser:
         if kind == "name":
             self.advance()
             nxt = self.peek()
-            if text == "a" and nxt[0] == "op" and nxt[1] == "[":
+            if text in GEN_KINDS and nxt[0] == "op" and nxt[1] == "[":
                 self.advance()
                 idx = self.parse_int()
                 self.expect_op("]")
-                return GenAtom("a", idx)
+                return GenAtom(text, idx)
             if nxt[0] == "op" and nxt[1] == "(":
                 self.advance()
                 args = self.parse_args()
                 self.expect_op(")")
                 return Call(text, args)
-            if text == "K":
-                return KAtom()
-            if text == "gamma":
-                return GammaAtom()
-            if text == "u":
-                return UAtom()
-            if text == "q":
-                return QAtom()
-            raise ParseError(f"unknown name {text!r}", pos, ("K", "gamma", "u", "q", "call"))
+            if text in NAMES:
+                return NameAtom(text)
+            raise ParseError(f"unknown name {text!r}", pos, (*NAMES, "call"))
         self.fail(("atom",))
 
     def parse_args(self):
@@ -300,15 +276,59 @@ def parse(text: str):
 
 # --- Evaluator ---------------------------------------------------------
 
-_CALL_ARITY = {
-    "nf": 1,
-    "comm": 2,
-    "dcomm": 3,
-    "psi": 1,
-    "phi": 1,
-    "E": 4,
-    "c": 3,
-    "omega": 1,
+# the constants: u is the central half-power and gamma = u^2
+NAMES = {
+    "K": Element.k_power(1),
+    "gamma": Element.from_coeff(u_pow(2)),
+    "u": Element.from_coeff(u_pow(1)),
+    "q": Element.from_coeff(q_pow(1)),
+}
+
+# the argument names of a call that take an element
+ELEMENT_ARGS = ("expr", "left", "right")
+
+
+class CallSpec(NamedTuple):
+    """A call of the language, which is also a CLI command: its help text,
+    its argument names and a function of (mode, *arguments).  An argument
+    named in ``ELEMENT_ARGS`` is an element, "sign" is a bare + or -, and
+    any other is an integer; a name that begins with "--" is an option of
+    the CLI command, defaulting to 0."""
+
+    help: str
+    args: tuple
+    fn: Callable
+
+
+def _central_c(mode, sign, n, m):
+    if n < 0:
+        raise EvalError("c index must be nonnegative")
+    return central_c(n, m, sign)
+
+
+CALLS = {
+    "nf": CallSpec(
+        "normal form of an expression", ("expr",), lambda mode, x: normal_form(x, mode)
+    ),
+    "comm": CallSpec(
+        "commutator of two expressions",
+        ("left", "right"),
+        lambda mode, a, b: commutator(a, b, mode),
+    ),
+    "dcomm": CallSpec(
+        "K^p-deformed commutator",
+        ("left", "right", "--p"),
+        lambda mode, a, b, p: deformed_commutator(a, b, p, mode),
+    ),
+    "psi": CallSpec("current component psi_m", ("m",), lambda mode, m: psi_el(m)),
+    "phi": CallSpec("current component phi_m", ("m",), lambda mode, m: phi_el(m)),
+    "E": CallSpec(
+        "family element E(sign, p, m, index)",
+        ("sign", "p", "m", "index"),
+        lambda mode, *params: family_E(FamilyParams(*params)),
+    ),
+    "c": CallSpec("stated central value c(sign, n, m)", ("sign", "n", "m"), _central_c),
+    "omega": CallSpec("apply the automorphism omega", ("expr",), lambda mode, x: omega(x)),
 }
 
 
@@ -321,12 +341,6 @@ def _as_int(el: Element, what: str) -> int:
         if mono == Monomial((), 0) and p is not None and list(p.terms) == [(0, 0)]:
             return p.terms[(0, 0)]
     raise EvalError(f"{what} must be an integer literal")
-
-
-def _as_sign(node, what: str) -> str:
-    if isinstance(node, SignLit):
-        return node.sign
-    raise EvalError(f"{what} must be a bare + or - sign")
 
 
 def _invert(el: Element) -> Element:
@@ -355,8 +369,7 @@ def _power(el: Element, n: int) -> Element:
 
 
 def eval_ast(ast, mode: RelationMode = RelationMode.STRICT) -> Element:
-    """Evaluate a parsed expression to an Element.  ``gamma`` means u^2 and
-    ``u`` the central half-power itself."""
+    """Evaluate a parsed expression to an Element."""
     if isinstance(ast, Sum):
         out = Element.zero()
         for sign, node in ast.parts:
@@ -372,23 +385,12 @@ def eval_ast(ast, mode: RelationMode = RelationMode.STRICT) -> Element:
     if isinstance(ast, Power):
         return _power(eval_ast(ast.base, mode), ast.exp)
     if isinstance(ast, GenAtom):
-        if ast.kind == "x+":
-            return Element.from_gen(xplus(ast.idx))
-        if ast.kind == "x-":
-            return Element.from_gen(xminus(ast.idx))
-        if ast.idx == 0:
+        kind = GEN_KINDS[ast.kind]
+        if kind == AGEN and ast.idx == 0:
             raise EvalError("a[0] is not a generator")
-        return Element.from_gen(agen(ast.idx))
-    if isinstance(ast, KAtom):
-        return Element.k_power(1)
-    if isinstance(ast, GammaAtom):
-        return Element.from_coeff(u_pow(2))
-    if isinstance(ast, UAtom):
-        return Element.from_coeff(u_pow(1))
-    if isinstance(ast, QAtom):
-        from .coeff import q_pow
-
-        return Element.from_coeff(q_pow(1))
+        return Element.from_gen(Gen(kind, ast.idx))
+    if isinstance(ast, NameAtom):
+        return NAMES[ast.name]
     if isinstance(ast, RationalLiteral):
         return Element.from_coeff(RatFunc.from_fraction(ast.value))
     if isinstance(ast, SignLit):
@@ -399,40 +401,21 @@ def eval_ast(ast, mode: RelationMode = RelationMode.STRICT) -> Element:
 
 
 def _eval_call(call: Call, mode: RelationMode) -> Element:
-    arity = _CALL_ARITY.get(call.name)
-    if arity is None:
+    spec = CALLS.get(call.name)
+    if spec is None:
         raise EvalError(f"unknown function {call.name!r}")
-    if len(call.args) != arity:
-        raise EvalError(
-            f"{call.name} takes {arity} argument(s), got {len(call.args)}"
-        )
-    args = call.args
-    if call.name == "nf":
-        return normal_form(eval_ast(args[0], mode), mode)
-    if call.name == "comm":
-        return commutator(eval_ast(args[0], mode), eval_ast(args[1], mode), mode)
-    if call.name == "dcomm":
-        p = _as_int(eval_ast(args[2], mode), "dcomm power")
-        return deformed_commutator(
-            eval_ast(args[0], mode), eval_ast(args[1], mode), p, mode
-        )
-    if call.name == "psi":
-        return psi_el(_as_int(eval_ast(args[0], mode), "psi index"))
-    if call.name == "phi":
-        return phi_el(_as_int(eval_ast(args[0], mode), "phi index"))
-    if call.name == "E":
-        sign = _as_sign(args[0], "E sign")
-        p = _as_int(eval_ast(args[1], mode), "E power")
-        m = _as_int(eval_ast(args[2], mode), "E weight")
-        index = _as_int(eval_ast(args[3], mode), "E index")
-        return family_E(FamilyParams(sign, p, m, index))
-    if call.name == "c":
-        sign = _as_sign(args[0], "c sign")
-        n = _as_int(eval_ast(args[1], mode), "c index")
-        m = _as_int(eval_ast(args[2], mode), "c weight")
-        if n < 0:
-            raise EvalError("c index must be nonnegative")
-        return central_c(n, m, sign)
-    if call.name == "omega":
-        return omega(eval_ast(args[0], mode))
-    raise EvalError(f"unknown function {call.name!r}")
+    if len(call.args) != len(spec.args):
+        raise EvalError(f"{call.name} takes {len(spec.args)} argument(s), got {len(call.args)}")
+    args = [_argument(call.name, n, node, mode) for n, node in zip(spec.args, call.args)]
+    return spec.fn(mode, *args)
+
+
+def _argument(call: str, name: str, node, mode: RelationMode):
+    """The value of one call argument, of the kind its name says."""
+    what = f"{call} {name.lstrip('-')}"
+    if name == "sign":
+        if isinstance(node, SignLit):
+            return node.sign
+        raise EvalError(f"{what} must be a bare + or - sign")
+    value = eval_ast(node, mode)
+    return value if name in ELEMENT_ARGS else _as_int(value, what)

@@ -24,6 +24,8 @@ from dataclasses import dataclass, replace
 from .coeff import P_ONE, LaurentPoly, RatFunc, _is_one
 from .elements import (
     AGEN,
+    GEN_KINDS,
+    GEN_NAMES,
     XMINUS,
     XPLUS,
     Element,
@@ -32,9 +34,6 @@ from .elements import (
     word_sort_key,
 )
 from . import expr as _expr
-
-_GEN_TEXT = {XPLUS: "x+", XMINUS: "x-", AGEN: "a"}
-_GEN_FROM_TEXT = {"x+": XPLUS, "x-": XMINUS, "a": AGEN}
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ _TEXT = _Style(
     power="{}^{}",
     join="*",
     gamma="gamma",
-    gen={XPLUS: "x+[{}]", XMINUS: "x-[{}]", AGEN: "a[{}]"},
+    gen={kind: name + "[{}]" for kind, name in GEN_NAMES.items()},
     paren="({})",
     frac="{}/{}",
     frac_parens=True,
@@ -72,7 +71,8 @@ _LATEX = _Style(
     frac="\\frac{{{}}}{{{}}}",
     frac_parens=False,
 )
-_STYLES = {"text": _TEXT, "latex": _LATEX}
+# the output formats; JSON spells polynomials as text with raw u powers
+FORMATS = {"text": _TEXT, "latex": _LATEX, "json": _TEXT_U}
 
 
 def _pow(st: _Style, base: str, e: int) -> str:
@@ -147,10 +147,6 @@ def _signed(text: str) -> tuple:
     return text, " + " + text
 
 
-def element_text(e: Element) -> str:
-    return Printer("text").element(e)
-
-
 # --- JSON --------------------------------------------------------------
 
 
@@ -164,15 +160,11 @@ def element_to_obj(e: Element) -> dict:
                     "num": poly_text(c.num, use_gamma=False),
                     "den": poly_text(c.den, use_gamma=False),
                 },
-                "word": [{"g": _GEN_TEXT[g.kind], "k": g.idx} for g in mono.word],
+                "word": [{"g": GEN_NAMES[g.kind], "k": g.idx} for g in mono.word],
                 "kexp": mono.kexp,
             }
         )
     return {"terms": terms}
-
-
-def element_json(e: Element) -> str:
-    return Printer("json").element(e)
 
 
 def _poly_from_text(text: str) -> LaurentPoly:
@@ -193,7 +185,7 @@ def element_from_obj(obj: dict) -> Element:
     for t in obj["terms"]:
         num = _poly_from_text(t["coeff"]["num"])
         den = _poly_from_text(t["coeff"]["den"])
-        word = tuple(Gen(_GEN_FROM_TEXT[g["g"]], g["k"]) for g in t["word"])
+        word = tuple(Gen(GEN_KINDS[g["g"]], g["k"]) for g in t["word"])
         mono = Monomial(word, t["kexp"])
         coeff = RatFunc.make(num, den)
         acc = terms.get(mono)
@@ -206,7 +198,7 @@ def element_from_json(s: str) -> Element:
 
 
 class Printer:
-    """Prints elements in one format ("text", "latex" or "json").
+    """Prints elements in one of the ``FORMATS``.
 
     A coefficient is rendered once per distinct stored (num terms, den
     terms, d), the fields of its value num / (den (q - q^-1)^d), from its
@@ -221,7 +213,7 @@ class Printer:
 
     def __init__(self, format: str = "text"):
         self._json = format == "json"
-        self._style = _TEXT_U if self._json else _STYLES.get(format)
+        self._style = FORMATS.get(format)
         if self._style is None:
             raise ValueError(f"unknown format {format!r}")
         self._coeffs = {}
@@ -284,7 +276,7 @@ class Printer:
     def _word_fragment(self, word: tuple) -> str:
         if self._json:
             return json.dumps(
-                [{"g": _GEN_TEXT[g.kind], "k": g.idx} for g in word], separators=(",", ":")
+                [{"g": GEN_NAMES[g.kind], "k": g.idx} for g in word], separators=(",", ":")
             )
         return self._style.join.join([self._style.gen[g.kind].format(g.idx) for g in word])
 

@@ -8,11 +8,11 @@ import random
 import pytest
 
 from uqsl2 import __version__
-from uqsl2.cli import _ELEMENT_COMMANDS, SuiteConfig, main, run_verify_suite
+from uqsl2.cli import _COMMANDS, SuiteConfig, main, run_verify_suite
 from uqsl2.coeff import RatFunc
 from uqsl2.elements import Element
-from uqsl2.expr import eval_ast, parse
-from uqsl2.render import element_from_json, element_to_obj, print_element
+from uqsl2.expr import CALLS, ELEMENT_ARGS, eval_ast, parse
+from uqsl2.render import FORMATS, element_from_json, element_to_obj, print_element
 from uqsl2.rewrite import RelationMode
 from uqsl2.verify import CLAIMS, Verdict, VerdictReport, expectation_met, sweep_claim
 
@@ -376,6 +376,43 @@ def test_explicit_claims_flag_beats_config_file(tmp_path, monkeypatch):
     }
 
 
+def test_a_claim_named_twice_is_swept_once(tmp_path, monkeypatch):
+    monkeypatch.delenv("UQSL2_MODE", raising=False)
+    small = ["--n-max", "1", "--k-max", "1", "--m-range", "0:0", "--p-range", "0:0"]
+    once = run_cli(["verify", "--claims", "ep,commc", *small])
+    assert once[0] == 1 and once[1].count("claim=EP") == 1
+    assert run_cli(["verify", "--claims", "ep,EP,commc,ep", *small]) == once
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"claims": ["ep", "commc", "commc", "ep"]}))
+    assert run_cli(["verify", "--config", str(cfg), *small]) == once
+
+
+# an operand for each argument name of a call of the language
+_CALL_OPERANDS = {
+    "expr": "x+[1]*x-[0] - gamma*a[-1]*K",
+    "left": "x-[1]*K",
+    "right": "x+[0] + (q - 1)/2*a[1]",
+    "sign": "-",
+    "--p": "-1",
+    "p": "1",
+    "m": "-2",
+    "n": "1",
+    "index": "-2",
+}
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_each_call_of_the_language_prints_as_its_command(name):
+    values = [_CALL_OPERANDS[arg] for arg in CALLS[name].args]
+    operands = []
+    for arg, value in zip(CALLS[name].args, values):
+        operands += [arg, value] if arg.startswith("--") else [value]
+    call = eval_ast(parse(f"{name}({', '.join(values)})"))
+    for fmt in FORMATS:
+        code, out, err = run_cli([name, *operands, "--format", fmt])
+        assert (code, out, err) == (0, print_element(call, fmt) + "\n", ""), fmt
+
+
 def test_engine_recursion_error_is_a_usage_error(monkeypatch):
     from uqsl2 import expr
 
@@ -409,18 +446,18 @@ def test_long_commuting_word_nf():
 _MINUS_OPERANDS = {"expr": "-x+[0]*K", "left": "-x+[1]", "right": "-a[1]*K", "sign": "-", "n": "0"}
 
 
-@pytest.mark.parametrize("cmd", sorted(_ELEMENT_COMMANDS))
+@pytest.mark.parametrize("cmd", sorted(_COMMANDS))
 def test_element_commands_take_operands_that_begin_with_minus(cmd):
     operands = []
     reference = []  # the same operands, each expression in parentheses
-    for name in _ELEMENT_COMMANDS[cmd][1]:
+    for name in _COMMANDS[cmd].args:
         value = _MINUS_OPERANDS.get(name, "-1")
         if name.startswith("--"):
             operands += [name, value]
             reference += [name, value]
         else:
             operands.append(value)
-            reference.append(f"({value})" if name in ("expr", "left", "right") else value)
+            reference.append(f"({value})" if name in ELEMENT_ARGS else value)
     code, expected, err = run_cli([cmd, *reference, "--format", "json"])
     assert code == 0, err
     # --mode and --format before, between and after the operands

@@ -27,6 +27,15 @@ def test_agen_zero_rejected():
         agen(0)
 
 
+def test_product_drops_cancelled_terms():
+    # (1 + x+[0])(1 - x+[0]): the two x+[0] terms of the product cancel
+    x = Element.from_gen(xplus(0))
+    one = Element.unit()
+    r = el_mul(one + x, one - x)
+    assert r == one - el_mul(x, x)
+    assert set(r.terms) == {Monomial((), 0), Monomial((xplus(0), xplus(0)), 0)}
+
+
 def test_k_passes_xplus():
     r = el_mul(K, Element.from_gen(xplus(0)))
     assert r == Element({Monomial((xplus(0),), 1): q_pow(2)})
