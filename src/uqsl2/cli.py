@@ -1,6 +1,8 @@
 """Command-line front end: the verification suite and one element command
 per call of the expression language (``expr.CALLS``, whose argument names
-become the command's operands), with "mul" added.
+become the command's operands), with "mul" added.  The command reads each
+element operand with ``expr.evaluate`` and applies the table's function to
+the operands' values.
 
 Exit codes: 0 all expectations met, 1 discrepancies found, 2 usage, parse
 or configuration error.  The relation mode is "strict" (the default) or
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .elements import Element, el_mul
-from .expr import CALLS, ELEMENT_ARGS, CallSpec, EvalError, ParseError, eval_ast, parse
+from .expr import CALLS, ELEMENT_ARGS, CallSpec, EvalError, ParseError, evaluate
 from .family import SIGNS
 from .render import FORMATS, Printer, print_element
 from .rewrite import RelationMode
@@ -365,7 +367,7 @@ def _element_command(args) -> Element:
     values = []
     for name in spec.args:
         value = getattr(args, name.lstrip("-"))
-        values.append(eval_ast(parse(value), mode) if name in ELEMENT_ARGS else value)
+        values.append(evaluate(value, mode) if name in ELEMENT_ARGS else value)
     return spec.fn(mode, *values)
 
 
@@ -386,8 +388,8 @@ def main(argv=None) -> int:
         element = _element_command(args)
         print(print_element(element, args.format))
         return 0
-    # RecursionError: the parser and evaluator take a frame per nesting
-    # level, so deeply nested input outgrows the stack
+    # RecursionError: the parser takes a few frames per nesting level, so
+    # deeply nested input outgrows the stack
     except (ParseError, EvalError, ConfigError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

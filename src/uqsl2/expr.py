@@ -1,4 +1,5 @@
-"""A small expression language over the algebra.
+"""A small expression language over the algebra, read and evaluated in one
+pass.
 
 Grammar (whitespace-insensitive):
 
@@ -13,11 +14,16 @@ A gen is a spelling of ``elements.GEN_NAMES`` (x+, x-, a), a name a key of
 each call's arguments.  "/" requires an invertible right operand (an
 element with a single bare K-power term), which also makes rational
 literals like 1/2 work.
+
+``evaluate`` is the one way from text to an Element.  Each production of
+the parser returns the Element it denotes as soon as it has read it, so no
+syntax tree is built, and of two faults in one text the first in reading
+order is reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -40,55 +46,10 @@ class EvalError(ValueError):
     pass
 
 
-# --- AST ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Sum:
-    parts: tuple  # of (sign, node) with sign in {+1, -1}
-
-
-@dataclass(frozen=True)
-class Product:
-    parts: tuple  # of (op, node) with op in {"*", "/"}; first op is "*"
-
-
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exp: int
-
-
-@dataclass(frozen=True)
-class GenAtom:
-    kind: str  # a key of GEN_KINDS
-    idx: int
-
-
-@dataclass(frozen=True)
-class NameAtom:
-    name: str  # a key of NAMES
-
-
-@dataclass(frozen=True)
-class RationalLiteral:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class SignLit:
-    sign: str
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple
-
-
 # --- Lexer -------------------------------------------------------------
 
 _PUNCT = "+-*/^()[],"
+_BRACKET_AHEAD = re.compile(r"\s*\[")
 
 
 def _tokenize(text: str):
@@ -107,8 +68,9 @@ def _tokenize(text: str):
             toks.append(("int", text[i:j], i))
             i = j
             continue
-        if text[i : i + 2] in GEN_KINDS and text[i + 2 : i + 3] == "[":
-            # x+ and x- before '[' lex as names, as "a" does
+        if text[i : i + 2] in GEN_KINDS and _BRACKET_AHEAD.match(text, i + 2):
+            # x+ and x- before '[' (spaces allowed between) lex as names, as
+            # "a" does
             toks.append(("name", text[i : i + 2], i))
             i += 2
             continue
@@ -146,18 +108,28 @@ def _int(digits: str) -> int:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+    """Reads the tokens of one text; each ``parse_*`` method returns the
+    value of what it reads, calls evaluated in ``mode``."""
+
+    def __init__(self, text: str, mode: RelationMode):
         self.toks = _tokenize(text)
         self.i = 0
+        self.mode = mode
 
     def peek(self):
         return self.toks[self.i]
 
     def advance(self):
-        t = self.toks[self.i]
         self.i += 1
-        return t
+
+    def take_op(self, ops: str):
+        """Read the next token if it is one of the operators ``ops`` and
+        return its text; else read nothing and return None."""
+        kind, text, _ = self.peek()
+        if kind == "op" and text in ops:
+            self.advance()
+            return text
+        return None
 
     def fail(self, expected):
         kind, text, pos = self.peek()
@@ -165,116 +137,107 @@ class _Parser:
         raise ParseError(f"expected {' or '.join(expected)}, found {shown!r}", pos, expected)
 
     def expect_op(self, ch):
-        kind, text, pos = self.peek()
-        if kind == "op" and text == ch:
-            return self.advance()
-        self.fail((f"'{ch}'",))
+        if not self.take_op(ch):
+            self.fail((f"'{ch}'",))
 
     def parse_int(self) -> int:
-        sign = 1
-        kind, text, pos = self.peek()
-        if kind == "op" and text in "+-":
-            sign = -1 if text == "-" else 1
-            self.advance()
-            kind, text, pos = self.peek()
+        sign = -1 if self.take_op("+-") == "-" else 1
+        kind, text, _ = self.peek()
         if kind != "int":
             self.fail(("integer",))
         self.advance()
         return sign * _int(text)
 
-    def parse_expr(self):
-        parts = []
-        sign = 1
-        kind, text, _ = self.peek()
-        if kind == "op" and text in "+-":
-            sign = -1 if text == "-" else 1
-            self.advance()
-        parts.append((sign, self.parse_term()))
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                parts.append((-1 if text == "-" else 1, self.parse_term()))
-            else:
-                return Sum(tuple(parts))
+    def parse_expr(self) -> Element:
+        out = Element.zero()
+        op = self.take_op("+-") or "+"
+        while op:
+            v = self.parse_term()
+            out = out + v if op == "+" else out - v
+            op = self.take_op("+-")
+        return out
 
-    def parse_term(self):
-        parts = [("*", self.parse_factor())]
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                parts.append((text, self.parse_factor()))
-            else:
-                return Product(tuple(parts))
+    def parse_term(self) -> Element:
+        out = Element.unit()
+        op = "*"
+        while op:
+            v = self.parse_factor()
+            out = el_mul(out, v if op == "*" else _invert(v))
+            op = self.take_op("*/")
+        return out
 
-    def parse_factor(self):
+    def parse_factor(self) -> Element:
         atom = self.parse_atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Power(atom, self.parse_int())
+        if self.take_op("^"):
+            return _power(atom, self.parse_int())
         return atom
 
-    def parse_atom(self):
+    def parse_atom(self) -> Element:
         kind, text, pos = self.peek()
         if kind == "int":
             self.advance()
-            return RationalLiteral(Fraction(_int(text)))
-        if kind == "op" and text == "(":
-            self.advance()
+            return Element.from_coeff(RatFunc.from_fraction(Fraction(_int(text))))
+        if self.take_op("("):
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
         if kind == "name":
             self.advance()
-            nxt = self.peek()
-            if text in GEN_KINDS and nxt[0] == "op" and nxt[1] == "[":
-                self.advance()
+            if text in GEN_KINDS and self.take_op("["):
                 idx = self.parse_int()
                 self.expect_op("]")
-                return GenAtom(text, idx)
-            if nxt[0] == "op" and nxt[1] == "(":
-                self.advance()
-                args = self.parse_args()
-                self.expect_op(")")
-                return Call(text, args)
+                if GEN_KINDS[text] == AGEN and idx == 0:
+                    raise EvalError("a[0] is not a generator")
+                return Element.from_gen(Gen(GEN_KINDS[text], idx))
+            if self.take_op("("):
+                return self.parse_call(text)
             if text in NAMES:
-                return NameAtom(text)
+                return NAMES[text]
             raise ParseError(f"unknown name {text!r}", pos, (*NAMES, "call"))
         self.fail(("atom",))
 
-    def parse_args(self):
+    def parse_call(self, name: str) -> Element:
+        """The value of the call ``name(args)``, its "(" already read.  Each
+        argument is made the kind its slot names as soon as it is read."""
+        spec = CALLS.get(name)
+        if spec is None:
+            raise EvalError(f"unknown function {name!r}")
         args = []
         while True:
-            kind, text, _ = self.peek()
-            # a lone +/- followed by ',' or ')' is a sign literal
-            if kind == "op" and text in "+-":
-                nxt = self.toks[self.i + 1]
-                if nxt[0] == "op" and nxt[1] in ",)":
-                    self.advance()
-                    args.append(SignLit(text))
-                else:
-                    args.append(self.parse_expr())
-            else:
-                args.append(self.parse_expr())
-            kind, text, _ = self.peek()
-            if kind == "op" and text == ",":
+            value = self.parse_arg()
+            if len(args) < len(spec.args):
+                value = _argument(name, spec.args[len(args)], value)
+            args.append(value)
+            if not self.take_op(","):
+                break
+        self.expect_op(")")
+        if len(args) != len(spec.args):
+            raise EvalError(f"{name} takes {len(spec.args)} argument(s), got {len(args)}")
+        return spec.fn(self.mode, *args)
+
+    def parse_arg(self):
+        """A bare sign (a lone + or - before ',' or ')') as its text; any
+        other argument as its Element."""
+        kind, text, _ = self.peek()
+        if kind == "op" and text in "+-":
+            nxt = self.toks[self.i + 1]
+            if nxt[0] == "op" and nxt[1] in ",)":
                 self.advance()
-                continue
-            return tuple(args)
+                return text
+        return self.parse_expr()
 
 
-def parse(text: str):
-    p = _Parser(text)
-    ast = p.parse_expr()
+def evaluate(text: str, mode: RelationMode = RelationMode.STRICT) -> Element:
+    """The Element ``text`` denotes; its calls normal-order in ``mode``."""
+    p = _Parser(text, mode)
+    value = p.parse_expr()
     kind, tok_text, pos = p.peek()
     if kind != "end":
         raise ParseError(f"trailing input {tok_text!r}", pos, ("end of input",))
-    return ast
+    return value
 
 
-# --- Evaluator ---------------------------------------------------------
+# --- Values ------------------------------------------------------------
 
 # the constants: u is the central half-power and gamma = u^2
 NAMES = {
@@ -300,12 +263,6 @@ class CallSpec(NamedTuple):
     fn: Callable
 
 
-def _central_c(mode, sign, n, m):
-    if n < 0:
-        raise EvalError("c index must be nonnegative")
-    return central_c(n, m, sign)
-
-
 CALLS = {
     "nf": CallSpec(
         "normal form of an expression", ("expr",), lambda mode, x: normal_form(x, mode)
@@ -327,7 +284,11 @@ CALLS = {
         ("sign", "p", "m", "index"),
         lambda mode, *params: family_E(FamilyParams(*params)),
     ),
-    "c": CallSpec("stated central value c(sign, n, m)", ("sign", "n", "m"), _central_c),
+    "c": CallSpec(
+        "stated central value c(sign, n, m)",
+        ("sign", "n", "m"),
+        lambda mode, sign, n, m: central_c(n, m, sign),
+    ),
     "omega": CallSpec("apply the automorphism omega", ("expr",), lambda mode, x: omega(x)),
 }
 
@@ -368,54 +329,14 @@ def _power(el: Element, n: int) -> Element:
     return out
 
 
-def eval_ast(ast, mode: RelationMode = RelationMode.STRICT) -> Element:
-    """Evaluate a parsed expression to an Element."""
-    if isinstance(ast, Sum):
-        out = Element.zero()
-        for sign, node in ast.parts:
-            v = eval_ast(node, mode)
-            out = out + v if sign > 0 else out - v
-        return out
-    if isinstance(ast, Product):
-        out = Element.unit()
-        for op, node in ast.parts:
-            v = eval_ast(node, mode)
-            out = el_mul(out, v) if op == "*" else el_mul(out, _invert(v))
-        return out
-    if isinstance(ast, Power):
-        return _power(eval_ast(ast.base, mode), ast.exp)
-    if isinstance(ast, GenAtom):
-        kind = GEN_KINDS[ast.kind]
-        if kind == AGEN and ast.idx == 0:
-            raise EvalError("a[0] is not a generator")
-        return Element.from_gen(Gen(kind, ast.idx))
-    if isinstance(ast, NameAtom):
-        return NAMES[ast.name]
-    if isinstance(ast, RationalLiteral):
-        return Element.from_coeff(RatFunc.from_fraction(ast.value))
-    if isinstance(ast, SignLit):
-        raise EvalError("a bare sign is only valid as a call argument")
-    if isinstance(ast, Call):
-        return _eval_call(ast, mode)
-    raise EvalError(f"cannot evaluate node {ast!r}")
-
-
-def _eval_call(call: Call, mode: RelationMode) -> Element:
-    spec = CALLS.get(call.name)
-    if spec is None:
-        raise EvalError(f"unknown function {call.name!r}")
-    if len(call.args) != len(spec.args):
-        raise EvalError(f"{call.name} takes {len(spec.args)} argument(s), got {len(call.args)}")
-    args = [_argument(call.name, n, node, mode) for n, node in zip(spec.args, call.args)]
-    return spec.fn(mode, *args)
-
-
-def _argument(call: str, name: str, node, mode: RelationMode):
-    """The value of one call argument, of the kind its name says."""
+def _argument(call: str, name: str, value):
+    """One call argument, a sign's text or an Element, as the kind its
+    name says."""
     what = f"{call} {name.lstrip('-')}"
     if name == "sign":
-        if isinstance(node, SignLit):
-            return node.sign
+        if isinstance(value, str):
+            return value
         raise EvalError(f"{what} must be a bare + or - sign")
-    value = eval_ast(node, mode)
+    if isinstance(value, str):
+        raise EvalError("a bare sign is only valid as a call argument")
     return value if name in ELEMENT_ARGS else _as_int(value, what)

@@ -1,6 +1,6 @@
 """Printers and serialization for elements.
 
-Text output parses back through expr.parse; JSON follows the schema
+Text output reads back through expr.evaluate; JSON follows the schema
 {"terms":[{"coeff":{"num":...,"den":...},"word":[{"g":"x+","k":0},...],
 "kexp":0},...]} with polynomials as canonical text.  A coefficient stored as
 num / (den (q - q^-1)^d) prints its display form ``canonical()``, num q^d
@@ -121,10 +121,6 @@ def _digits(n: int) -> str:
         return str(parts.pop()) + "".join([str(r).zfill(4000) for r in reversed(parts)])
 
 
-def poly_text(p: LaurentPoly, use_gamma: bool = True) -> str:
-    return _poly(p, _TEXT if use_gamma else _TEXT_U)
-
-
 def _coeff(rf: RatFunc, st: _Style) -> str:
     """Coefficient as a term factor: a composite one is grouped."""
     num = _poly(rf.num, st)
@@ -157,8 +153,8 @@ def element_to_obj(e: Element) -> dict:
         terms.append(
             {
                 "coeff": {
-                    "num": poly_text(c.num, use_gamma=False),
-                    "den": poly_text(c.den, use_gamma=False),
+                    "num": _poly(c.num, _TEXT_U),
+                    "den": _poly(c.den, _TEXT_U),
                 },
                 "word": [{"g": GEN_NAMES[g.kind], "k": g.idx} for g in mono.word],
                 "kexp": mono.kexp,
@@ -168,7 +164,7 @@ def element_to_obj(e: Element) -> dict:
 
 
 def _poly_from_text(text: str) -> LaurentPoly:
-    el = _expr.eval_ast(_expr.parse(text))
+    el = _expr.evaluate(text)
     if el.is_zero():
         return LaurentPoly()
     if len(el.terms) != 1:

@@ -11,7 +11,7 @@ from uqsl2 import __version__
 from uqsl2.cli import _COMMANDS, SuiteConfig, main, run_verify_suite
 from uqsl2.coeff import RatFunc
 from uqsl2.elements import Element
-from uqsl2.expr import CALLS, ELEMENT_ARGS, eval_ast, parse
+from uqsl2.expr import CALLS, ELEMENT_ARGS, evaluate
 from uqsl2.render import FORMATS, element_from_json, element_to_obj, print_element
 from uqsl2.rewrite import RelationMode
 from uqsl2.verify import CLAIMS, Verdict, VerdictReport, expectation_met, sweep_claim
@@ -407,7 +407,7 @@ def test_each_call_of_the_language_prints_as_its_command(name):
     operands = []
     for arg, value in zip(CALLS[name].args, values):
         operands += [arg, value] if arg.startswith("--") else [value]
-    call = eval_ast(parse(f"{name}({', '.join(values)})"))
+    call = evaluate(f"{name}({', '.join(values)})")
     for fmt in FORMATS:
         code, out, err = run_cli([name, *operands, "--format", fmt])
         assert (code, out, err) == (0, print_element(call, fmt) + "\n", ""), fmt
@@ -427,7 +427,7 @@ def test_engine_recursion_error_is_a_usage_error(monkeypatch):
 
 
 def test_deeply_nested_input_is_a_usage_error():
-    # the parser and evaluator recurse once per nesting level
+    # the parser recurses a few frames deep per nesting level
     code, out, err = run_cli(["nf", "(" * 400 + "x+[0]" + ")" * 400])
     assert code == 2
     assert out == ""
@@ -499,7 +499,7 @@ def test_integers_past_the_conversion_limit_print_and_parse_exactly():
     with decimal.localcontext() as ctx:
         ctx.prec = 7000
         assert decimal.Decimal(text) == decimal.Decimal(2) ** 20000
-    assert eval_ast(parse(text)) == want
+    assert evaluate(text) == want
     code, out, _ = run_cli(["nf", "2^20000", "--format", "json"])
     assert code == 0 and element_from_json(out) == want
     digits = "7" * 5000

@@ -6,7 +6,7 @@ import pytest
 from uqsl2.coeff import RF_ONE, LaurentPoly, RatFunc, one_term, q_pow, qminus, u_pow
 from uqsl2.currents import phi, psi
 from uqsl2.elements import Element, Monomial, agen, el_mul, xminus, xplus
-from uqsl2.expr import Call, EvalError, GenAtom, ParseError, eval_ast, parse
+from uqsl2.expr import EvalError, ParseError, evaluate
 from uqsl2.family import FamilyParams, central_c, family_E
 from uqsl2.render import (
     _poly_from_text,
@@ -15,70 +15,88 @@ from uqsl2.render import (
     element_to_obj,
     print_element,
 )
-from uqsl2.rewrite import RelationMode, normal_form
+from uqsl2.rewrite import RelationMode, deformed_commutator, normal_form
 
 from helpers import rand_element, rand_poly, rand_word
 
 S = RelationMode.STRICT
 
 
-def _atom(ast):
-    # unwrap Sum(Product(single factor))
-    ((sign, prod),) = ast.parts
-    assert sign == 1
-    ((op, node),) = prod.parts
-    assert op == "*"
-    return node
-
-
 def test_parse_single_atom():
-    node = _atom(parse("x+[0]"))
-    assert node == GenAtom("x+", 0)
-    assert _atom(parse("x-[-3]")) == GenAtom("x-", -3)
-    assert _atom(parse("a[2]")) == GenAtom("a", 2)
+    assert evaluate("x+[0]") == Element.from_gen(xplus(0))
+    assert evaluate("x-[-3]") == Element.from_gen(xminus(-3))
+    assert evaluate("a[2]") == Element.from_gen(agen(2))
+
+
+def test_space_before_index_bracket():
+    # "a [1]" reads as a[1]; x+ and x- take the same space
+    assert evaluate("x+ [1]") == Element.from_gen(xplus(1))
+    assert evaluate("x- [2]") == Element.from_gen(xminus(2))
+    assert evaluate("a [1]") == Element.from_gen(agen(1))
+    assert evaluate("x+\t[1]*x-  [2]") == el_mul(
+        Element.from_gen(xplus(1)), Element.from_gen(xminus(2))
+    )
 
 
 def test_parse_call_tree():
-    node = _atom(parse("dcomm(E(+,1,0,0), E(+,1,0,-1), -1)"))
-    assert isinstance(node, Call)
-    assert node.name == "dcomm"
-    assert len(node.args) == 3
+    left = family_E(FamilyParams("+", 1, 0, 0))
+    right = family_E(FamilyParams("+", 1, 0, -1))
+    assert evaluate("dcomm(E(+,1,0,0), E(+,1,0,-1), -1)") == deformed_commutator(
+        left, right, -1, S
+    )
 
 
 def test_parse_error_offset():
     with pytest.raises(ParseError) as err:
-        parse("x+[")
+        evaluate("x+[")
     assert err.value.offset == 3
     assert err.value.expected
     with pytest.raises(ParseError):
-        parse("2 +")
+        evaluate("2 +")
     with pytest.raises(ParseError):
-        parse("nf(x+[0]")
+        evaluate("nf(x+[0]")
+
+
+@pytest.mark.parametrize(
+    "src, error, message",
+    [
+        ("+", ParseError, "expected atom, found 'end of input' at offset 1"),
+        ("(+)", ParseError, "expected atom, found ')' at offset 2"),
+        ("psi(+)", EvalError, "a bare sign is only valid as a call argument"),
+        ("E(1,1,0,0)", EvalError, "E sign must be a bare + or - sign"),
+        ("E(+,1,0,0,-)", EvalError, "E takes 4 argument(s), got 5"),
+        ("nope(1)", EvalError, "unknown function 'nope'"),
+    ],
+)
+def test_error_messages(src, error, message):
+    with pytest.raises(error) as err:
+        evaluate(src)
+    assert str(err.value) == message
 
 
 def test_eval_examples():
-    assert eval_ast(parse("psi(0)")) == Element.k_power(1)
-    assert eval_ast(parse("phi(0)")) == Element.k_power(-1)
-    e = eval_ast(parse("nf(q^2*x+[0]*K - K*x+[0])"))
+    assert evaluate("psi(0)") == Element.k_power(1)
+    assert evaluate("phi(0)") == Element.k_power(-1)
+    e = evaluate("nf(q^2*x+[0]*K - K*x+[0])")
     assert e.is_zero()
     with pytest.raises(EvalError):
-        eval_ast(parse("a[0]"))
+        evaluate("a[0]")
     with pytest.raises(EvalError):
-        eval_ast(parse("psi(1, 2)"))
+        evaluate("psi(1, 2)")
     with pytest.raises(EvalError):
-        eval_ast(parse("nope(1)"))
+        evaluate("nope(1)")
 
 
 def test_eval_builtins_agree_with_api():
-    assert eval_ast(parse("E(+,1,0,-1)")) == family_E(FamilyParams("+", 1, 0, -1))
-    assert eval_ast(parse("c(-,2,1)")) == central_c(2, 1, "-")
-    assert eval_ast(parse("psi(3)")) == psi(3)
-    assert eval_ast(parse("omega(x+[2])")) == Element.from_gen(xminus(-2))
-    assert eval_ast(parse("gamma")) == Element.from_coeff(u_pow(2))
-    assert eval_ast(parse("u^2")) == Element.from_coeff(u_pow(2))
-    assert eval_ast(parse("1/2 + 1/2")) == Element.unit()
-    assert eval_ast(parse("K^-2")) == Element.k_power(-2)
-    assert eval_ast(parse("(q - q^-1)^-1")) == Element.from_coeff(qminus().inv())
+    assert evaluate("E(+,1,0,-1)") == family_E(FamilyParams("+", 1, 0, -1))
+    assert evaluate("c(-,2,1)") == central_c(2, 1, "-")
+    assert evaluate("psi(3)") == psi(3)
+    assert evaluate("omega(x+[2])") == Element.from_gen(xminus(-2))
+    assert evaluate("gamma") == Element.from_coeff(u_pow(2))
+    assert evaluate("u^2") == Element.from_coeff(u_pow(2))
+    assert evaluate("1/2 + 1/2") == Element.unit()
+    assert evaluate("K^-2") == Element.k_power(-2)
+    assert evaluate("(q - q^-1)^-1") == Element.from_coeff(qminus().inv())
 
 
 def test_power_by_squaring(monkeypatch):
@@ -93,25 +111,25 @@ def test_power_by_squaring(monkeypatch):
 
     monkeypatch.setattr(expr, "el_mul", counting)
     n = 10**6
-    assert eval_ast(parse(f"q^{n}")) == Element.from_coeff(one_term(1, n, 0))
+    assert evaluate(f"q^{n}") == Element.from_coeff(one_term(1, n, 0))
     assert 0 < calls[0] <= 2 * math.log2(n) + 2
     monkeypatch.undo()
     # and the same element as repeated products, on a non-commuting sum
     src = "x+[0] + 2*a[1]*K - q^-1*x-[1]/(q + 1)"
-    x = eval_ast(parse(src))
+    x = evaluate(src)
     want = Element.unit()
     for k in range(8):
-        assert eval_ast(parse(f"({src})^{k}")) == want
+        assert evaluate(f"({src})^{k}") == want
         want = el_mul(want, x)
 
 
 def test_division_restrictions():
     with pytest.raises(EvalError):
-        eval_ast(parse("1/x+[0]"))
+        evaluate("1/x+[0]")
     with pytest.raises(EvalError):
-        eval_ast(parse("q/(K + 1)"))
+        evaluate("q/(K + 1)")
     with pytest.raises(EvalError):
-        eval_ast(parse("1/0"))
+        evaluate("1/0")
 
 
 def test_print_examples():
@@ -163,7 +181,7 @@ def test_print_examples():
     ],
 )
 def test_print_text_and_latex_literals(src, text, latex):
-    e = eval_ast(parse(src))
+    e = evaluate(src)
     assert print_element(e, "text") == text
     assert print_element(e, "latex") == latex
 
@@ -173,7 +191,7 @@ def test_text_round_trip_random():
     for _ in range(200):
         e = rand_element(rng)
         text = print_element(e, "text")
-        assert eval_ast(parse(text)) == e
+        assert evaluate(text) == e
 
 
 def test_text_round_trip_normal_forms():
@@ -182,7 +200,7 @@ def test_text_round_trip_normal_forms():
 
     for _ in range(40):
         e = normal_form(Element.from_monomial(Monomial(rand_word(rng, 4), 0)), S)
-        assert eval_ast(parse(print_element(e, "text"))) == e
+        assert evaluate(print_element(e, "text")) == e
 
 
 def test_json_round_trip():
@@ -222,7 +240,7 @@ def test_integer_arguments_are_polynomials_not_fractions():
     # not the integer 1
     for src in ("psi(1/(q-q^-1))", "phi(q/(q^2-1))", "E(+, 1, 0, 1/(q-q^-1))"):
         with pytest.raises(EvalError):
-            eval_ast(parse(src))
+            evaluate(src)
     with pytest.raises(ValueError):
         _poly_from_text("1/(q-q^-1)")
     assert _poly_from_text("(q^2-1)/(q-q^-1)") == LaurentPoly({(1, 0): 1})
