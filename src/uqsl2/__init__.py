@@ -47,8 +47,6 @@ from .verify import (
     RegimeError,
     Verdict,
     VerdictReport,
-    check_index_reflection_identity,
-    check_omega_family_identity,
     classify,
     expectation_met,
     verify_claim,

@@ -65,12 +65,13 @@ def _parse_range(text):
     if not isinstance(text, str):
         if not (isinstance(text, (list, tuple)) and len(text) == 2 and all(map(_is_int, text))):
             raise ConfigError(f"bad range {text!r}, expected \"a:b\" or [a, b]")
-        return text[0], text[1]
-    try:
-        lo_s, hi_s = text.split(":")
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError:
-        raise ConfigError(f"bad range {text!r}, expected a:b")
+        lo, hi = text
+    else:
+        try:
+            lo_s, hi_s = text.split(":")
+            lo, hi = int(lo_s), int(hi_s)
+        except ValueError:
+            raise ConfigError(f"bad range {text!r}, expected a:b")
     if lo > hi:
         raise ConfigError(f"empty range {text!r}")
     return lo, hi
@@ -342,8 +343,6 @@ def _verify_config(args) -> SuiteConfig:
 
     m_range = _parse_range(pick(args.m_range, "m_range", SuiteConfig.m_range))
     p_range = _parse_range(pick(args.p_range, "p_range", SuiteConfig.p_range))
-    if m_range[0] > m_range[1] or p_range[0] > p_range[1]:
-        raise ConfigError("ranges must be nonempty")
 
     mode = _mode_from_name(pick(args.mode, "mode", _default_mode()))
     fmt = pick(args.format, "format", SuiteConfig.format)

@@ -1,24 +1,24 @@
-"""Exact arithmetic in the coefficient field.
+"""Exact arithmetic on coefficients.
 
-Coefficients are fractions of integer Laurent polynomials in two variables:
-the deformation parameter q and the central half-power u, where u**2 stands
-for the central element gamma.  All integer arithmetic is arbitrary
-precision and nothing is ever rounded.
+Coefficients are integer Laurent polynomials in two variables, the
+deformation parameter q and the central half-power u, where u**2 stands for
+the central element gamma, divided by the denominators the algebra makes.
+All integer arithmetic is arbitrary precision and nothing is ever rounded.
 
-Almost every denominator is an integer (the 1/prod(mult!) of psi and phi)
-times a power of Q = q - q^-1 (from the relations), so a coefficient is
-stored as num / (den Q^d).  Over an integer den, equal values have equal
-fields, so equality compares fields; only values with different (den, d)
-are cross-multiplied, and no multivariate gcd is ever needed.
+Every denominator is an integer (the 1/prod(mult!) of psi and phi) times a
+power of Q = q - q^-1 (from the relations), so a coefficient is stored as
+num / (den Q^d) with den a positive int.  That stored form is unique, so
+equality compares fields, and no polynomial gcd is ever needed.  Division
+accepts only the divisors that keep it so: c q^a u^b Q^k with c a nonzero
+integer.
 
 Most coefficients are polynomials, and most of those are one term,
 +-q^a u^b (every coefficient of an el_mul bracket of family members is).  A
-polynomial holds the shared ``P_ONE`` as den and d = 0, so the arithmetic
-tells it apart by identity.  A one-term polynomial is a shared value from
-the bounded memo ``one_term``: products, negations and q-shifts of one-term
-polynomials look it up, with no polynomial product, no normalization and,
-on a hit, no allocation.  Identity is only a shortcut: an evicted value is
-rebuilt as an equal fresh object.
+polynomial has den = 1 and d = 0.  A one-term polynomial is a shared value
+from the bounded memo ``one_term``: products, negations and q-shifts of
+one-term polynomials look it up, with no polynomial product, no
+normalization and, on a hit, no allocation.  Identity is only a shortcut: an
+evicted value is rebuilt as an equal fresh object.
 """
 
 from __future__ import annotations
@@ -146,10 +146,6 @@ P_ZERO = LaurentPoly()
 P_ONE = LaurentPoly.const(1)
 
 
-def _is_one(p: LaurentPoly) -> bool:
-    return p.terms == P_ONE.terms
-
-
 def _div_qminus(p: LaurentPoly):
     """Exact quotient p/(q - q^-1), or None when not divisible.
 
@@ -185,48 +181,6 @@ def _div_qminus(p: LaurentPoly):
     return _lp(out)
 
 
-def _divide_exact(num: LaurentPoly, den: LaurentPoly):
-    """Exact quotient num/den in the Laurent ring, or None.
-
-    Plain single-divisor division against the lex-leading term of ``den``;
-    since the lex order on exponent pairs is multiplicative this succeeds
-    exactly when den divides num over the integers, and the span of num
-    bounds the number of steps.  Only a general den, from explicit division
-    by a polynomial, is ever divided, and never into a zero num.
-    """
-    nq = [e[0] for e in num.terms]
-    nu = [e[1] for e in num.terms]
-    dq = [e[0] for e in den.terms]
-    du = [e[1] for e in den.terms]
-    span_q = max(nq) - min(nq) - (max(dq) - min(dq))
-    span_u = max(nu) - min(nu) - (max(du) - min(du))
-    if span_q < 0 or span_u < 0:
-        return None
-    lead = max(den.terms)
-    lead_c = den.terms[lead]
-    budget = (span_q + 1) * (span_u + 1)
-    rem = dict(num.terms)
-    quo = {}
-    while rem:
-        if budget <= 0:
-            return None
-        budget -= 1
-        re = max(rem)
-        c, r = divmod(rem[re], lead_c)
-        if r:
-            return None
-        qe = (re[0] - lead[0], re[1] - lead[1])
-        quo[qe] = c
-        for (eq, eu), dc in den.terms.items():
-            e = (qe[0] + eq, qe[1] + eu)
-            s = rem.get(e, 0) - c * dc
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    return _lp(quo)
-
-
 def _lift(p: LaurentPoly, m: int, k: int) -> LaurentPoly:
     """p m (q - q^-1)^k, the power expanded by the binomial theorem."""
     if k:
@@ -234,62 +188,35 @@ def _lift(p: LaurentPoly, m: int, k: int) -> LaurentPoly:
     return p if m == 1 else _lp({e: c * m for e, c in p.terms.items()})
 
 
-def _norm(num: LaurentPoly, den: LaurentPoly, d: int) -> "RatFunc":
-    """num / (den (q - q^-1)^d) in normal form, for any nonzero den: the
-    (q - q^-1) factors of den move into d, a monomial den into num, and a
-    general den is anchored and, when it divides what num keeps after the
-    peeling, divided out."""
-    if not num.terms:
-        return RF_ZERO
-    while len(den.terms) > 1 and (d2 := _div_qminus(den)) is not None:
-        den, d = d2, d + 1
-    if len(den.terms) == 1:
-        ((eq, eu), c), = den.terms.items()
-        num = num.shift(-eq, -eu)
-        if c < 0:
-            num, c = -num, -c
-        return _reduced(num, P_ONE if c == 1 else LaurentPoly.const(c), d)
-    aq, au = min(e[0] for e in den.terms), min(e[1] for e in den.terms)
-    num, den = num.shift(-aq, -au), den.shift(-aq, -au)
-    if den.terms[max(den.terms)] < 0:
-        num, den = -num, -den
-    r = _reduced(num, den, d)
-    quo = _divide_exact(r.num, r.den)
-    return r if quo is None else _rf(quo, P_ONE, r.d)
-
-
-def _reduced(num: LaurentPoly, den: LaurentPoly, d: int) -> "RatFunc":
-    """num / (den (q - q^-1)^d) for a nonzero num and a den that is already
-    anchored, positive-led and free of (q - q^-1): the content gcd, then
-    (q - q^-1) peeled off num while d > 0."""
-    if den is not P_ONE:
-        g = gcd(*den.terms.values(), *num.terms.values())
+def _reduced(num: LaurentPoly, den: int, d: int) -> "RatFunc":
+    """num / (den (q - q^-1)^d) in normal form, for a nonzero num and a
+    positive integer den: the content gcd, then (q - q^-1) peeled off num
+    while d > 0."""
+    if den != 1:
+        g = gcd(den, *num.terms.values())
         if g > 1:
             num = num.scale_div(g)
-            den = den.scale_div(g)
-            if _is_one(den):
-                den = P_ONE
+            den //= g
     while d and (n2 := _div_qminus(num)) is not None:
         num, d = n2, d - 1
     return _rf(num, den, d)
 
 
 class RatFunc:
-    """The fraction num / (den (q - q^-1)^d) of integer Laurent polynomials
-    in (q, u), immutable and kept in normal form:
+    """The fraction num / (den (q - q^-1)^d) of an integer Laurent
+    polynomial num in (q, u) over a positive integer den, immutable and kept
+    in normal form:
 
     - d >= 0, and when d > 0, (q - q^-1) does not divide num;
-    - den has no factor (q - q^-1), is anchored (minimal exponents (0, 0)),
-      has a positive lex-leading coefficient and an integer content coprime
-      to that of num, and is the shared ``P_ONE`` when it is 1;
+    - den is coprime to the integer content of num;
     - zero is num = 0, den = 1, d = 0.
 
-    So equal values over an integer den, the only den the rewriting makes,
-    have identical (num, den, d).  A product multiplies numerators and
-    integer dens and adds the d's, and a sum of equal (den, d) adds
-    numerators: no denominator is multiplied or divided as a polynomial.  A
-    general den (explicit division by, say, q + 1) is divided out when it
-    divides num, but may share with num a factor only a polynomial gcd finds.
+    q - q^-1 is primitive, so these make the stored form unique: equal
+    values have identical (num, den, d), and equality compares fields.  A
+    product multiplies numerators and dens and adds the d's, and a sum of
+    equal (den, d) adds numerators.  The invertible values are exactly
+    c q^a u^b (q - q^-1)^k for a nonzero integer c; ``inv`` refuses any
+    other, so no denominator is ever a general polynomial.
     """
 
     __slots__ = ("num", "den", "d")
@@ -300,29 +227,29 @@ class RatFunc:
 
     @classmethod
     def make(cls, num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        return _norm(num, den, 0)
+        """num / den, for den = c q^a u^b (q - q^-1)^k; any other den raises
+        ValueError (see ``inv``)."""
+        return _rf(num, 1) * _rf(den, 1).inv()
 
     @classmethod
     def from_int(cls, n: int) -> "RatFunc":
-        return _rf(LaurentPoly.const(n), P_ONE) if n else RF_ZERO
+        return _rf(LaurentPoly.const(n), 1) if n else RF_ZERO
 
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "RatFunc":
         if fr.denominator == 1:
             return cls.from_int(fr.numerator)
-        return _rf(LaurentPoly.const(fr.numerator), LaurentPoly.const(fr.denominator))
+        return _rf(LaurentPoly.const(fr.numerator), fr.denominator)
 
     def is_zero(self) -> bool:
         return not self.num.terms
 
     def is_one(self) -> bool:
-        return not self.d and _is_one(self.num) and _is_one(self.den)
+        return not self.d and self.den == 1 and self.num.terms == P_ONE.terms
 
     def as_poly(self) -> LaurentPoly | None:
         """The value as a Laurent polynomial, or None when it is not one."""
-        if self.den is P_ONE and not self.d:
+        if self.den == 1 and not self.d:
             return self.num
         return None
 
@@ -334,15 +261,11 @@ class RatFunc:
             return True
         if not isinstance(other, RatFunc):
             return NotImplemented
-        sd, od, d, e = self.den, other.den, self.d, other.d
-        if d == e and (sd is od or sd.terms == od.terms):
-            return self.num.terms == other.num.terms
-        top = max(d, e)
-        return _lift(self.num * od, 1, top - d).terms == _lift(other.num * sd, 1, top - e).terms
+        return self.d == other.d and self.den == other.den and self.num.terms == other.num.terms
 
     def __neg__(self):
         t = self.num.terms
-        if self.den is P_ONE and not self.d and len(t) == 1:
+        if self.den == 1 and not self.d and len(t) == 1:
             ((eq, eu), c), = t.items()
             return one_term(-c, eq, eu)
         return _rf(_lp({e: -c for e, c in t.items()}), self.den, self.d)
@@ -353,28 +276,20 @@ class RatFunc:
             if other is NotImplemented:
                 return NotImplemented
         sd, od, d, e = self.den, other.den, self.d, other.d
-        if d == e and (sd is od or sd.terms == od.terms):
+        if d == e and sd == od:
             s = self.num + other.num
             if not s.terms:
                 return RF_ZERO
-            if sd is P_ONE and not d:
-                return _rf(s, P_ONE)
-            if len(sd.terms) == 1:
-                return _reduced(s, sd, d)
-            return _norm(s, sd, d)
+            if sd == 1 and not d:
+                return _rf(s, 1)
+            return _reduced(s, sd, d)
+        # over the lcm of the dens, with the smaller d lifted
         top = max(d, e)
-        if len(sd.terms) == 1 and len(od.terms) == 1:
-            # integer dens: over their lcm, with the smaller d lifted
-            a = sd.terms[(0, 0)]
-            b = od.terms[(0, 0)]
-            m = a * b // gcd(a, b)
-            s = _lift(self.num, m // a, top - d) + _lift(other.num, m // b, top - e)
-            if not s.terms:
-                return RF_ZERO
-            den = sd if m == a else od if m == b else LaurentPoly.const(m)
-            return _reduced(s, den, top)
-        s = _lift(self.num * od, 1, top - d) + _lift(other.num * sd, 1, top - e)
-        return _norm(s, sd * od, top)
+        m = sd * od // gcd(sd, od)
+        s = _lift(self.num, m // sd, top - d) + _lift(other.num, m // od, top - e)
+        if not s.terms:
+            return RF_ZERO
+        return _reduced(s, m, top)
 
     __radd__ = __add__
 
@@ -383,11 +298,11 @@ class RatFunc:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.den is P_ONE and other.den is P_ONE and not self.d and not other.d:
+        if self.den == 1 and other.den == 1 and not self.d and not other.d:
             s = self.num - other.num
             if not s.terms:
                 return RF_ZERO
-            return _rf(s, P_ONE)
+            return _rf(s, 1)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -412,7 +327,7 @@ class RatFunc:
         sd = self.den
         od = other.den
         d = self.d + other.d
-        if sd is P_ONE and od is P_ONE:
+        if sd == 1 and od == 1:
             if not d and len(a) == 1 and len(b) == 1:
                 # +-q^i u^j times +-q^k u^l, the whole of el_mul's work on
                 # family brackets: one shared term, nothing to normalize
@@ -423,14 +338,9 @@ class RatFunc:
             if not d or len(a) == 1 and other.d or len(b) == 1 and self.d:
                 # a polynomial product, or a unit times a num free of
                 # (q - q^-1): already normal
-                return _rf(num, P_ONE, d)
-            return _reduced(num, P_ONE, d)
-        if len(sd.terms) == 1 and len(od.terms) == 1:
-            den = od if sd is P_ONE else sd if od is P_ONE else LaurentPoly.const(
-                sd.terms[(0, 0)] * od.terms[(0, 0)]
-            )
-            return _reduced(self.num * other.num, den, d)
-        return _norm(self.num * other.num, sd * od, d)
+                return _rf(num, 1, d)
+            return _reduced(num, 1, d)
+        return _reduced(self.num * other.num, sd * od, d)
 
     __rmul__ = __mul__
 
@@ -441,9 +351,23 @@ class RatFunc:
         return self * other.inv()
 
     def inv(self) -> "RatFunc":
-        if self.is_zero():
+        """1/self, for self = c q^a u^b (q - q^-1)^k / (den (q - q^-1)^d)
+        with c a nonzero integer; any other value raises ValueError."""
+        num = self.num
+        if not num.terms:
             raise ZeroDivisionError("inverse of zero")
-        return _norm(_lift(self.den, 1, self.d), self.num, 0)
+        k = 0
+        while len(num.terms) > 1 and (n2 := _div_qminus(num)) is not None:
+            num, k = n2, k + 1
+        if len(num.terms) > 1:
+            raise ValueError(
+                "can only divide by c*q^a*u^b*(q - q^-1)^k with c a nonzero integer"
+            )
+        ((eq, eu), c), = num.terms.items()
+        top = _lp({(-eq, -eu): self.den if c > 0 else -self.den})
+        if k >= self.d:
+            return _reduced(top, abs(c), k - self.d)
+        return _reduced(_lift(top, 1, self.d - k), abs(c), 0)
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
@@ -464,38 +388,40 @@ class RatFunc:
         if not k:
             return self
         t = self.num.terms
-        if self.den is P_ONE and not self.d and len(t) == 1:
+        if self.den == 1 and not self.d and len(t) == 1:
             ((eq, eu), c), = t.items()
             return one_term(c, eq + k, eu)
         return _rf(_lp({(eq + k, eu): c for (eq, eu), c in t.items()}), self.den, self.d)
 
-    def canonical(self) -> "RatFunc":
-        """The display form num q^d / (den (q^2 - 1)^d), a value with d = 0.
-        Its den may hold factors q^2 - 1, so it is for printing, not a
-        normal form; a value with d = 0 is returned as it is."""
+    def canonical(self) -> tuple:
+        """The display pair (num q^d, den (q^2 - 1)^d) of Laurent
+        polynomials, numerator and denominator as they print; the
+        denominator is the shared ``P_ONE`` when the value is a
+        polynomial."""
         d = self.d
         if not d:
-            return self
-        return _rf(self.num.shift(d, 0), _lift(self.den, 1, d).shift(d, 0))
+            return self.num, P_ONE if self.den == 1 else LaurentPoly.const(self.den)
+        return self.num.shift(d, 0), _lift(LaurentPoly.const(self.den), 1, d).shift(d, 0)
 
     def subst_u_inverse(self) -> "RatFunc":
-        return _norm(self.num.subst_u_inverse(), self.den.subst_u_inverse(), self.d)
+        # u -> 1/u fixes the integer den and q - q^-1, so the form stays normal
+        return _rf(self.num.subst_u_inverse(), self.den, self.d)
 
     def evaluate(self, q0, u0) -> Fraction:
         q0 = Fraction(q0)
         u0 = Fraction(u0)
         if q0 == 0 or u0 == 0:
             raise ValueError("evaluation requires nonzero q0 and u0")
-        dv = self.den.evaluate(q0, u0) * (q0 - 1 / q0) ** self.d
+        dv = self.den * (q0 - 1 / q0) ** self.d
         if dv == 0:
             raise PoleError(f"denominator vanishes at q={q0}, u={u0}")
         return self.num.evaluate(q0, u0) / dv
 
     def __repr__(self):
-        return f"RatFunc({self.num.terms!r}, {self.den.terms!r}, d={self.d})"
+        return f"RatFunc({self.num.terms!r}, {self.den}, d={self.d})"
 
 
-def _rf(num: LaurentPoly, den: LaurentPoly, d: int = 0) -> RatFunc:
+def _rf(num: LaurentPoly, den: int, d: int = 0) -> RatFunc:
     """The RatFunc num / (den (q - q^-1)^d), taken as in normal form."""
     r = _new(RatFunc)
     r.num = num
@@ -504,8 +430,8 @@ def _rf(num: LaurentPoly, den: LaurentPoly, d: int = 0) -> RatFunc:
     return r
 
 
-RF_ZERO = _rf(P_ZERO, P_ONE)
-RF_ONE = _rf(P_ONE, P_ONE)
+RF_ZERO = _rf(P_ZERO, 1)
+RF_ONE = _rf(P_ONE, 1)
 
 
 def _coerce(x):
@@ -524,7 +450,7 @@ def one_term(c: int, eq: int, eu: int) -> RatFunc:
     shared value; 1 is ``RF_ONE`` itself."""
     if c == 1 and not eq and not eu:
         return RF_ONE
-    return _rf(_lp({(eq, eu): c}), P_ONE)
+    return _rf(_lp({(eq, eu): c}), 1)
 
 
 def q_pow(k: int) -> RatFunc:
@@ -535,7 +461,7 @@ def u_pow(k: int) -> RatFunc:
     return one_term(1, 0, k)
 
 
-_QMINUS = _rf(LaurentPoly({(1, 0): 1, (-1, 0): -1}), P_ONE)
+_QMINUS = _rf(LaurentPoly({(1, 0): 1, (-1, 0): -1}), 1)
 
 
 def qminus() -> RatFunc:
@@ -552,4 +478,4 @@ def qint(n: int) -> RatFunc:
         return RF_ZERO
     if n < 0:
         return -qint(-n)
-    return _rf(LaurentPoly({(n - 1 - 2 * i, 0): 1 for i in range(n)}), P_ONE)
+    return _rf(LaurentPoly({(n - 1 - 2 * i, 0): 1 for i in range(n)}), 1)

@@ -11,9 +11,10 @@ Grammar (whitespace-insensitive):
 
 A gen is a spelling of ``elements.GEN_NAMES`` (x+, x-, a), a name a key of
 ``NAMES`` (K, gamma, u, q) and a call a key of ``CALLS``, which also lists
-each call's arguments.  "/" requires an invertible right operand (an
-element with a single bare K-power term), which also makes rational
-literals like 1/2 work.
+each call's arguments.  "/" requires an invertible right operand: one
+bare K-power term whose coefficient is c q^a u^b (q - q^-1)^k, c a nonzero
+integer, the only denominators the algebra makes.  So 1/2, 1/(q^2 - 1)
+and x+[0]/(3*u) work, and 1/(q + 1) is an error.
 
 ``evaluate`` is the one way from text to an Element.  Each production of
 the parser returns the Element it denotes as soon as it has read it, so no
@@ -312,7 +313,10 @@ def _invert(el: Element) -> Element:
     mono, c = next(iter(el.terms.items()))
     if mono.word:
         raise EvalError("cannot divide by an element with generator words")
-    return Element({Monomial((), -mono.kexp): c.inv()})
+    try:
+        return Element({Monomial((), -mono.kexp): c.inv()})
+    except ValueError as err:
+        raise EvalError(str(err)) from None
 
 
 def _power(el: Element, n: int) -> Element:

@@ -3,12 +3,12 @@
 Text output reads back through expr.evaluate; JSON follows the schema
 {"terms":[{"coeff":{"num":...,"den":...},"word":[{"g":"x+","k":0},...],
 "kexp":0},...]} with polynomials as canonical text.  A coefficient stored as
-num / (den (q - q^-1)^d) prints its display form ``canonical()``, num q^d
-over den (q^2 - 1)^d.  In human-facing text even powers of u print as
-powers of gamma; JSON keeps raw u powers.
+num / (den (q - q^-1)^d), den an integer, prints its display pair
+``canonical()``: num q^d over den (q^2 - 1)^d.  In human-facing text even
+powers of u print as powers of gamma; JSON keeps raw u powers.
 
 A ``Printer`` renders each distinct coefficient, keyed by its stored (num
-terms, den terms, d), and each distinct word once, and reuses the text.
+terms, den, d), and each distinct word once, and reuses the text.
 Its memos are plain dicts that live as long as the printer, and a caller
 makes one printer per document: a ``verify`` report repeats a few thousand
 coefficients and words tens of thousands of times, while a memo kept for
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .coeff import P_ONE, LaurentPoly, RatFunc, _is_one
+from .coeff import P_ONE, LaurentPoly, RatFunc
 from .elements import (
     AGEN,
     GEN_KINDS,
@@ -123,16 +123,17 @@ def _digits(n: int) -> str:
 
 def _coeff(rf: RatFunc, st: _Style) -> str:
     """Coefficient as a term factor: a composite one is grouped."""
-    num = _poly(rf.num, st)
-    whole = _is_one(rf.den)
-    if len(rf.num.terms) > 1 and (whole or st.frac_parens):
-        num = st.paren.format(num)
+    num, den = rf.canonical()
+    text = _poly(num, st)
+    whole = den is P_ONE
+    if len(num.terms) > 1 and (whole or st.frac_parens):
+        text = st.paren.format(text)
     if whole:
-        return num
-    den = _poly(rf.den, st)
-    if len(rf.den.terms) > 1 and st.frac_parens:
-        den = st.paren.format(den)
-    return st.frac.format(num, den)
+        return text
+    den_text = _poly(den, st)
+    if len(den.terms) > 1 and st.frac_parens:
+        den_text = st.paren.format(den_text)
+    return st.frac.format(text, den_text)
 
 
 def _signed(text: str) -> tuple:
@@ -149,12 +150,12 @@ def _signed(text: str) -> tuple:
 def element_to_obj(e: Element) -> dict:
     terms = []
     for mono, c in e.sorted_terms():
-        c = c.canonical()
+        num, den = c.canonical()
         terms.append(
             {
                 "coeff": {
-                    "num": _poly(c.num, _TEXT_U),
-                    "den": _poly(c.den, _TEXT_U),
+                    "num": _poly(num, _TEXT_U),
+                    "den": _poly(den, _TEXT_U),
                 },
                 "word": [{"g": GEN_NAMES[g.kind], "k": g.idx} for g in mono.word],
                 "kexp": mono.kexp,
@@ -196,13 +197,12 @@ def element_from_json(s: str) -> Element:
 class Printer:
     """Prints elements in one of the ``FORMATS``.
 
-    A coefficient is rendered once per distinct stored (num terms, den
-    terms, d), the fields of its value num / (den (q - q^-1)^d), from its
-    display form ``canonical()``; a word once per distinct tuple of
-    generators, together with its part of ``mono_sort_key``.  A JSON
-    fragment is escaped once, when it is made; a term is its coefficient's
-    fragment, its word's and its K-power, which gives the bytes of
-    ``json.dumps(element_to_obj(e))``.
+    A coefficient is rendered once per distinct stored (num terms, den, d),
+    the fields of its value num / (den (q - q^-1)^d), from its display pair
+    ``canonical()``; a word once per distinct tuple of generators, together
+    with its part of ``mono_sort_key``.  A JSON fragment is escaped once,
+    when it is made; a term is its coefficient's fragment, its word's and
+    its K-power, which gives the bytes of ``json.dumps(element_to_obj(e))``.
     """
 
     __slots__ = ("_json", "_style", "_coeffs", "_words")
@@ -222,10 +222,10 @@ class Printer:
             w = words.get(word)
             if w is None:
                 w = words[word] = (word_sort_key(word), self._word_fragment(word))
-            key = (tuple(c.num.terms.items()), tuple(c.den.terms.items()), c.d)
+            key = (tuple(c.num.terms.items()), c.den, c.d)
             cf = coeffs.get(key)
             if cf is None:
-                cf = coeffs[key] = self._coeff_fragment(c.canonical())
+                cf = coeffs[key] = self._coeff_fragment(c)
             terms.append((w[0], kexp, word, cf, w[1]))
         # the first three items are mono_sort_key, unique per term, so the
         # sort never compares fragments
@@ -257,8 +257,9 @@ class Printer:
         of a term without one (see ``_signed``)."""
         st = self._style
         if self._json:
-            num = json.dumps(_poly(c.num, st))
-            den = json.dumps(_poly(c.den, st))
+            num, den = c.canonical()
+            num = json.dumps(_poly(num, st))
+            den = json.dumps(_poly(den, st))
             return '{"coeff":{"num":' + num + ',"den":' + den + '},"word":'
         alone = _coeff(c, st)
         if c.is_one():

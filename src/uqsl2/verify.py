@@ -222,24 +222,6 @@ def verify_claim(
     return entry.check(params, mode)
 
 
-def check_omega_family_identity(
-    fp: FamilyParams, mode: RelationMode = RelationMode.STRICT
-) -> VerdictReport:
-    """omega(E^sign_(p,n)(m)) against E^(-sign)_(p,-n-1)(m) K^(2p)."""
-    return verify_claim(
-        "OMEGA_E", {"sign": fp.sign, "p": fp.p, "m": fp.m, "n": fp.index}, mode
-    )
-
-
-def check_index_reflection_identity(
-    n: int, m: int, eta: int, sign: str, mode: RelationMode = RelationMode.STRICT
-) -> VerdictReport:
-    """The n -> -n-1 substitution against gamma^(-+(n+1/2)) times both sign
-    choices of the negative-branch element; the matching sign is recorded in
-    params["matched_sign"]."""
-    return verify_claim("REFLECT", {"n": n, "m": m, "eta": eta, "sign": sign}, mode)
-
-
 def expectation_met(report: VerdictReport) -> bool:
     """Success rule used for exit codes, the same in every mode.
 

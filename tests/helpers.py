@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from uqsl2.coeff import RF_ONE, LaurentPoly, PoleError, RatFunc, q_pow, qminus, u_pow
+from uqsl2.coeff import RF_ONE, LaurentPoly, PoleError, RatFunc, one_term, q_pow, qminus, u_pow
 from uqsl2.elements import AGEN, Element, Monomial, agen, xminus, xplus
 
 
@@ -46,12 +46,16 @@ def rand_poly(rng, nterms=3, max_exp=3):
     return LaurentPoly(terms)
 
 
+def admissible_den(c, eq, eu, k) -> LaurentPoly:
+    """c q^eq u^eu (q - q^-1)^k as a polynomial: the denominators the
+    coefficient arithmetic divides by, for a nonzero integer c."""
+    return (one_term(c, eq, eu) * qminus() ** k).as_poly()
+
+
 def rand_ratfunc(rng):
-    num = rand_poly(rng)
-    den = rand_poly(rng)
-    while den.is_zero():
-        den = rand_poly(rng)
-    return RatFunc.make(num, den)
+    c = rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6])
+    den = admissible_den(c, rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(4))
+    return RatFunc.make(rand_poly(rng), den)
 
 
 def rand_point(rng):

@@ -19,7 +19,6 @@ from uqsl2.elements import (
     xplus,
 )
 from uqsl2.family import (
-    FamilyParams,
     central_c,
     expand_general_commutator,
     expand_specialized_commutator,
@@ -36,7 +35,7 @@ from uqsl2.rewrite import (
     normal_form_random,
     relation_instances,
 )
-from uqsl2.verify import check_omega_family_identity, verify_claim
+from uqsl2.verify import verify_claim
 
 from helpers import is_same_sign_residual, oracle_current, rand_element, rand_word
 
@@ -202,12 +201,12 @@ def test_criterion_6_omega():
     ok = ok and all(normal_form(omega(rel), S).is_zero() for rel in relation_instances(3))
     for p in (0, 1):
         for n in (0, 1):
-            ok = ok and check_omega_family_identity(FamilyParams("+", p, 0, n)).paper_match
+            ok = ok and verify_claim("OMEGA_E", {"sign": "+", "p": p, "m": 0, "n": n}).paper_match
     for sign in "+-":
         for n in range(0, 5):
             for m in range(-2, 3):
                 for p in range(-2, 3):
-                    r = check_omega_family_identity(FamilyParams(sign, p, m, n))
+                    r = verify_claim("OMEGA_E", {"sign": sign, "p": p, "m": m, "n": n})
                     ok = ok and r.paper_match
     _report(6, "omega involution, relation preservation, family identity sweep", t0, 60, ok)
 

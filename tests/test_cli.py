@@ -138,6 +138,10 @@ def test_exit_code_2_bad_config():
     assert code == 2
     code, _, err = run_cli(["nf", "x+["])
     assert code == 2
+    # a divisor other than c q^a u^b (q - q^-1)^k
+    code, out, err = run_cli(["nf", "x-[1]/(q^2+1)"])
+    assert (code, out) == (2, "")
+    assert "c*q^a*u^b*(q - q^-1)^k" in err
 
 
 def test_env_var_default_mode(monkeypatch):
@@ -189,6 +193,7 @@ def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
         {"m_range": 7},
         {"m_range": [1]},
         {"p_range": [0, 1.0]},
+        {"m_range": [2, 1]},
     ],
 )
 def test_config_value_of_wrong_type_is_a_config_error(tmp_path, bad):

@@ -115,7 +115,7 @@ def test_power_by_squaring(monkeypatch):
     assert 0 < calls[0] <= 2 * math.log2(n) + 2
     monkeypatch.undo()
     # and the same element as repeated products, on a non-commuting sum
-    src = "x+[0] + 2*a[1]*K - q^-1*x-[1]/(q + 1)"
+    src = "x+[0] + 2*a[1]*K - q^-1*x-[1]/(q - q^-1)"
     x = evaluate(src)
     want = Element.unit()
     for k in range(8):
@@ -130,6 +130,39 @@ def test_division_restrictions():
         evaluate("q/(K + 1)")
     with pytest.raises(EvalError):
         evaluate("1/0")
+    # a coefficient divides only when it is c q^a u^b (q - q^-1)^k; the
+    # divisor is inverted before the product, so (q^2-1)/(q+1) is refused
+    for src in (
+        "1/(q+1)",
+        "(q+1)^-2",
+        "1/(gamma-1)",
+        "(q^2-1)/(q+1)",
+        "x-[1]/(q - q^-1) - 1/(q^2+1)*a[2]",
+        "(q^2 - 1 + q*u)/(1 - q)*x+[0]",
+    ):
+        with pytest.raises(EvalError, match="c\\*q\\^a\\*u\\^b\\*\\(q - q\\^-1\\)\\^k"):
+            evaluate(src)
+    obj = {"terms": [{"coeff": {"num": "1", "den": "q + 1"}, "word": [], "kexp": 0}]}
+    with pytest.raises(ValueError):
+        element_from_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "src, text",
+    [
+        ("1/(q^2-1)", "1/(q^2 - 1)"),
+        ("q^-1/(q-q^-1)^2", "q/(q^4 - 2*q^2 + 1)"),
+        ("1/(2*q-2*q^-1)", "q/(2*q^2 - 2)"),
+        ("x+[0]/(3*q^2*u - 3*u)", "u^-1/(3*q^2 - 3)*x+[0]"),
+        ("2/4", "1/2"),
+        ("K^-2/K", "K^-3"),
+    ],
+)
+def test_division_by_the_denominators_of_the_algebra(src, text):
+    e = evaluate(src)
+    assert print_element(e) == text
+    assert evaluate(text) == e
+    assert element_from_json(print_element(e, "json")) == e
 
 
 def test_print_examples():
@@ -147,14 +180,14 @@ def test_print_examples():
         ("(1 + q)*x+[0]*x-[1]*K", "(q + 1)*x+[0]*x-[1]*K", "\\left(q + 1\\right) x^{+}_{0} x^{-}_{1} K"),
         # composite denominators, negative numerator first
         (
-            "x-[1]/(q - q^-1) - 1/(q^2+1)*a[2]",
-            "-1/(q^2 + 1)*a[2] + q/(q^2 - 1)*x-[1]",
-            "\\frac{-1}{q^{2} + 1} a_{2} + \\frac{q}{q^{2} - 1} x^{-}_{1}",
+            "x-[1]/(q - q^-1) - 1/(q^2-1)*a[2]",
+            "-1/(q^2 - 1)*a[2] + q/(q^2 - 1)*x-[1]",
+            "\\frac{-1}{q^{2} - 1} a_{2} + \\frac{q}{q^{2} - 1} x^{-}_{1}",
         ),
         (
-            "(q^2 - 1 + q*u)/(1 - q)*x+[0]",
-            "(-q^2 - q*u + 1)/(q - 1)*x+[0]",
-            "\\frac{-q^{2} - q u + 1}{q - 1} x^{+}_{0}",
+            "(q^2 - 1 + q*u)/(1 - q^2)*x+[0]",
+            "(-q^2 - q*u + 1)/(q^2 - 1)*x+[0]",
+            "\\frac{-q^{2} - q u + 1}{q^{2} - 1} x^{+}_{0}",
         ),
         # integer denominators
         (
@@ -219,8 +252,7 @@ def test_json_round_trip_bit_exact_on_canonical_forms():
         assert set(again.terms) == set(canon.terms)
         for mono, c in canon.terms.items():
             c2 = again.terms[mono]
-            assert c.num.terms == c2.num.terms
-            assert c.den.terms == c2.den.terms
+            assert (c.num.terms, c.den, c.d) == (c2.num.terms, c2.den, c2.d)
         assert print_element(canon, "json") == print_element(again, "json")
 
 

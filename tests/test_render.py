@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from uqsl2.coeff import RF_ONE, qint
+from uqsl2.coeff import RF_ONE, qminus
 from uqsl2.elements import Element, Monomial, agen, xminus, xplus
 from uqsl2.render import Printer, element_to_obj
 from uqsl2.rewrite import normal_form
@@ -38,7 +38,8 @@ def _shaped_elements(rng):
                     mono = Monomial(rand_word(rng, max_len=4, max_idx=3), rng.randrange(-2, 3))
                 c = shape(rng)
                 if rng.random() < 0.2:
-                    c = (c * qint(3) + RF_ONE) / qint(3) - RF_ONE / qint(3)
+                    d = 6 * qminus()
+                    c = (c * d + RF_ONE) / d - RF_ONE / d
                 terms[mono] = c
             out.append(Element(terms))
     return out

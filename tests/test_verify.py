@@ -1,14 +1,12 @@
 import pytest
 
-from uqsl2.coeff import P_ONE, RF_ONE, one_term, q_pow, qminus, u_pow
+from uqsl2.coeff import RF_ONE, one_term, q_pow, qminus, u_pow
 from uqsl2.elements import Element, Monomial, el_mul, project_x_free, xminus, xplus
 from uqsl2.family import FamilyParams, family_E
 from uqsl2 import rewrite, verify
 from uqsl2.rewrite import RelationMode, clear_caches, normal_form
 from uqsl2.verify import (
     RegimeError,
-    check_index_reflection_identity,
-    check_omega_family_identity,
     classify,
     expectation_met,
     sweep_claim,
@@ -136,7 +134,7 @@ def test_commc_reports_are_deterministic():
 def test_omega_family_base_cases():
     for p in (0, 1):
         for n in (0, 1):
-            r = check_omega_family_identity(FamilyParams("+", p, 0, n))
+            r = verify_claim("OMEGA_E", {"sign": "+", "p": p, "m": 0, "n": n})
             assert r.paper_match
             assert expectation_met(r)
 
@@ -146,14 +144,14 @@ def test_omega_family_full_sweep_matches():
         for n in range(0, 5):
             for m in (-2, 0, 2):
                 for p in (-2, -1, 1, 2):
-                    r = check_omega_family_identity(FamilyParams(sign, p, m, n))
+                    r = verify_claim("OMEGA_E", {"sign": sign, "p": p, "m": m, "n": n})
                     assert r.paper_match, (sign, n, m, p)
 
 
 def test_reflection_verifies_same_sign():
     for sign in "+-":
         for n, m, eta in ((0, 0, 0), (1, 2, -1), (3, -2, 2)):
-            r = check_index_reflection_identity(n, m, eta, sign)
+            r = verify_claim("REFLECT", {"n": n, "m": m, "eta": eta, "sign": sign})
             assert r.params["matched_sign"] == sign
             assert not r.paper_match  # the stated form flips the sign
             assert not expectation_met(r)
@@ -289,5 +287,5 @@ def test_sweeps_leave_shared_values_unchanged():
         for claim in ("EP", "EM", "COMMC", "OMEGA_E", "REFLECT"):
             sweep_claim(claim, cfg, mode)
     for (c, eq, eu), v in values.items():
-        assert v.num.terms == {(eq, eu): c} and v.den is P_ONE
+        assert v.num.terms == {(eq, eu): c} and v.den == 1
         assert one_term(c, eq, eu) is v
