@@ -25,7 +25,6 @@ from .elements import (
     xplus,
 )
 from .family import (
-    FamilyParams,
     central_c,
     expand_general_commutator,
     expand_specialized_commutator,

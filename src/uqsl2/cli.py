@@ -5,10 +5,11 @@ element operand with ``expr.evaluate`` and applies the table's function to
 the operands' values.
 
 Exit codes: 0 all expectations met, 1 discrepancies found, 2 usage, parse
-or configuration error.  The relation mode is "strict" (the default) or
-"full", which adds Drinfeld's same-sign x relation (see ``rewrite``).
-UQSL2_MODE sets the default mode; an optional JSON config file supplies
-verify defaults (flags win).
+or configuration error.  Every command computes in full mode, in
+U_q(sl2-hat) under all of Drinfeld's relations (see ``rewrite``), unless
+``--mode strict`` leaves out the same-sign x relation.  An optional JSON
+config file supplies the other verify defaults (flags win); a key it does
+not know is a configuration error.
 
 ``verify`` renders each report as soon as its claim's sweep returns and
 keeps only the text: a wide sweep holds one claim's reports at a time, not
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -42,17 +42,8 @@ class ConfigError(ValueError):
 _CLI_CLAIMS = {c.cli_name: name for name, c in CLAIMS.items() if c.cli_name}
 _DEFAULT_CLAIMS = ",".join(_CLI_CLAIMS)
 _MODES = tuple(m.value for m in RelationMode)
-
-
-def _mode_from_name(name: str) -> RelationMode:
-    try:
-        return RelationMode(name)
-    except ValueError:
-        raise ConfigError(f"unknown mode {name!r} (use {' or '.join(_MODES)})")
-
-
-def _default_mode() -> str:
-    return os.environ.get("UQSL2_MODE", SuiteConfig.mode.value)
+# the verify defaults a config file may set; the mode is --mode's alone
+_CONFIG_KEYS = ("claims", "n_max", "k_max", "m_range", "p_range", "format")
 
 
 def _is_int(value) -> bool:
@@ -84,7 +75,7 @@ class SuiteConfig:
     k_max: int = 4
     m_range: tuple = (-2, 2)
     p_range: tuple = (-2, 2)
-    mode: RelationMode = RelationMode.STRICT
+    mode: RelationMode = RelationMode.FULL
     format: str = "text"
 
 
@@ -285,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 # only an option such as "--p" uses the default
                 p.add_argument(name, type=int, default=0)
-        p.add_argument("--mode", default=None, choices=_MODES)
+        p.add_argument("--mode", default=SuiteConfig.mode.value, choices=_MODES)
         p.add_argument("--format", default="text", choices=FORMATS)
 
     p = sub.add_parser("verify", help="run claim verification sweeps")
@@ -294,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--m-range", default=None)
     p.add_argument("--p-range", default=None)
-    p.add_argument("--mode", default=None, choices=_MODES)
+    p.add_argument("--mode", default=SuiteConfig.mode.value, choices=_MODES)
     p.add_argument("--format", default=None, choices=_VERIFY_FORMATS)
     p.add_argument("--config", default=None, help="JSON file with verify defaults")
     return ap
@@ -310,6 +301,11 @@ def _verify_config(args) -> SuiteConfig:
             raise ConfigError(f"cannot read config file: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+        for key in file_cfg:
+            if key not in _CONFIG_KEYS:
+                raise ConfigError(
+                    f"unknown config key {key!r} (use {', '.join(_CONFIG_KEYS)})"
+                )
 
     def pick(flag, key, default):
         if flag is not None:
@@ -344,7 +340,6 @@ def _verify_config(args) -> SuiteConfig:
     m_range = _parse_range(pick(args.m_range, "m_range", SuiteConfig.m_range))
     p_range = _parse_range(pick(args.p_range, "p_range", SuiteConfig.p_range))
 
-    mode = _mode_from_name(pick(args.mode, "mode", _default_mode()))
     fmt = pick(args.format, "format", SuiteConfig.format)
     if fmt not in _VERIFY_FORMATS:
         raise ConfigError(f"unknown report format {fmt!r}")
@@ -355,13 +350,13 @@ def _verify_config(args) -> SuiteConfig:
         k_max=k_max,
         m_range=m_range,
         p_range=p_range,
-        mode=mode,
+        mode=RelationMode(args.mode),
         format=fmt,
     )
 
 
 def _element_command(args) -> Element:
-    mode = _mode_from_name(args.mode or _default_mode())
+    mode = RelationMode(args.mode)
     spec = _COMMANDS[args.command]
     values = []
     for name in spec.args:

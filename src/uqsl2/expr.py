@@ -32,7 +32,7 @@ from .coeff import RatFunc, q_pow, u_pow
 from .currents import phi as phi_el
 from .currents import psi as psi_el
 from .elements import AGEN, GEN_KINDS, Element, Gen, Monomial, el_mul, omega
-from .family import FamilyParams, central_c, family_E
+from .family import central_c, family_E
 from .rewrite import RelationMode, commutator, deformed_commutator, normal_form
 
 
@@ -228,7 +228,7 @@ class _Parser:
         return self.parse_expr()
 
 
-def evaluate(text: str, mode: RelationMode = RelationMode.STRICT) -> Element:
+def evaluate(text: str, mode: RelationMode = RelationMode.FULL) -> Element:
     """The Element ``text`` denotes; its calls normal-order in ``mode``."""
     p = _Parser(text, mode)
     value = p.parse_expr()
@@ -283,7 +283,7 @@ CALLS = {
     "E": CallSpec(
         "family element E(sign, p, m, index)",
         ("sign", "p", "m", "index"),
-        lambda mode, *params: family_E(FamilyParams(*params)),
+        lambda mode, *params: family_E(*params),
     ),
     "c": CallSpec(
         "stated central value c(sign, n, m)",

@@ -13,8 +13,6 @@ engine-derived truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coeff import RF_ONE, one_term, q_pow, qminus, u_pow
 from .currents import phi, psi
 from .elements import Element, Monomial, _element, _tuple_new, el_mul, xminus, xplus
@@ -28,17 +26,6 @@ def _sgn(sign: str) -> int:
     if sign == "-":
         return -1
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Selector for one family element: index >= 0 picks E^sign_(p,index)(m),
-    index <= -1 picks E^sign_(p,index)(m) through the negative branch."""
-
-    sign: str
-    p: int
-    m: int
-    index: int
 
 
 def family_E_pos(n: int, m: int, eta: int, sign: str) -> Element:
@@ -65,11 +52,13 @@ def family_E_neg(n: int, l: int, theta: int, sign: str) -> Element:
     )
 
 
-def family_E(fp: FamilyParams) -> Element:
-    eta = -fp.m - 2 * fp.p
-    if fp.index >= 0:
-        return family_E_pos(fp.index, fp.m, eta, fp.sign)
-    return family_E_neg(-fp.index - 1, fp.m, eta, fp.sign)
+def family_E(sign: str, p: int, m: int, index: int) -> Element:
+    """E^sign_(p,index)(m): index >= 0 picks the nonnegative branch and
+    index <= -1 the negative one, with eta = theta = -m - 2p and l = m."""
+    eta = -m - 2 * p
+    if index >= 0:
+        return family_E_pos(index, m, eta, sign)
+    return family_E_neg(-index - 1, m, eta, sign)
 
 
 def central_c(n: int, m: int, sign: str) -> Element:

@@ -18,7 +18,6 @@ from .elements import Element, Monomial, el_mul, omega, project_x_free, xminus, 
 from .coeff import u_pow
 from .family import (
     SIGNS,
-    FamilyParams,
     _sgn,
     central_c,
     expand_general_commutator,
@@ -96,8 +95,8 @@ def _verify_ep_em(claim, params, mode):
         sign = "-"
         if not n > k:
             raise RegimeError(f"EM is stated for n > k, got n={n}, k={k}")
-    a = family_E(FamilyParams(sign, p, m, n))
-    b = family_E(FamilyParams(sign, p, m, -k - 1))
+    a = family_E(sign, p, m, n)
+    b = family_E(sign, p, m, -k - 1)
     result = deformed_commutator(a, b, p, mode)
     full = dict(params)
     full["sign"] = sign
@@ -115,8 +114,8 @@ def _verify_commc(params, mode):
     # literal: family subscript +-1 is paired with bracket exponent -+1;
     # matching: the bracket exponent equals the family's p
     b = -p_fam if convention == "literal" else p_fam
-    a = family_E(FamilyParams(sign, p_fam, m, n))
-    c = family_E(FamilyParams(sign, p_fam, m, -n - 1))
+    a = family_E(sign, p_fam, m, n)
+    c = family_E(sign, p_fam, m, -n - 1)
     result = deformed_commutator(a, c, b, mode)
     full = dict(params)
     full["p"] = p_fam
@@ -129,10 +128,8 @@ def _verify_omega_e(params, mode):
     if n < 0:
         raise RegimeError(f"OMEGA_E needs index n >= 0, got {n}")
     flip = "-" if sign == "+" else "+"
-    result = normal_form(omega(family_E(FamilyParams(sign, p, m, n))), mode)
-    expected = el_mul(
-        family_E(FamilyParams(flip, p, m, -n - 1)), Element.k_power(2 * p)
-    )
+    result = normal_form(omega(family_E(sign, p, m, n)), mode)
+    expected = el_mul(family_E(flip, p, m, -n - 1), Element.k_power(2 * p))
     return _report("OMEGA_E", dict(params), mode, result, expected)
 
 
@@ -175,8 +172,8 @@ def _verify_display2(params, mode):
     n, k, m, p, sign = (params[x] for x in ("n", "k", "m", "p", "sign"))
     if n < 0 or k < 0:
         raise RegimeError("PROOF_DISPLAY_2 needs n, k >= 0")
-    a = family_E(FamilyParams(sign, p, m, n))
-    b = family_E(FamilyParams(sign, p, m, -k - 1))
+    a = family_E(sign, p, m, n)
+    b = family_E(sign, p, m, -k - 1)
     result = deformed_commutator(a, b, p, mode)
     expected = expand_specialized_commutator(n, k, m, p, sign)
     return _report("PROOF_DISPLAY_2", dict(params), mode, result, expected)
@@ -212,7 +209,7 @@ CLAIMS = {
 
 
 def verify_claim(
-    claim: str, params: dict, mode: RelationMode = RelationMode.STRICT
+    claim: str, params: dict, mode: RelationMode = RelationMode.FULL
 ) -> VerdictReport:
     """Check one claim instance exactly and report the verdict, the stated
     value, and the normal-formed discrepancy between the two."""
@@ -223,12 +220,13 @@ def verify_claim(
 
 
 def expectation_met(report: VerdictReport) -> bool:
-    """Success rule used for exit codes, the same in every mode.
+    """Success rule used for exit codes, the same in full mode (the
+    default) and in Strict mode.
 
-    EP/EM state that the bracket is 0, and it is not: in full mode the
-    residual is a nonzero sum of same-sign x pairs whose coefficients all
-    vanish at q = 1, and in Strict mode the same-sign x words stay
-    unreduced.  The rule checks what does hold in both modes: the residual
+    EP/EM state that the bracket is 0, and it is not: in U_q(sl2-hat), that
+    is in full mode, the residual is a nonzero sum of same-sign x pairs
+    whose coefficients all vanish at q = 1; in Strict mode the same-sign x
+    words stay unreduced.  The rule checks what holds in both: the residual
     has no x-free term.  No q-commutator repairs EP in full mode either: for
     (n,k) in {(0,1),(0,2),(1,2),(1,3)} and m, p in {-1,0,1}, no exponent
     p' in [-3,3] and no scalar lam make a K^p' b - lam b K^p' a vanish.

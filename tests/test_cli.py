@@ -13,8 +13,15 @@ from uqsl2.coeff import RatFunc
 from uqsl2.elements import Element
 from uqsl2.expr import CALLS, ELEMENT_ARGS, evaluate
 from uqsl2.render import FORMATS, element_from_json, element_to_obj, print_element
-from uqsl2.rewrite import RelationMode
-from uqsl2.verify import CLAIMS, Verdict, VerdictReport, expectation_met, sweep_claim
+from uqsl2.rewrite import RelationMode, commutator, deformed_commutator, equals, normal_form
+from uqsl2.verify import (
+    CLAIMS,
+    Verdict,
+    VerdictReport,
+    expectation_met,
+    sweep_claim,
+    verify_claim,
+)
 
 from helpers import rand_element
 
@@ -144,22 +151,36 @@ def test_exit_code_2_bad_config():
     assert "c*q^a*u^b*(q - q^-1)^k" in err
 
 
-def test_env_var_default_mode(monkeypatch):
-    # full mode applies x+_1 x+_0 = q^2 x+_0 x+_1; Strict leaves the word
-    monkeypatch.setenv("UQSL2_MODE", "full")
-    code, out, _ = run_cli(["nf", "x+[1]*x+[0]"])
-    assert code == 0
-    assert out.strip() == "q^2*x+[0]*x+[1]"
-    monkeypatch.setenv("UQSL2_MODE", "strict")
-    code, out, _ = run_cli(["nf", "x+[1]*x+[0]"])
-    assert out.strip() == "x+[1]*x+[0]"
-    monkeypatch.setenv("UQSL2_MODE", "bogus")
-    code, _, err = run_cli(["nf", "x+[0]"])
-    assert code == 2
+def test_mode_flag_selects_the_relation_mode():
+    # full mode, the default, applies x+_1 x+_0 = q^2 x+_0 x+_1; Strict
+    # leaves the word
+    assert run_cli(["nf", "x+[1]*x+[0]"]) == (0, "q^2*x+[0]*x+[1]\n", "")
+    assert run_cli(["nf", "x+[1]*x+[0]", "--mode", "strict"]) == (0, "x+[1]*x+[0]\n", "")
+    code, out, _ = run_cli(["nf", "x+[0]", "--mode", "bogus"])
+    assert (code, out) == (2, "")
 
 
-def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
-    monkeypatch.delenv("UQSL2_MODE", raising=False)
+def test_every_entry_point_decides_in_full_mode_by_default():
+    # x+_1 x+_0 = q^2 x+_0 x+_1 holds in U_q(sl2-hat), by the same-sign x
+    # relation that Strict mode leaves out
+    full, strict = RelationMode.FULL, RelationMode.STRICT
+    word = evaluate("x+[1]*x+[0]", full)
+    sorted_word = evaluate("q^2*x+[0]*x+[1]", full)
+    assert normal_form(word) == sorted_word != normal_form(word, strict)
+    a, b = evaluate("x+[1]", full), evaluate("x+[0]", full)
+    assert commutator(a, b) == commutator(a, b, full) != commutator(a, b, strict)
+    assert deformed_commutator(a, b, 1) == deformed_commutator(a, b, 1, full)
+    assert deformed_commutator(a, b, 1) != deformed_commutator(a, b, 1, strict)
+    assert equals(word, sorted_word) and not equals(word, sorted_word, strict)
+    assert verify_claim("EP", {"n": 0, "k": 1, "m": 0, "p": 0}).mode is full
+    assert evaluate("nf(x+[1]*x+[0])") == sorted_word
+    assert run_cli(["nf", "x+[1]*x+[0]"]) == (0, "q^2*x+[0]*x+[1]\n", "")
+    small = ["--n-max", "1", "--k-max", "1", "--m-range", "0:0", "--p-range", "0:0"]
+    code, out, _ = run_cli(["verify", "--claims", "ep", *small])
+    assert out.startswith(f"uqsl2 verify report (version {__version__}, mode full)\n")
+
+
+def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "verify.json"
     cfg.write_text(
         json.dumps(
@@ -169,16 +190,17 @@ def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
                 "k_max": 2,
                 "m_range": "0:0",
                 "p_range": "0:0",
-                "mode": "full",
             }
         )
     )
     code, out, _ = run_cli(["verify", "--config", str(cfg)])
     assert code == 0  # EP in full: same-sign residuals with no x-free term
     assert "mode full" in out
+    assert out.count("claim=EP") == 3  # (n, k) = (0, 1), (0, 2), (1, 2)
     # flags win over the config file
-    code, out, _ = run_cli(["verify", "--config", str(cfg), "--mode", "strict"])
+    code, out, _ = run_cli(["verify", "--config", str(cfg), "--k-max", "1", "--mode", "strict"])
     assert "mode strict" in out
+    assert out.count("claim=EP") == 1
     assert code == 0  # EP in strict: residuals have empty x-free projection
 
 
@@ -194,6 +216,9 @@ def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
         {"m_range": [1]},
         {"p_range": [0, 1.0]},
         {"m_range": [2, 1]},
+        # the mode is --mode's alone, and an unknown key is no silent default
+        {"mode": "full"},
+        {"n-max": 1},
     ],
 )
 def test_config_value_of_wrong_type_is_a_config_error(tmp_path, bad):
@@ -203,6 +228,15 @@ def test_config_value_of_wrong_type_is_a_config_error(tmp_path, bad):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["mode", "n-max", "bogus"])
+def test_config_error_names_the_unknown_key(tmp_path, key):
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"claims": "ep", key: 1}))
+    code, out, err = run_cli(["verify", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert f"unknown config key {key!r}" in err
 
 
 def test_verify_json_report():
@@ -361,8 +395,7 @@ def test_report_doc_keeps_no_reports_or_elements(fmt):
         todo.extend(gc.get_referents(obj))
 
 
-def test_explicit_claims_flag_beats_config_file(tmp_path, monkeypatch):
-    monkeypatch.delenv("UQSL2_MODE", raising=False)
+def test_explicit_claims_flag_beats_config_file(tmp_path):
     cfg = tmp_path / "verify.json"
     cfg.write_text(
         json.dumps(
@@ -381,8 +414,7 @@ def test_explicit_claims_flag_beats_config_file(tmp_path, monkeypatch):
     }
 
 
-def test_a_claim_named_twice_is_swept_once(tmp_path, monkeypatch):
-    monkeypatch.delenv("UQSL2_MODE", raising=False)
+def test_a_claim_named_twice_is_swept_once(tmp_path):
     small = ["--n-max", "1", "--k-max", "1", "--m-range", "0:0", "--p-range", "0:0"]
     once = run_cli(["verify", "--claims", "ep,commc", *small])
     assert once[0] == 1 and once[1].count("claim=EP") == 1

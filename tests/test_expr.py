@@ -7,7 +7,7 @@ from uqsl2.coeff import RF_ONE, LaurentPoly, RatFunc, one_term, q_pow, qminus, u
 from uqsl2.currents import phi, psi
 from uqsl2.elements import Element, Monomial, agen, el_mul, xminus, xplus
 from uqsl2.expr import EvalError, ParseError, evaluate
-from uqsl2.family import FamilyParams, central_c, family_E
+from uqsl2.family import central_c, family_E
 from uqsl2.render import (
     _poly_from_text,
     element_from_json,
@@ -39,9 +39,9 @@ def test_space_before_index_bracket():
 
 
 def test_parse_call_tree():
-    left = family_E(FamilyParams("+", 1, 0, 0))
-    right = family_E(FamilyParams("+", 1, 0, -1))
-    assert evaluate("dcomm(E(+,1,0,0), E(+,1,0,-1), -1)") == deformed_commutator(
+    left = family_E("+", 1, 0, 0)
+    right = family_E("+", 1, 0, -1)
+    assert evaluate("dcomm(E(+,1,0,0), E(+,1,0,-1), -1)", S) == deformed_commutator(
         left, right, -1, S
     )
 
@@ -88,7 +88,7 @@ def test_eval_examples():
 
 
 def test_eval_builtins_agree_with_api():
-    assert evaluate("E(+,1,0,-1)") == family_E(FamilyParams("+", 1, 0, -1))
+    assert evaluate("E(+,1,0,-1)") == family_E("+", 1, 0, -1)
     assert evaluate("c(-,2,1)") == central_c(2, 1, "-")
     assert evaluate("psi(3)") == psi(3)
     assert evaluate("omega(x+[2])") == Element.from_gen(xminus(-2))

@@ -6,7 +6,6 @@ import pytest
 from uqsl2.coeff import RF_ONE, q_pow, qminus, u_pow
 from uqsl2.elements import Element, Monomial, el_mul, omega, project_x_free, xminus, xplus
 from uqsl2.family import (
-    FamilyParams,
     central_c,
     expand_general_commutator,
     expand_specialized_commutator,
@@ -49,10 +48,10 @@ def test_family_neg_examples():
 
 
 def test_family_dispatch():
-    assert family_E(FamilyParams("+", 0, 0, 0)) == family_E_pos(0, 0, 0, "+")
-    assert family_E(FamilyParams("+", 1, 0, -1)) == family_E_neg(0, 0, -2, "+")
+    assert family_E("+", 0, 0, 0) == family_E_pos(0, 0, 0, "+")
+    assert family_E("+", 1, 0, -1) == family_E_neg(0, 0, -2, "+")
     # eta = -m - 2p = 0 here
-    assert family_E(FamilyParams("-", -1, 2, 0)) == Element(
+    assert family_E("-", -1, 2, 0) == Element(
         {Monomial((xplus(0),), 2): u_pow(-1), Monomial((xminus(1),), 0): RF_ONE}
     )
 
@@ -183,15 +182,15 @@ def test_specialized_fixture_k_power_mismatch():
     # mode keeps, so at p = 0 the two differ by that residual alone.
     n = k = 0
     m, p, sign = 0, 1, "+"
-    a = family_E(FamilyParams(sign, p, m, n))
-    b = family_E(FamilyParams(sign, p, m, -k - 1))
+    a = family_E(sign, p, m, n)
+    b = family_E(sign, p, m, -k - 1)
     engine = deformed_commutator(a, b, p, F)
     fixture = normal_form(expand_specialized_commutator(n, k, m, p, sign), F)
     assert not project_x_free(engine - fixture).is_zero()
     # same bracket with p = 0: printed and derived forms coincide up to the
     # same-sign residual
-    a0 = family_E(FamilyParams(sign, 0, m, n))
-    b0 = family_E(FamilyParams(sign, 0, m, -k - 1))
+    a0 = family_E(sign, 0, m, n)
+    b0 = family_E(sign, 0, m, -k - 1)
     diff = normal_form(
         deformed_commutator(a0, b0, 0, F) - expand_specialized_commutator(n, k, m, 0, sign),
         F,

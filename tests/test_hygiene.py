@@ -167,3 +167,23 @@ def test_only_coeff_and_render_read_the_stored_den():
         if isinstance(node, ast.Attribute) and node.attr == "den"
     }
     assert readers <= {"coeff.py", "render.py"}
+
+
+def test_no_default_is_the_strict_mode():
+    # full mode computes in U_q(sl2-hat), so Strict is chosen only by name:
+    # no parameter and no dataclass field defaults to it
+    found = []
+    for p in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.arguments):
+                defaults = [*node.defaults, *node.kw_defaults]
+            elif isinstance(node, ast.AnnAssign):
+                defaults = [node.value]
+            else:
+                continue
+            found += [
+                f"{p.name}:{d.lineno}"
+                for d in defaults
+                if d is not None and ast.unparse(d) == "RelationMode.STRICT"
+            ]
+    assert found == []

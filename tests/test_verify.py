@@ -2,7 +2,7 @@ import pytest
 
 from uqsl2.coeff import RF_ONE, one_term, q_pow, qminus, u_pow
 from uqsl2.elements import Element, Monomial, el_mul, project_x_free, xminus, xplus
-from uqsl2.family import FamilyParams, family_E
+from uqsl2.family import family_E
 from uqsl2 import rewrite, verify
 from uqsl2.rewrite import RelationMode, clear_caches, normal_form
 from uqsl2.verify import (
@@ -242,8 +242,8 @@ def test_ep_has_no_q_commutator_repair():
     for n, k in ((0, 1), (0, 2), (1, 2), (1, 3)):
         for m in (-1, 0, 1):
             for p in (-1, 0, 1):
-                a = family_E(FamilyParams("+", p, m, n))
-                b = family_E(FamilyParams("+", p, m, -k - 1))
+                a = family_E("+", p, m, n)
+                b = family_E("+", p, m, -k - 1)
                 for p2 in range(-3, 4):
                     kp = Element.k_power(p2)
                     x = normal_form(el_mul(el_mul(a, kp), b), F)
