@@ -14,10 +14,13 @@ integer.
 
 Most coefficients are polynomials, and most of those are one term,
 +-q^a u^b (every coefficient of an el_mul bracket of family members is).  A
-polynomial has den = 1 and d = 0.  A one-term polynomial is a shared value
-from the bounded memo ``one_term``: products, negations and q-shifts of
-one-term polynomials look it up, with no polynomial product, no
-normalization and, on a hit, no allocation.  Identity is only a shortcut: an
+polynomial has den = 1 and d = 0.  A one-term polynomial carries its term
+in the derived slot ``single`` = (c, eq, eu), which is None for every other
+value, and is usually the shared value from the bounded memo ``one_term``:
+products (``mul_shifted``, which el_mul calls with the q-shift of its
+K-passing), negations and q-shifts of one-term polynomials read ``single``
+and look the result up, with no polynomial product, no normalization and,
+on a hit, no allocation.  Only this module reads ``single``.  Identity is only a shortcut: an
 evicted value is rebuilt as an equal fresh object.
 """
 
@@ -217,13 +220,18 @@ class RatFunc:
     equal (den, d) adds numerators.  The invertible values are exactly
     c q^a u^b (q - q^-1)^k for a nonzero integer c; ``inv`` refuses any
     other, so no denominator is ever a general polynomial.
+
+    ``single`` is derived from (num, den, d) by ``_rf``, the one
+    constructor: the term (c, eq, eu) when the value is the polynomial
+    c q^eq u^eu, and None otherwise.  The ring's one-term fast paths and
+    ``mul_shifted`` read it instead of unpacking num.
     """
 
-    __slots__ = ("num", "den", "d")
+    __slots__ = ("num", "den", "d", "single")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = P_ONE):
         r = RatFunc.make(num, den)
-        self.num, self.den, self.d = r.num, r.den, r.d
+        self.num, self.den, self.d, self.single = r.num, r.den, r.d, r.single
 
     @classmethod
     def make(cls, num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
@@ -264,11 +272,10 @@ class RatFunc:
         return self.d == other.d and self.den == other.den and self.num.terms == other.num.terms
 
     def __neg__(self):
-        t = self.num.terms
-        if self.den == 1 and not self.d and len(t) == 1:
-            ((eq, eu), c), = t.items()
-            return one_term(-c, eq, eu)
-        return _rf(_lp({e: -c for e, c in t.items()}), self.den, self.d)
+        s = self.single
+        if s is not None:
+            return one_term(-s[0], s[1], s[2])
+        return _rf(_lp({e: -c for e, c in self.num.terms.items()}), self.den, self.d)
 
     def __add__(self, other):
         if other.__class__ is not RatFunc:
@@ -320,6 +327,8 @@ class RatFunc:
                 return NotImplemented
         if self is RF_ONE:
             return other
+        if self.single is not None and other.single is not None:
+            return mul_shifted(self, other, 0)
         a = self.num.terms
         b = other.num.terms
         if not a or not b:
@@ -328,12 +337,6 @@ class RatFunc:
         od = other.den
         d = self.d + other.d
         if sd == 1 and od == 1:
-            if not d and len(a) == 1 and len(b) == 1:
-                # +-q^i u^j times +-q^k u^l, the whole of el_mul's work on
-                # family brackets: one shared term, nothing to normalize
-                ((aq, au), ca), = a.items()
-                ((bq, bu), cb), = b.items()
-                return one_term(ca * cb, aq + bq, au + bu)
             num = self.num * other.num
             if not d or len(a) == 1 and other.d or len(b) == 1 and self.d:
                 # a polynomial product, or a unit times a num free of
@@ -387,10 +390,10 @@ class RatFunc:
         this is how a K-power passing x's scales a coefficient."""
         if not k:
             return self
+        s = self.single
+        if s is not None:
+            return one_term(s[0], s[1] + k, s[2])
         t = self.num.terms
-        if self.den == 1 and not self.d and len(t) == 1:
-            ((eq, eu), c), = t.items()
-            return one_term(c, eq + k, eu)
         return _rf(_lp({(eq + k, eu): c for (eq, eu), c in t.items()}), self.den, self.d)
 
     def canonical(self) -> tuple:
@@ -422,11 +425,18 @@ class RatFunc:
 
 
 def _rf(num: LaurentPoly, den: int, d: int = 0) -> RatFunc:
-    """The RatFunc num / (den (q - q^-1)^d), taken as in normal form."""
+    """The RatFunc num / (den (q - q^-1)^d), taken as in normal form, with
+    its ``single`` derived here and nowhere else."""
     r = _new(RatFunc)
     r.num = num
     r.den = den
     r.d = d
+    t = num.terms
+    if den == 1 and not d and len(t) == 1:
+        ((eq, eu), c), = t.items()
+        r.single = (c, eq, eu)
+    else:
+        r.single = None
     return r
 
 
@@ -442,6 +452,19 @@ def _coerce(x):
     if isinstance(x, Fraction):
         return RatFunc.from_fraction(x)
     return NotImplemented
+
+
+def mul_shifted(a: RatFunc, b: RatFunc, k: int) -> RatFunc:
+    """a * b * q^k, the product of two coefficients shifted by the unit
+    q^k, as el_mul needs it when a K-power passes x's.  Two one-term
+    polynomials +-q^i u^j and +-q^m u^n make it in one ``one_term`` lookup,
+    nothing to normalize; any other pair is a ring product, then shifted."""
+    s = a.single
+    if s is not None:
+        t = b.single
+        if t is not None:
+            return one_term(s[0] * t[0], s[1] + t[1] + k, s[2] + t[2])
+    return (a * b).mul_q_pow(k)
 
 
 @lru_cache(maxsize=4096)

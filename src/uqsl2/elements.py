@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coeff import RF_ONE, RatFunc, _coerce
+from .coeff import RF_ONE, RatFunc, _coerce, mul_shifted
 
 XPLUS, XMINUS, AGEN = 0, 1, 2
 # how each kind of generator is spelled in text and JSON, and back
@@ -194,7 +194,9 @@ def _element(terms: dict) -> Element:
 
 def el_mul(a: Element, b: Element) -> Element:
     """Product in the algebra: words concatenate, the left K-power passes the
-    right word picking up q^(+-2) per x crossed, K-exponents add."""
+    right word picking up q^(+-2) per x crossed, K-exponents add.  Each
+    coefficient product and its K-passing q-shift are one ``mul_shifted``:
+    one ``one_term`` lookup for a pair of one-term coefficients +-q^a u^b."""
     bterms = []
     for mb, cb in b.terms.items():
         net = 0
@@ -203,14 +205,12 @@ def el_mul(a: Element, b: Element) -> Element:
                 net += 1
             elif g.kind == XMINUS:
                 net -= 1
-        bterms.append((mb.word, mb.kexp, cb, net))
+        bterms.append((mb.word, mb.kexp, cb, 2 * net))
     out = {}
     for ma, ca in a.terms.items():
         wa, e = ma
-        for wb, eb, cb, net in bterms:
-            c = ca * cb
-            if e and net:
-                c = c.mul_q_pow(2 * e * net)
+        for wb, eb, cb, qstep in bterms:
+            c = mul_shifted(ca, cb, e * qstep)
             mono = _tuple_new(Monomial, (wa + wb, e + eb))
             acc = out.get(mono)
             if acc is None:

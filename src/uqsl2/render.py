@@ -2,7 +2,8 @@
 
 Text output reads back through expr.evaluate; JSON follows the schema
 {"terms":[{"coeff":{"num":...,"den":...},"word":[{"g":"x+","k":0},...],
-"kexp":0},...]} with polynomials as canonical text.  A coefficient stored as
+"kexp":0},...]} with polynomials as canonical text, read back by a reader of
+that printed grammar only.  A coefficient stored as
 num / (den (q - q^-1)^d), den an integer, prints its display pair
 ``canonical()``: num q^d over den (q^2 - 1)^d.  In human-facing text even
 powers of u print as powers of gamma; JSON keeps raw u powers.
@@ -19,6 +20,7 @@ memory that nothing bounds or clears.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 
 from .coeff import P_ONE, LaurentPoly, RatFunc
@@ -33,7 +35,7 @@ from .elements import (
     Monomial,
     word_sort_key,
 )
-from . import expr as _expr
+from .expr import _int
 
 
 @dataclass(frozen=True)
@@ -164,17 +166,33 @@ def element_to_obj(e: Element) -> dict:
     return {"terms": terms}
 
 
+# the grammar ``_poly`` prints: signed terms, each an integer, q and u
+# (with an integer exponent) joined by "*"
+_FACTOR = r"(?:\d+|[qu](?:\^-?\d+)?)"
+_TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+_POLY_TEXT = re.compile(rf"\s*[+-]?\s*{_TERM}(?:\s*[+-]\s*{_TERM})*\s*")
+_SIGNED_TERM = re.compile(rf"([+-]?)\s*({_TERM})")
+_FACTOR_PARTS = re.compile(r"(\d+)|([qu])(?:\^(-?\d+))?")
+
+
 def _poly_from_text(text: str) -> LaurentPoly:
-    el = _expr.evaluate(text)
-    if el.is_zero():
-        return LaurentPoly()
-    if len(el.terms) != 1:
+    """The Laurent polynomial that a JSON coefficient text spells, in the
+    grammar the printer writes; anything else, such as a call, a generator,
+    K, gamma, "/" or a parenthesis, raises ValueError."""
+    if not _POLY_TEXT.fullmatch(text):
         raise ValueError(f"not a polynomial: {text!r}")
-    mono, c = next(iter(el.terms.items()))
-    p = c.as_poly()
-    if mono != Monomial((), 0) or p is None:
-        raise ValueError(f"not a polynomial: {text!r}")
-    return p
+    terms = {}
+    for sign, body in _SIGNED_TERM.findall(text):
+        c, eq, eu = 1, 0, 0
+        for digits, var, exp in _FACTOR_PARTS.findall(body):
+            if digits:
+                c *= _int(digits)
+            elif var == "q":
+                eq += int(exp or 1)
+            else:
+                eu += int(exp or 1)
+        terms[(eq, eu)] = terms.get((eq, eu), 0) + (-c if sign == "-" else c)
+    return LaurentPoly(terms)
 
 
 def element_from_obj(obj: dict) -> Element:

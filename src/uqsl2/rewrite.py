@@ -145,16 +145,17 @@ def clear_caches():
 
     There are five, each bounded: _word_moves, _replacement, one_term, psi
     and phi.  Their bounds lie above the working sets of one round of each
-    perfbench workload: the Strict verify sweep of all five claims at
-    n,k <= 16 leaves _word_moves 2,347 words, _replacement 578 entries,
-    one_term 2,160 values and psi, phi one each; the five 8-letter mixed
-    words of nf-long-words leave 19,737, 1,366, 146 and 9 each; 100,000
-    family brackets use only one_term (430) and psi, phi (6 each).  Such
-    work is therefore done once per process.
+    perfbench workload, counted in a fresh process (one_term's include the
+    3 values made at import): the Strict verify sweep of all five claims at
+    n,k <= 16 (m, p in [-2, 2]) leaves _word_moves 2,347 words,
+    _replacement 578 entries, one_term 2,161 values and psi, phi one each;
+    the five 8-letter mixed word templates of nf-long-words leave 18,511,
+    144, 136 and 9 each; 100,000 family brackets use only one_term (433)
+    and psi, phi (6 each).  Such work is therefore done once per process.
 
-    Full mode, the default, needs more: the same verify sweep (m, p in
-    [-2, 2]) leaves 2,891, 1,412, 3,376 and one each, and the five mixed
-    word templates leave 17,965, 169, 178 and 9 each.  Wider full sweeps
+    Full mode, the default, needs more: the same verify sweep leaves
+    2,891, 1,412, 3,377 and one each, and the five mixed word templates
+    leave 17,965, 169, 179 and 9 each.  Wider full sweeps
     pass one_term's bound of 4,096: n,k <= 20 fills it, and so do m, p in
     [-4, 4] at n,k <= 16.  At n,k <= 24 _replacement holds 3,076 of its
     4,096."""

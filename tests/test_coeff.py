@@ -14,6 +14,7 @@ from uqsl2.coeff import (
     RF_ONE,
     RF_ZERO,
     RatFunc,
+    mul_shifted,
     one_term,
     q_pow,
     qint,
@@ -368,3 +369,68 @@ def test_as_poly_answers_is_it_a_polynomial():
     assert RatFunc.make(LaurentPoly({(2, 0): 1, (0, 0): -1}), LaurentPoly({(1, 0): 1, (-1, 0): -1})).as_poly() == (
         LaurentPoly({(1, 0): 1})
     )
+
+
+# --- the derived slot ``single`` ---------------------------------------------
+
+
+def _assert_single(r):
+    p = r.as_poly()
+    if p is not None and len(p.terms) == 1:
+        ((eq, eu), c), = p.terms.items()
+        assert r.single == (c, eq, eu), r
+    else:
+        assert r.single is None, r
+
+
+def test_single_is_the_one_term_of_the_value():
+    # the fast paths of the ring and el_mul trust ``single``, so it holds
+    # (c, eq, eu) exactly when the value is the polynomial c q^eq u^eu
+    q = q_pow(1)
+    collapsed = (q + 1) + (-1)
+    assert collapsed.single == (1, 1, 0)
+    values = [
+        collapsed,
+        (q * q - 1) - q * q,
+        qminus() - q,
+        q / qminus() * qminus(),
+        RatFunc.make(LaurentPoly({(2, 0): 1, (0, 0): -1}), admissible_den(1, 0, 0, 1)),
+        RatFunc.make(LaurentPoly({(1, 2): -4}), LaurentPoly.const(2)),
+        RatFunc.make(LaurentPoly({(1, 2): -4}), LaurentPoly.const(8)),
+        RatFunc(LaurentPoly.monomial(3, -2, 1)),
+        RatFunc(LaurentPoly({(1, 0): 2, (-1, 0): -2}), LaurentPoly.const(2)),
+        RatFunc(P_ONE),
+        one_term(-2, 1, -3).inv(),
+        (2 * qminus()).inv(),
+        one_term(5, 2, 3).subst_u_inverse(),
+        (q + u_pow(1)).subst_u_inverse(),
+        RF_ZERO,
+        RF_ONE,
+        qint(1),
+        qint(2),
+        HALF,
+        RatFunc.from_int(-7),
+        q ** -3,
+    ]
+    for v in values:
+        _assert_single(v)
+    seen = 0
+    for a, b in _shaped_pairs(seed=18, count=400):
+        for got in (a, b, *_results(a, b).values(), a.mul_q_pow(3), a + (-a.num.terms.get((0, 0), 0))):
+            _assert_single(got)
+            seen += got.single is not None
+    assert seen > 200
+
+
+def test_mul_shifted_is_the_product_times_a_power_of_q():
+    # el_mul's one step per term pair: the one-term pairs take one lookup,
+    # every other pair the ring product, and both agree with a * b * q^k
+    one_term_pairs = 0
+    for a, b in _shaped_pairs(seed=19, count=300):
+        for k in range(-3, 4):
+            got = mul_shifted(a, b, k)
+            assert got == a * b * q_pow(k), (a, b, k)
+            _assert_single(got)
+        one_term_pairs += a.single is not None and b.single is not None
+    assert one_term_pairs > 20
+    assert mul_shifted(one_term(-3, 1, 2), one_term(2, -4, 1), 5) is one_term(-6, 2, 3)

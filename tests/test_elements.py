@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -142,21 +143,25 @@ def test_family_brackets_make_no_polynomial_products(monkeypatch):
 
 
 def test_k_passing_makes_no_second_coefficient_product(monkeypatch):
-    # a K-power passing x's shifts q-exponents (RatFunc.mul_q_pow), so each
-    # chain makes one coefficient product per term pair: 2 + 4 per chain
-    calls = 0
-    ratfunc_mul = RatFunc.__mul__
+    # every coefficient of a family chain is one term, +-q^a u^b, K^p's
+    # included: el_mul fuses each product and its K-passing shift into one
+    # ``one_term`` lookup, so no RatFunc product or q-shift is called at all
+    calls = {"__mul__": 0, "mul_q_pow": 0}
 
-    def counted(self, other):
-        nonlocal calls
-        calls += 1
-        return ratfunc_mul(self, other)
+    def counting(name):
+        method = getattr(RatFunc, name)
 
-    monkeypatch.setattr(RatFunc, "__mul__", counted)
+        def counted(self, other):
+            calls[name] += 1
+            return method(self, other)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(RatFunc, name, counting(name))
     rng = random.Random(4)
     R = range(-2, 3)
-    brackets = 1000
-    for _ in range(brackets):
+    for _ in range(1000):
         sign = rng.choice("+-")
         n, k = rng.randrange(4), rng.randrange(4)
         m, l, eta, theta, p = (rng.choice(R) for _ in range(5))
@@ -165,4 +170,18 @@ def test_k_passing_makes_no_second_coefficient_product(monkeypatch):
         kp = Element.k_power(p)
         el_mul(el_mul(a, kp), b)
         el_mul(el_mul(b, kp), a)
-    assert calls <= 12 * brackets
+    assert calls == {"__mul__": 0, "mul_q_pow": 0}
+
+
+def test_a_bare_k_power_on_the_right_only_adds_k_exponents():
+    # K^e on the right passes no x: the K-exponents add and the
+    # coefficients stay; checked against K^e with the coefficient 2, halved
+    rng = random.Random(18)
+    half = RatFunc.from_fraction(Fraction(1, 2))
+    for _ in range(300):
+        a = rand_element(rng, nterms=4)
+        for e in range(-3, 4):
+            got = el_mul(a, Element.k_power(e))
+            assert got == el_mul(a, Element.k_power(e).scale(RatFunc.from_int(2))).scale(half)
+            assert sorted(m.kexp for m in got.terms) == sorted(m.kexp + e for m in a.terms)
+    assert el_mul(Element.zero(), K).is_zero()

@@ -9,6 +9,8 @@ from uqsl2.elements import Element, Monomial, agen, el_mul, xminus, xplus
 from uqsl2.expr import EvalError, ParseError, evaluate
 from uqsl2.family import central_c, family_E
 from uqsl2.render import (
+    FORMATS,
+    _poly,
     _poly_from_text,
     element_from_json,
     element_from_obj,
@@ -147,6 +149,36 @@ def test_division_restrictions():
         element_from_obj(obj)
 
 
+def test_coefficient_reader_reads_only_the_printed_grammar():
+    # the JSON reader of a coefficient's num and den reads what the printer
+    # writes, and none of the command language: no call is evaluated
+    rng = random.Random(18)
+    for _ in range(300):
+        p = rand_poly(rng, nterms=5)
+        assert _poly_from_text(_poly(p, FORMATS["json"])) == p
+    assert _poly_from_text(" -2*q^-1*u^3  +  q*u -7 ") == LaurentPoly({(-1, 3): -2, (1, 1): 1, (0, 0): -7})
+    for src in (
+        "E(+,0,0,0)*0 + c(+,0,0)*(q-q^-1)",
+        "nf(x+[1]*x+[0])",
+        "x+[0]",
+        "a[1]",
+        "(q+1)",
+        "K",
+        "gamma",
+        "q/2",
+        "q^2*q^-1)",
+        "q**2",
+        "q^",
+        "1 -",
+        "",
+    ):
+        with pytest.raises(ValueError, match="not a polynomial"):
+            _poly_from_text(src)
+        obj = {"terms": [{"coeff": {"num": src, "den": "1"}, "word": [], "kexp": 0}]}
+        with pytest.raises(ValueError):
+            element_from_obj(obj)
+
+
 @pytest.mark.parametrize(
     "src, text",
     [
@@ -273,9 +305,10 @@ def test_integer_arguments_are_polynomials_not_fractions():
     for src in ("psi(1/(q-q^-1))", "phi(q/(q^2-1))", "E(+, 1, 0, 1/(q-q^-1))"):
         with pytest.raises(EvalError):
             evaluate(src)
-    with pytest.raises(ValueError):
-        _poly_from_text("1/(q-q^-1)")
-    assert _poly_from_text("(q^2-1)/(q-q^-1)") == LaurentPoly({(1, 0): 1})
+    # a coefficient text is a printed polynomial: it has no "/" at all
+    for src in ("1/(q-q^-1)", "(q^2-1)/(q-q^-1)"):
+        with pytest.raises(ValueError):
+            _poly_from_text(src)
 
 
 def test_obj_round_trip_over_powers_of_qminus():

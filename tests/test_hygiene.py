@@ -169,6 +169,44 @@ def test_only_coeff_and_render_read_the_stored_den():
     assert readers <= {"coeff.py", "render.py"}
 
 
+def test_only_coeff_reads_the_term_of_a_one_term_coefficient():
+    # ``single`` = (c, eq, eu) is coeff's own layout; el_mul multiplies
+    # through ``coeff.mul_shifted`` instead of reading it
+    readers = {
+        p.name
+        for p in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "single"
+    }
+    assert readers == {"coeff.py"}
+
+
+_STORED_FORM = {"num", "den", "d", "single"}
+
+
+def test_only_coeff_stores_the_fields_of_a_coefficient():
+    # ``single`` is derived from (num, den, d) by coeff._rf; a store to any
+    # of them elsewhere could leave it describing another value
+    writers = set()
+    for p in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and node.attr in _STORED_FORM
+            ) or (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr")
+                and any(
+                    isinstance(a, ast.Constant) and a.value in _STORED_FORM for a in node.args
+                )
+            ):
+                writers.add(p.name)
+    # coeff's own stores show that the scan sees them
+    assert writers == {"coeff.py"}
+
+
 def test_no_default_is_the_strict_mode():
     # full mode computes in U_q(sl2-hat), so Strict is chosen only by name:
     # no parameter and no dataclass field defaults to it
