@@ -11,12 +11,14 @@ U_q(sl2-hat) under all of Drinfeld's relations (see ``rewrite``), unless
 config file supplies the other verify defaults (flags win); a key it does
 not know is a configuration error.
 
-``verify`` renders each report as soon as its claim's sweep returns and
-keeps only the text: a wide sweep holds one claim's reports at a time, not
-every report's elements until the end.  One ``render.Printer`` serves the
-whole document, so each distinct coefficient and word is rendered once.
-The document is written to stdout piece by piece (head, then each report,
-then the tail), never joined into one string.
+``verify`` streams its document to stdout in one pass: the head, then each
+report as soon as its claim's sweep returns, then the summary, which comes
+last in both formats.  So a wide sweep holds one claim's reports at a
+time, and no rendered report outlives its write.  One ``render.Printer``
+serves the whole document, so each distinct coefficient and word is
+rendered once.  Every usage error is raised before the first byte is
+written; an engine error in the middle of a sweep leaves a truncated
+document on stdout and exits 2.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .expr import CALLS, ELEMENT_ARGS, CallSpec, EvalError, ParseError, evaluate
 from .family import SIGNS
 from .render import FORMATS, Printer, print_element
 from .rewrite import RelationMode
-from .verify import CLAIMS, VerdictReport, expectation_met, sweep_claim
+from .verify import CLAIMS, VerdictReport, expectation_met, sweep_claim, sweep_params
 
 
 class ConfigError(ValueError):
@@ -78,24 +80,14 @@ class SuiteConfig:
     mode: RelationMode = RelationMode.FULL
     format: str = "text"
 
-
-@dataclass
-class ReportDoc:
-    """A verify run as rendered text.
-
-    ``reports`` holds one rendered report per claim instance, in sweep order:
-    a JSON object or a text line, as ``format`` says.  ``summary`` holds the
-    counts.  The document keeps no report and no Element: each claim's
-    reports are rendered and counted as soon as its sweep returns, and
-    dropped before the next claim is swept.
-    """
-
-    version: str
-    mode: str
-    ranges: dict
-    format: str
-    reports: list
-    summary: dict
+    def ranges(self) -> dict:
+        """The sweep ranges, as ``verify.sweep_claim`` reads them."""
+        return {
+            "n_max": self.n_max,
+            "k_max": self.k_max,
+            "m_range": self.m_range,
+            "p_range": self.p_range,
+        }
 
 
 def _params_text(params: dict) -> str:
@@ -142,94 +134,66 @@ def _report_json(r: VerdictReport, met: bool, printer: Printer) -> str:
     )
 
 
-def run_verify_suite(config: SuiteConfig) -> ReportDoc:
-    """Run every configured claim sweep, rendering and counting each
-    claim's reports as soon as its sweep returns."""
-    ranges = {
-        "n_max": config.n_max,
-        "k_max": config.k_max,
-        "m_range": config.m_range,
-        "p_range": config.p_range,
-    }
-    render = _VERIFY_FORMATS[config.format][0]
+def _head_text(mode: str, ranges: dict) -> str:
+    return (
+        f"uqsl2 verify report (version {__version__}, mode {mode})\n"
+        "ranges: n=0..{n_max} k=0..{k_max} m={m_range[0]}..{m_range[1]} "
+        "p={p_range[0]}..{p_range[1]}\n".format(**ranges)
+    )
+
+
+def _tail_text(counts: dict) -> str:
+    # the newline that ends the last report's line, then the summary line
+    return (
+        "\nsummary: reports={reports} exact_zero={exact_zero} central={central} "
+        "residual={residual} paper_mismatch={paper_mismatch} "
+        "expectations_met={expectations_met}/{reports}\n".format(**counts)
+    )
+
+
+def _head_json(mode: str, ranges: dict) -> str:
+    # the ranges' (lo, hi) tuples encode as JSON arrays; "reports" is left
+    # open for the reports to follow
+    head = {"schema_version": 1, "version": __version__, "mode": mode, "ranges": ranges}
+    return _compact_json(head)[:-1] + ',"reports":['
+
+
+def _tail_json(counts: dict) -> str:
+    return '],"summary":' + _compact_json(counts) + "}\n"
+
+
+# each verify format: its report renderer, the text written between two
+# reports, and the document's head and tail
+_VERIFY_FORMATS = {
+    "text": (_report_text, "\n", _head_text, _tail_text),
+    "json": (_report_json, ",", _head_json, _tail_json),
+}
+
+
+def run_verify_suite(config: SuiteConfig, write) -> dict:
+    """Write the verify document through ``write`` in one pass: the head,
+    then each report as soon as its claim's sweep returns, then the
+    summary.  Returns the summary counts."""
+    ranges = config.ranges()
+    render, sep, head, tail = _VERIFY_FORMATS[config.format]
     printer = Printer(config.format)
-    counts = {"exact_zero": 0, "central": 0, "residual": 0, "paper_mismatch": 0}
-    met = 0
-    rendered = []
+    counts = dict.fromkeys(
+        ("exact_zero", "central", "residual", "paper_mismatch", "reports", "expectations_met"), 0
+    )
+    write(head(config.mode.value, ranges))
     for claim in config.claims:
-        claim_reports = sweep_claim(claim, ranges, config.mode)
-        if not claim_reports:
-            raise ConfigError(
-                f"claim {claim} has no valid parameter tuples in the given ranges"
-            )
-        for r in claim_reports:
+        for r in sweep_claim(claim, ranges, config.mode):
+            if counts["reports"]:
+                write(sep)
             ok = expectation_met(r)
             counts[r.verdict.kind] += 1
-            if not r.paper_match:
-                counts["paper_mismatch"] += 1
-            met += ok
-            rendered.append(render(r, ok, printer))
-        # this claim's reports die here, before the next sweep builds its own
-        del claim_reports, r
-    counts["reports"] = len(rendered)
-    counts["expectations_met"] = met
-    return ReportDoc(
-        version=__version__,
-        mode=config.mode.value,
-        ranges=ranges,
-        format=config.format,
-        reports=rendered,
-        summary=counts,
-    )
+            counts["paper_mismatch"] += not r.paper_match
+            counts["reports"] += 1
+            counts["expectations_met"] += ok
+            write(render(r, ok, printer))
+    write(tail(counts))
+    return counts
 
-
-def report_doc_text(doc: ReportDoc):
-    """The text document as pieces whose concatenation is the whole
-    document, final newline included."""
-    yield f"uqsl2 verify report (version {doc.version}, mode {doc.mode})\n"
-    yield (
-        "ranges: n=0..{n_max} k=0..{k_max} m={m_range[0]}..{m_range[1]} "
-        "p={p_range[0]}..{p_range[1]}\n".format(**doc.ranges)
-    )
-    for r in doc.reports:
-        yield r
-        yield "\n"
-    yield (
-        "summary: reports={reports} exact_zero={exact_zero} central={central} "
-        "residual={residual} paper_mismatch={paper_mismatch} "
-        "expectations_met={expectations_met}/{reports}\n".format(**doc.summary)
-    )
-
-
-def report_doc_json(doc: ReportDoc):
-    """The JSON document as pieces whose concatenation is the whole
-    document, final newline included."""
-    head = {
-        "version": doc.version,
-        "mode": doc.mode,
-        "ranges": {
-            "n_max": doc.ranges["n_max"],
-            "k_max": doc.ranges["k_max"],
-            "m_range": list(doc.ranges["m_range"]),
-            "p_range": list(doc.ranges["p_range"]),
-        },
-        "summary": doc.summary,
-    }
-    # the reports are JSON already: splice them in as the last key, which
-    # gives the bytes one dump of the whole document would
-    yield _compact_json(head)[:-1] + ',"reports":['
-    for i, r in enumerate(doc.reports):
-        if i:
-            yield ","
-        yield r
-    yield "]}\n"
-
-
-# each verify format: its report renderer and its document assembler
-_VERIFY_FORMATS = {
-    "text": (_report_text, report_doc_text),
-    "json": (_report_json, report_doc_json),
-}
 
 # the element subcommands: every call of the expression language, and "mul"
 # second (spreading CALLS over the dict keeps "nf" in first place)
@@ -343,7 +307,7 @@ def _verify_config(args) -> SuiteConfig:
     fmt = pick(args.format, "format", SuiteConfig.format)
     if fmt not in _VERIFY_FORMATS:
         raise ConfigError(f"unknown report format {fmt!r}")
-    return SuiteConfig(
+    config = SuiteConfig(
         # a claim named twice is swept once
         claims=list(dict.fromkeys(claims)),
         n_max=n_max,
@@ -353,6 +317,11 @@ def _verify_config(args) -> SuiteConfig:
         mode=RelationMode(args.mode),
         format=fmt,
     )
+    # raised here, before the document's first byte is written
+    for claim in config.claims:
+        if next(sweep_params(claim, config.ranges()), None) is None:
+            raise ConfigError(f"claim {claim} has no valid parameter tuples in the given ranges")
+    return config
 
 
 def _element_command(args) -> Element:
@@ -374,11 +343,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "verify":
-            config = _verify_config(args)
-            doc = run_verify_suite(config)
-            sys.stdout.writelines(_VERIFY_FORMATS[doc.format][1](doc))
-            met = doc.summary["expectations_met"] == doc.summary["reports"]
-            return 0 if met else 1
+            counts = run_verify_suite(_verify_config(args), sys.stdout.write)
+            return 0 if counts["expectations_met"] == counts["reports"] else 1
         element = _element_command(args)
         print(print_element(element, args.format))
         return 0

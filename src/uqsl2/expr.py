@@ -33,6 +33,7 @@ from .currents import phi as phi_el
 from .currents import psi as psi_el
 from .elements import AGEN, GEN_KINDS, Element, Gen, Monomial, el_mul, omega
 from .family import central_c, family_E
+from .render import _int
 from .rewrite import RelationMode, commutator, deformed_commutator, normal_form
 
 
@@ -92,20 +93,6 @@ def _tokenize(text: str):
 
 
 # --- Parser ------------------------------------------------------------
-
-
-def _int(digits: str) -> int:
-    """The integer a run of decimal digits spells.  Past the interpreter's
-    limit on str-to-int conversion (4,300 digits by default) ``int``
-    refuses, and the value is built from blocks of 4,000 digits."""
-    try:
-        return int(digits)
-    except ValueError:
-        n = 0
-        for i in range(0, len(digits), 4000):
-            block = digits[i : i + 4000]
-            n = n * 10 ** len(block) + int(block)
-        return n
 
 
 class _Parser:

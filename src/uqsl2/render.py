@@ -35,7 +35,6 @@ from .elements import (
     Monomial,
     word_sort_key,
 )
-from .expr import _int
 
 
 @dataclass(frozen=True)
@@ -123,6 +122,20 @@ def _digits(n: int) -> str:
         return str(parts.pop()) + "".join([str(r).zfill(4000) for r in reversed(parts)])
 
 
+def _int(digits: str) -> int:
+    """The integer a run of decimal digits spells, the inverse of
+    ``_digits``.  Past the interpreter's limit on str-to-int conversion
+    ``int`` refuses, and the value is built from blocks of 4,000 digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        n = 0
+        for i in range(0, len(digits), 4000):
+            block = digits[i : i + 4000]
+            n = n * 10 ** len(block) + int(block)
+        return n
+
+
 def _coeff(rf: RatFunc, st: _Style) -> str:
     """Coefficient as a term factor: a composite one is grouped."""
     num, den = rf.canonical()
@@ -178,8 +191,9 @@ _FACTOR_PARTS = re.compile(r"(\d+)|([qu])(?:\^(-?\d+))?")
 def _poly_from_text(text: str) -> LaurentPoly:
     """The Laurent polynomial that a JSON coefficient text spells, in the
     grammar the printer writes; anything else, such as a call, a generator,
-    K, gamma, "/" or a parenthesis, raises ValueError."""
-    if not _POLY_TEXT.fullmatch(text):
+    K, gamma, "/", a parenthesis or a value that is not a string, raises
+    ValueError."""
+    if not (isinstance(text, str) and _POLY_TEXT.fullmatch(text)):
         raise ValueError(f"not a polynomial: {text!r}")
     terms = {}
     for sign, body in _SIGNED_TERM.findall(text):
@@ -195,13 +209,26 @@ def _poly_from_text(text: str) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def _gen_from_obj(g: dict) -> Gen:
+    kind = GEN_KINDS.get(g["g"]) if isinstance(g["g"], str) else None
+    k = g["k"]
+    # type(k) is int refuses bools, which are ints to Python
+    if kind is None or type(k) is not int or (kind == AGEN and k == 0):
+        raise ValueError(f"not a generator: {g!r}")
+    return Gen(kind, k)
+
+
 def element_from_obj(obj: dict) -> Element:
+    """The element a JSON object of ``element_to_obj``'s schema spells; a
+    generator, K-power or coefficient outside that schema raises
+    ValueError."""
     terms = {}
     for t in obj["terms"]:
         num = _poly_from_text(t["coeff"]["num"])
         den = _poly_from_text(t["coeff"]["den"])
-        word = tuple(Gen(GEN_KINDS[g["g"]], g["k"]) for g in t["word"])
-        mono = Monomial(word, t["kexp"])
+        if type(t["kexp"]) is not int:
+            raise ValueError(f"not a K-exponent: {t['kexp']!r}")
+        mono = Monomial(tuple(map(_gen_from_obj, t["word"])), t["kexp"])
         coeff = RatFunc.make(num, den)
         acc = terms.get(mono)
         terms[mono] = coeff if acc is None else acc + coeff

@@ -83,10 +83,25 @@ def _ax_coeff(n: int, kind: int) -> RatFunc:
     return -(c * u_pow(abs(n)))
 
 
-def _cross_commutator(j: int, i: int) -> Element:
-    # [x+_j, x-_i] = (u^(j-i) psi_(i+j) - u^(i-j) phi_(i+j)) / (q - q^-1)
-    diff = psi(i + j).scale(u_pow(j - i)) - phi(i + j).scale(u_pow(i - j))
-    return diff.scale(qminus().inv())
+def _r4_parts(i: int, j: int) -> list:
+    """R4's correction of x-_i x+_j as (current, index, scalar) parts:
+    x-_i x+_j = x+_j x-_i + sum of scalar current(index) / (q - q^-1),
+    that is -(u^(j-i) psi_(i+j) - u^(i-j) phi_(i+j)) / (q - q^-1).  A part
+    that is 0 is left out: psi_m = 0 for m < 0 and phi_m = 0 for m > 0."""
+    parts = []
+    if i + j >= 0:
+        parts.append((psi, i + j, -u_pow(j - i)))
+    if i + j <= 0:
+        parts.append((phi, i + j, u_pow(i - j)))
+    return parts
+
+
+def _r4_correction(i: int, j: int) -> Element:
+    """x-_i x+_j - x+_j x-_i, that is -[x+_j, x-_i]."""
+    out = Element.zero()
+    for current, m, s in _r4_parts(i, j):
+        out = out + current(m).scale(s)
+    return out.scale(qminus().inv())
 
 
 @lru_cache(maxsize=1 << 12)
@@ -114,8 +129,7 @@ def _replacement(g: Gen, h: Gen, tag: int) -> Element:
             out = out - Element.from_monomial(Monomial((lo, hi), 0))
         return out
     # R4: g = x-_i, h = x+_j
-    swapped = Element.from_monomial(Monomial((h, g), 0))
-    return swapped - _cross_commutator(h.idx, g.idx)
+    return Element.from_monomial(Monomial((h, g), 0)) + _r4_correction(g.idx, h.idx)
 
 
 def _expand_redex(word, kexp: int, i: int, tag: int):
@@ -262,16 +276,10 @@ def _reduce(a: Element, mode: RelationMode, choose) -> Element:
             and all(g.kind != AGEN for g in word)
             and not _word_moves(word[:i], full)
         ):
-            # x-_i x+_j: the correction is -c (u^(j-i) psi_(i+j)
-            # - u^(i-j) phi_(i+j)) / (q - q^-1); psi_m = 0 for m < 0 and
-            # phi_m = 0 for m > 0
             tag = _R4_SWAP
             prefix = word[:i]
-            xm, xp = word[i].idx, word[i + 1].idx
-            if xm + xp >= 0:
-                bump(blocks, (prefix, mono.kexp, psi, xm + xp), -(c * u_pow(xp - xm)))
-            if xm + xp <= 0:
-                bump(blocks, (prefix, mono.kexp, phi, xm + xp), c * u_pow(xm - xp))
+            for current, m, s in _r4_parts(word[i].idx, word[i + 1].idx):
+                bump(blocks, (prefix, mono.kexp, current, m), c * s)
         for m2, c2 in _expand_redex(word, mono.kexp, i, tag):
             add(m2, c * c2)
     for (prefix, kexp, current, m), s in blocks.items():
@@ -337,8 +345,8 @@ def is_central(a: Element, mode: RelationMode = RelationMode.FULL) -> bool:
 
 def relation_instances(bound: int = 3):
     """Elements that the rewrite system must send to zero: lhs - rhs for
-    every implemented relation with generator indices up to ``bound``.
-    Used by the homomorphism tests for omega."""
+    each of R2-R4 with generator indices up to ``bound``.  Used by the
+    homomorphism tests for omega."""
     out = []
     idxs = [i for i in range(-bound, bound + 1) if i]
     for k in idxs:
@@ -361,6 +369,6 @@ def relation_instances(bound: int = 3):
         for j in range(-bound, bound + 1):
             lhs = el_mul(Element.from_gen(xminus(i)), Element.from_gen(xplus(j)))
             rhs = el_mul(Element.from_gen(xplus(j)), Element.from_gen(xminus(i)))
-            rhs = rhs - _cross_commutator(j, i)
+            rhs = rhs + _r4_correction(i, j)
             out.append(lhs - rhs)
     return out

@@ -250,9 +250,9 @@ def _axes(cfg: dict) -> dict:
     }
 
 
-def sweep_claim(claim: str, cfg: dict, mode: RelationMode) -> list:
-    """All reports for one claim over inclusive ranges; deterministic order:
-    the claim's grid with its last parameter varying fastest.
+def sweep_params(claim: str, cfg: dict):
+    """The parameter dicts of one claim's sweep over inclusive ranges, in
+    sweep order: the claim's grid with its last parameter varying fastest.
 
     cfg keys: n_max, k_max, m_range=(lo, hi), p_range=(lo, hi).
     """
@@ -260,9 +260,13 @@ def sweep_claim(claim: str, cfg: dict, mode: RelationMode) -> list:
     if entry is None or entry.grid is None:
         raise ValueError(f"claim {claim!r} is not sweepable")
     axes = _axes(cfg)
-    reports = []
     for values in product(*(axes[name] for name in entry.grid)):
         params = dict(zip(entry.grid, values))
         if entry.keep is None or entry.keep(params):
-            reports.append(verify_claim(claim, params, mode))
-    return reports
+            yield params
+
+
+def sweep_claim(claim: str, cfg: dict, mode: RelationMode) -> list:
+    """All reports for one claim over the ranges of ``cfg``, in the order
+    of ``sweep_params``."""
+    return [verify_claim(claim, params, mode) for params in sweep_params(claim, cfg)]

@@ -1,5 +1,4 @@
 import decimal
-import gc
 import io
 import json
 import contextlib
@@ -8,6 +7,7 @@ import random
 import pytest
 
 from uqsl2 import __version__
+from uqsl2 import cli
 from uqsl2.cli import _COMMANDS, SuiteConfig, main, run_verify_suite
 from uqsl2.coeff import RatFunc
 from uqsl2.elements import Element
@@ -16,8 +16,6 @@ from uqsl2.render import FORMATS, element_from_json, element_to_obj, print_eleme
 from uqsl2.rewrite import RelationMode, commutator, deformed_commutator, equals, normal_form
 from uqsl2.verify import (
     CLAIMS,
-    Verdict,
-    VerdictReport,
     expectation_met,
     sweep_claim,
     verify_claim,
@@ -134,11 +132,11 @@ def test_exit_code_1_discrepancies():
 
 def test_exit_code_2_bad_config():
     # EP with no valid n < k pair in range
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         ["verify", "--claims", "ep", "--n-max", "2", "--k-max", "0", "--m-range", "0:0", "--p-range", "0:0"]
     )
-    assert code == 2
-    assert "error:" in err
+    assert (code, out) == (2, "")
+    assert "error: claim EP has no valid parameter tuples" in err
     code, _, err = run_cli(["verify", "--claims", "nonsense"])
     assert code == 2
     code, _, err = run_cli(["verify", "--m-range", "5:1"])
@@ -300,10 +298,10 @@ def _whole_document(mode, fmt):
     counts["expectations_met"] = sum(map(expectation_met, reports))
     if fmt == "json":
         obj = {
+            "schema_version": 1,
             "version": __version__,
             "mode": mode.value,
             "ranges": {k: list(v) if isinstance(v, tuple) else v for k, v in _SMALL.items()},
-            "summary": counts,
             "reports": [
                 {
                     "claim": r.claim,
@@ -317,6 +315,7 @@ def _whole_document(mode, fmt):
                 }
                 for r in reports
             ],
+            "summary": counts,
         }
         return json.dumps(obj, separators=(",", ":"))
     lines = [
@@ -365,34 +364,46 @@ class _Writes(io.StringIO):
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_verify_streams_the_document(fmt):
-    # the document goes out piece by piece: no write is longer than the
-    # longest report, so the whole document is never one string
+    # the document goes out piece by piece: the head, each report with a
+    # separator between two, and the tail, so it is never one string; the
+    # command writes exactly these pieces to stdout
+    pieces = []
+    counts = run_verify_suite(SuiteConfig(claims=_SWEPT, **_SMALL, format=fmt), pieces.append)
+    assert len(pieces) == 2 * counts["reports"] + 1 > 3
+    assert set(pieces[2:-1:2]) == {"," if fmt == "json" else "\n"}
+    assert max(map(len, pieces)) == max(map(len, pieces[1:-1:2]))
+    assert "".join(pieces) == _whole_document(RelationMode.FULL, fmt) + "\n"
     claims = ",".join(CLAIMS[name].cli_name for name in _SWEPT)
     argv = ["verify", "--claims", claims, "--n-max", "2", "--k-max", "2"]
     argv += ["--m-range=-1:1", "--p-range=-1:0", "--format", fmt]
     out = _Writes()
     with contextlib.redirect_stdout(out):
         main(argv)
-    reports = run_verify_suite(SuiteConfig(claims=_SWEPT, **_SMALL, format=fmt)).reports
-    assert max(out.sizes) <= max(map(len, reports))
-    assert len(out.sizes) > len(reports)
+    assert out.sizes == list(map(len, pieces))
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-def test_report_doc_keeps_no_reports_or_elements(fmt):
-    config = SuiteConfig(claims=_SWEPT, **_SMALL, format=fmt)
-    doc = run_verify_suite(config)
-    assert doc.summary["reports"] == len(doc.reports) > 0
-    seen = set()
-    todo = [doc]
-    while todo:
-        obj = todo.pop()
-        # a class leads to its module and on to every cache in the program
-        if isinstance(obj, type) or id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        assert not isinstance(obj, (Element, VerdictReport, Verdict, RatFunc)), obj
-        todo.extend(gc.get_referents(obj))
+def test_each_claims_reports_are_written_before_the_next_sweep(fmt, monkeypatch):
+    # the suite keeps no report: when a claim is swept, every report of the
+    # claims before it is out, and no later claim's; it returns only counts
+    written = []
+    seen = []
+
+    def sweep(claim, cfg, mode):
+        seen.append((claim, "".join(written)))
+        return sweep_claim(claim, cfg, mode)
+
+    monkeypatch.setattr(cli, "sweep_claim", sweep)
+    counts = run_verify_suite(SuiteConfig(claims=_SWEPT, **_SMALL, format=fmt), written.append)
+    assert all(type(v) is int for v in counts.values())
+    final = "".join(written)
+    key = '"claim":"{}"' if fmt == "json" else "claim={} "
+    assert [claim for claim, _ in seen] == _SWEPT
+    assert all(final.count(key.format(claim)) for claim in _SWEPT)
+    for i, (_, before) in enumerate(seen):
+        for j, other in enumerate(_SWEPT):
+            want = final.count(key.format(other)) if j < i else 0
+            assert before.count(key.format(other)) == want
 
 
 def test_explicit_claims_flag_beats_config_file(tmp_path):

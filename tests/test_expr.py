@@ -177,6 +177,27 @@ def test_coefficient_reader_reads_only_the_printed_grammar():
         obj = {"terms": [{"coeff": {"num": src, "den": "1"}, "word": [], "kexp": 0}]}
         with pytest.raises(ValueError):
             element_from_obj(obj)
+    # the element reader refuses what the schema cannot spell: a num or den
+    # that is no string, a non-generator, an index or K-exponent that is no
+    # int (bools included)
+    good = {"coeff": {"num": "1", "den": "1"}, "word": [{"g": "a", "k": 1}], "kexp": 0}
+    assert element_from_obj({"terms": [good]}) == Element.from_gen(agen(1))
+    for bad in (
+        {"coeff": {"num": 1, "den": "1"}},
+        {"coeff": {"num": "1", "den": None}},
+        {"coeff": {"num": ["q"], "den": "1"}},
+        {"word": [{"g": "a", "k": 0}]},
+        {"word": [{"g": "b", "k": 1}]},
+        {"word": [{"g": ["a"], "k": 1}]},
+        {"word": [{"g": "x+", "k": "1"}]},
+        {"word": [{"g": "x-", "k": 1.0}]},
+        {"word": [{"g": "x+", "k": True}]},
+        {"kexp": "x"},
+        {"kexp": 1.5},
+        {"kexp": False},
+    ):
+        with pytest.raises(ValueError):
+            element_from_obj({"terms": [{**good, **bad}]})
 
 
 @pytest.mark.parametrize(

@@ -225,3 +225,28 @@ def test_no_default_is_the_strict_mode():
                 if d is not None and ast.unparse(d) == "RelationMode.STRICT"
             ]
     assert found == []
+
+
+def _package_imports(tree):
+    """The modules of the package that a module imports, at its top level
+    or inside a function; ``from . import name`` runs ``__init__``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.add(node.module.split(".")[0] if node.module else "__init__")
+    return found
+
+
+def test_render_imports_no_module_above_elements():
+    # printing and reading elements needs the ring and the elements only;
+    # importing expr, even for one helper, pulls in rewrite, family and
+    # currents as well
+    graph = {p.stem: _package_imports(ast.parse(p.read_text())) for p in SRC.glob("*.py")}
+    # the scan sees imports: expr reads the engine and the family
+    assert {"rewrite", "family"} <= graph["expr"]
+    reached, todo = set(), ["render"]
+    while todo:
+        for module in graph[todo.pop()] - reached:
+            reached.add(module)
+            todo.append(module)
+    assert reached <= {"coeff", "elements"}

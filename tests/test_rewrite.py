@@ -95,6 +95,26 @@ def test_omega_maps_relations_to_zero():
         assert normal_form(omega(rel), S).is_zero()
 
 
+def test_r6_instances_and_their_omega_images_rewrite_to_zero():
+    # Drinfeld's same-sign relation, which relation_instances leaves out:
+    # x_(k+1) x_l - s x_l x_(k+1) = s x_k x_(l+1) - x_(l+1) x_k with
+    # s = q^(+-2), for every k, l; omega swaps the two signs
+    count = 0
+    for mk, s in ((xplus, q_pow(2)), (xminus, q_pow(-2))):
+        for k in range(-3, 4):
+            for l in range(-3, 4):
+
+                def pair(i, j):
+                    return el_mul(g(mk(i)), g(mk(j)))
+
+                rel = pair(k + 1, l) - pair(l, k + 1).scale(s)
+                rel = rel - pair(k, l + 1).scale(s) + pair(l + 1, k)
+                assert normal_form(rel, F).is_zero()
+                assert normal_form(omega(rel), F).is_zero()
+                count += not rel.is_zero()
+    assert count == 2 * 7 * 7
+
+
 def test_commutator_examples():
     # [a_1, a_-1]
     got = commutator(g(agen(1)), g(agen(-1)), S)
