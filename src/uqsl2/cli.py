@@ -5,19 +5,31 @@ element operand with ``expr.evaluate`` and applies the table's function to
 the operands' values.
 
 Exit codes: 0 all expectations met, 1 discrepancies found, 2 usage, parse
-or configuration error.  Every command computes in full mode, in
-U_q(sl2-hat) under all of Drinfeld's relations (see ``rewrite``), unless
-``--mode strict`` leaves out the same-sign x relation.  An optional JSON
-config file supplies the other verify defaults (flags win); a key it does
-not know is a configuration error.
+or configuration error, 141 (128 + SIGPIPE) stdout closed by its reader
+before the output was written, as in ``uqsl2 verify | head``, with no
+traceback.  Every command computes in full mode, in U_q(sl2-hat) under all
+of Drinfeld's relations (see ``rewrite``), unless ``--mode strict`` leaves
+out the same-sign x relation.  An optional JSON config file supplies the
+other verify defaults (flags win); a key it does not know is a
+configuration error.
 
-``verify`` streams its document to stdout in one pass: the head, then each
-report as soon as its claim's sweep returns, then the summary, which comes
-last in both formats.  So a wide sweep holds one claim's reports at a
-time, and no rendered report outlives its write.  One ``render.Printer``
-serves the whole document, so each distinct coefficient and word is
-rendered once.  Every usage error is raised before the first byte is
-written; an engine error in the middle of a sweep leaves a truncated
+``verify`` streams its document to stdout in one pass: the head, then the
+reports in sweep order, then the summary, which comes last in both
+formats.  Each claim's sweep is cut into chunks of ``_CHUNK`` instances,
+and no instance depends on another.  A chunk is checked and rendered in
+one call of ``_check_chunk``, with a ``render.Printer`` of its own, so
+each distinct coefficient and word is rendered once per chunk; the call
+returns each report's text with its verdict kind, paper match and
+expectation.  With more than one CPU and more than one chunk, the calls
+run in a fork-context ``multiprocessing`` pool of one worker per CPU (at
+most one per chunk), imported only then; otherwise they run one after
+another in this process.  This process writes every report, in sweep
+order, and counts the summary.  At most two chunks per worker are
+submitted and not yet written, so a wide sweep holds a few chunks'
+reports at a time.  The pool is torn down on every way out of the sweep,
+an error or a closed stdout included, so no worker outlives ``main``.
+Every usage error is raised before the first byte is written; an engine
+error in the middle of a sweep, in a worker or here, leaves a truncated
 document on stdout and exits 2.
 """
 
@@ -25,8 +37,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 from . import __version__
 from .elements import Element, el_mul
@@ -34,7 +49,7 @@ from .expr import CALLS, ELEMENT_ARGS, CallSpec, EvalError, ParseError, evaluate
 from .family import SIGNS
 from .render import FORMATS, Printer, print_element
 from .rewrite import RelationMode
-from .verify import CLAIMS, VerdictReport, expectation_met, sweep_claim, sweep_params
+from .verify import CLAIMS, VerdictReport, expectation_met, sweep_params, verify_claim
 
 
 class ConfigError(ValueError):
@@ -81,7 +96,7 @@ class SuiteConfig:
     format: str = "text"
 
     def ranges(self) -> dict:
-        """The sweep ranges, as ``verify.sweep_claim`` reads them."""
+        """The sweep ranges, as ``verify.sweep_params`` reads them."""
         return {
             "n_max": self.n_max,
             "k_max": self.k_max,
@@ -170,27 +185,88 @@ _VERIFY_FORMATS = {
 }
 
 
+# instances per chunk: a chunk is one task of a sweep worker
+_CHUNK = 48
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunks(config: SuiteConfig):
+    """The tasks of ``_check_chunk``: each claim's sweep in sweep order, cut
+    into chunks of at most ``_CHUNK`` parameter dicts."""
+    ranges = config.ranges()
+    for claim in config.claims:
+        params = sweep_params(claim, ranges)
+        while chunk := list(islice(params, _CHUNK)):
+            yield claim, chunk, config.mode, config.format
+
+
+def _check_chunk(task) -> list:
+    """Check and render one chunk: a (text, verdict kind, paper_match,
+    expectation met) tuple per instance, in sweep order."""
+    claim, params, mode, fmt = task
+    render = _VERIFY_FORMATS[fmt][0]
+    printer = Printer(fmt)
+    rows = []
+    for p in params:
+        r = verify_claim(claim, p, mode)
+        met = expectation_met(r)
+        rows.append((render(r, met, printer), r.verdict.kind, r.paper_match, met))
+    return rows
+
+
+def _in_order(pool, tasks: list, ahead: int):
+    """The results of ``_check_chunk`` on ``tasks`` from ``pool``, in
+    order.  A chunk is submitted only when the caller asks for the next
+    result, so at most ``ahead`` are submitted and not yet consumed."""
+    pending = deque(pool.apply_async(_check_chunk, (t,)) for t in tasks[:ahead])
+    for task in tasks[ahead:]:
+        yield pending.popleft().get()
+        pending.append(pool.apply_async(_check_chunk, (task,)))
+    for result in pending:
+        yield result.get()
+
+
 def run_verify_suite(config: SuiteConfig, write) -> dict:
     """Write the verify document through ``write`` in one pass: the head,
-    then each report as soon as its claim's sweep returns, then the
-    summary.  Returns the summary counts."""
-    ranges = config.ranges()
-    render, sep, head, tail = _VERIFY_FORMATS[config.format]
-    printer = Printer(config.format)
+    then the reports in sweep order, each chunk's as soon as it is checked,
+    then the summary.  Returns the summary counts."""
+    _, sep, head, tail = _VERIFY_FORMATS[config.format]
+    tasks = list(_chunks(config))
+    workers = min(_cpus(), len(tasks))
     counts = dict.fromkeys(
         ("exact_zero", "central", "residual", "paper_mismatch", "reports", "expectations_met"), 0
     )
-    write(head(config.mode.value, ranges))
-    for claim in config.claims:
-        for r in sweep_claim(claim, ranges, config.mode):
-            if counts["reports"]:
-                write(sep)
-            ok = expectation_met(r)
-            counts[r.verdict.kind] += 1
-            counts["paper_mismatch"] += not r.paper_match
-            counts["reports"] += 1
-            counts["expectations_met"] += ok
-            write(render(r, ok, printer))
+
+    def write_reports(results):
+        for rows in results:
+            for text, kind, paper_match, met in rows:
+                if counts["reports"]:
+                    write(sep)
+                counts[kind] += 1
+                counts["paper_mismatch"] += not paper_match
+                counts["reports"] += 1
+                counts["expectations_met"] += met
+                write(text)
+
+    write(head(config.mode.value, config.ranges()))
+    if workers == 1:
+        write_reports(map(_check_chunk, tasks))
+    else:
+        # imported here: it takes tens of milliseconds to import, and every
+        # command imports this module
+        import multiprocessing
+
+        # fork: a worker starts with the engine imported, where spawn would
+        # import it again per worker; this process has started no thread.
+        # Leaving the block, by any way, terminates and joins the workers
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            write_reports(_in_order(pool, tasks, 2 * workers))
     write(tail(counts))
     return counts
 
@@ -353,6 +429,12 @@ def main(argv=None) -> int:
     except (ParseError, EvalError, ConfigError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; the sweep's pool is down already.  What
+        # is still buffered goes to devnull, so that the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

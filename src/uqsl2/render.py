@@ -11,10 +11,10 @@ powers of u print as powers of gamma; JSON keeps raw u powers.
 A ``Printer`` renders each distinct coefficient, keyed by its stored (num
 terms, den, d), and each distinct word once, and reuses the text.
 Its memos are plain dicts that live as long as the printer, and a caller
-makes one printer per document: a ``verify`` report repeats a few thousand
-coefficients and words tens of thousands of times, while a memo kept for
-the whole process would hold every document's fragments, which costs
-memory that nothing bounds or clears.
+makes one printer per document, or per chunk of a ``verify`` sweep: the
+reports repeat a few thousand coefficients and words tens of thousands of
+times, while a memo kept for the whole process would hold every
+document's fragments, which costs memory that nothing bounds or clears.
 """
 
 from __future__ import annotations
@@ -219,19 +219,25 @@ def _gen_from_obj(g: dict) -> Gen:
 
 
 def element_from_obj(obj: dict) -> Element:
-    """The element a JSON object of ``element_to_obj``'s schema spells; a
-    generator, K-power or coefficient outside that schema raises
-    ValueError."""
+    """The element a JSON object of ``element_to_obj``'s schema spells; an
+    object of another shape (a missing key, a list or a number where an
+    object belongs), or a generator, K-power or coefficient outside that
+    schema, raises ValueError."""
     terms = {}
-    for t in obj["terms"]:
-        num = _poly_from_text(t["coeff"]["num"])
-        den = _poly_from_text(t["coeff"]["den"])
-        if type(t["kexp"]) is not int:
-            raise ValueError(f"not a K-exponent: {t['kexp']!r}")
-        mono = Monomial(tuple(map(_gen_from_obj, t["word"])), t["kexp"])
-        coeff = RatFunc.make(num, den)
-        acc = terms.get(mono)
-        terms[mono] = coeff if acc is None else acc + coeff
+    try:
+        for t in obj["terms"]:
+            num = _poly_from_text(t["coeff"]["num"])
+            den = _poly_from_text(t["coeff"]["den"])
+            if type(t["kexp"]) is not int:
+                raise ValueError(f"not a K-exponent: {t['kexp']!r}")
+            mono = Monomial(tuple(map(_gen_from_obj, t["word"])), t["kexp"])
+            coeff = RatFunc.make(num, den)
+            acc = terms.get(mono)
+            terms[mono] = coeff if acc is None else acc + coeff
+    # indexing a value of the wrong shape: a missing key, or a list, number
+    # or string where the schema has an object
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not an element object: {type(exc).__name__} {exc}") from None
     return Element(terms)
 
 

@@ -1,8 +1,15 @@
+import bisect
+import contextlib
+import dataclasses
 import decimal
 import io
+import itertools
 import json
-import contextlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +29,8 @@ from uqsl2.verify import (
 )
 
 from helpers import rand_element
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(argv, env=None, monkeypatch=None):
@@ -382,28 +391,131 @@ def test_verify_streams_the_document(fmt):
     assert out.sizes == list(map(len, pieces))
 
 
+def _count_submissions(monkeypatch):
+    """A one-item list that counts the chunks submitted to a sweep pool."""
+    import multiprocessing.pool
+
+    submitted = [0]
+    apply_async = multiprocessing.pool.Pool.apply_async
+
+    def counting(pool, *args, **kwargs):
+        submitted[0] += 1
+        return apply_async(pool, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", counting)
+    return submitted
+
+
+def _small_argv(fmt, mode=RelationMode.FULL):
+    claims = ",".join(CLAIMS[name].cli_name for name in _SWEPT)
+    argv = ["verify", "--claims", claims, "--n-max", "2", "--k-max", "2"]
+    return argv + ["--m-range=-1:1", "--p-range=-1:0", "--mode", mode.value, "--format", fmt]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_one_worker_and_many_write_the_same_document(cpus, monkeypatch):
+    # with one CPU the chunks are checked here, one after another; with two
+    # a pool of two workers checks them and this process writes the reports
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    submitted = _count_submissions(monkeypatch)
+    chunks = len(list(cli._chunks(SuiteConfig(claims=_SWEPT, **_SMALL))))
+    assert chunks > 2
+    for mode in RelationMode:
+        for fmt in ("json", "text"):
+            code, out, err = run_cli(_small_argv(fmt, mode))
+            assert (code, out, err) == (1, _whole_document(mode, fmt) + "\n", "")
+    assert submitted[0] == (0 if cpus == 1 else 4 * chunks)
+
+
+def _uqsl2(argv, **kwargs):
+    """``python3 -m uqsl2.cli ARGV`` in a child process."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.Popen([sys.executable, "-m", "uqsl2.cli", *argv], env=env, **kwargs)
+
+
+def test_a_child_process_writes_the_document_once(tmp_path):
+    # stdout is a file, so the head is still in its buffer when the workers
+    # fork: a worker that flushed its copy of the buffer would write the
+    # head twice
+    argv = _small_argv("json")
+    path = tmp_path / "doc.json"
+    with open(path, "w") as fh:
+        assert _uqsl2(argv, stdout=fh).wait(timeout=120) == 1
+    assert path.read_text() == run_cli(argv)[1]
+
+
+@pytest.mark.parametrize(
+    "argv, chunks",
+    [
+        # 40 EP instances, about 200 KB of JSON: more than a pipe holds
+        (["--claims", "ep", "--n-max", "0", "--k-max", "40", "--m-range=0:0", "--p-range=0:0"], 1),
+        # the default sweep, 1,100 instances, about 1.3 MB
+        ([], 27),
+    ],
+    ids=["one-chunk", "many-chunks"],
+)
+def test_a_closed_stdout_exits_141_without_a_traceback(argv, chunks):
+    argv = ["verify", *argv, "--format", "json"]
+    config = cli._verify_config(cli.build_parser().parse_args(argv))
+    assert len(list(cli._chunks(config))) == chunks
+    proc = _uqsl2(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert (first, err) == (b'{"schema_v', b"")
+
+
+def test_no_worker_outlives_main(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    argv = _small_argv("text")
+    code, whole, _ = run_cli(argv)
+    assert code == 1
+    assert multiprocessing.active_children() == []
+    # an engine error at one OMEGA_E instance, raised in a worker: the
+    # workers fork after the patch, so they inherit it
+    check = CLAIMS["OMEGA_E"].check
+
+    def deep(params, mode):
+        if params == {"n": 1, "m": 0, "p": 0, "sign": "+"}:
+            raise RecursionError("maximum recursion depth exceeded")
+        return check(params, mode)
+
+    monkeypatch.setitem(CLAIMS, "OMEGA_E", dataclasses.replace(CLAIMS["OMEGA_E"], check=deep))
+    code, out, err = run_cli(argv)
+    assert (code, err) == (2, "error: maximum recursion depth exceeded\n")
+    assert whole.startswith(out)
+    assert "claim=COMMC " in out and "claim=OMEGA_E " not in out
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
-def test_each_claims_reports_are_written_before_the_next_sweep(fmt, monkeypatch):
-    # the suite keeps no report: when a claim is swept, every report of the
-    # claims before it is out, and no later claim's; it returns only counts
-    written = []
-    seen = []
+def test_at_most_two_chunks_per_worker_are_ahead_of_the_written_ones(fmt, monkeypatch):
+    # a chunk is submitted to the pool only when one has been written, so
+    # the results of a wide sweep never pile up behind a slow writer; the
+    # suite returns only counts
+    monkeypatch.setattr(cli, "_CHUNK", 8)
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    submitted = _count_submissions(monkeypatch)
+    config = SuiteConfig(claims=_SWEPT, **_SMALL, format=fmt)
+    # the number of reports written when each chunk is out
+    ends = list(itertools.accumulate(len(task[1]) for task in cli._chunks(config)))
+    pieces, ahead = [], []
 
-    def sweep(claim, cfg, mode):
-        seen.append((claim, "".join(written)))
-        return sweep_claim(claim, cfg, mode)
+    def write(s):
+        # before this write: the head, then a report and a separator in turn
+        reports = len(pieces) // 2
+        ahead.append(submitted[0] - bisect.bisect_right(ends, reports))
+        pieces.append(s)
 
-    monkeypatch.setattr(cli, "sweep_claim", sweep)
-    counts = run_verify_suite(SuiteConfig(claims=_SWEPT, **_SMALL, format=fmt), written.append)
+    counts = run_verify_suite(config, write)
     assert all(type(v) is int for v in counts.values())
-    final = "".join(written)
-    key = '"claim":"{}"' if fmt == "json" else "claim={} "
-    assert [claim for claim, _ in seen] == _SWEPT
-    assert all(final.count(key.format(claim)) for claim in _SWEPT)
-    for i, (_, before) in enumerate(seen):
-        for j, other in enumerate(_SWEPT):
-            want = final.count(key.format(other)) if j < i else 0
-            assert before.count(key.format(other)) == want
+    assert "".join(pieces) == _whole_document(RelationMode.FULL, fmt) + "\n"
+    assert submitted[0] == len(ends) > 8
+    assert max(ahead) == 4 and ahead[-1] == 0
 
 
 def test_explicit_claims_flag_beats_config_file(tmp_path):

@@ -179,7 +179,7 @@ def test_coefficient_reader_reads_only_the_printed_grammar():
             element_from_obj(obj)
     # the element reader refuses what the schema cannot spell: a num or den
     # that is no string, a non-generator, an index or K-exponent that is no
-    # int (bools included)
+    # int (bools included), a term without den, a generator without k
     good = {"coeff": {"num": "1", "den": "1"}, "word": [{"g": "a", "k": 1}], "kexp": 0}
     assert element_from_obj({"terms": [good]}) == Element.from_gen(agen(1))
     for bad in (
@@ -195,9 +195,15 @@ def test_coefficient_reader_reads_only_the_printed_grammar():
         {"kexp": "x"},
         {"kexp": 1.5},
         {"kexp": False},
+        {"coeff": {"num": "1"}},
+        {"word": [{"g": "a"}]},
     ):
         with pytest.raises(ValueError):
             element_from_obj({"terms": [{**good, **bad}]})
+    # nor an object of another shape: a term or a top level that is no object
+    for obj in ({"terms": [5]}, [good]):
+        with pytest.raises(ValueError, match="not an element object"):
+            element_from_obj(obj)
 
 
 @pytest.mark.parametrize(

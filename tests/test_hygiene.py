@@ -1,6 +1,10 @@
-"""Source hygiene checks on the package, read with ``ast``."""
+"""Source hygiene checks on the package, read with ``ast``, and what
+importing the command line loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "uqsl2"
@@ -250,3 +254,15 @@ def test_render_imports_no_module_above_elements():
             reached.add(module)
             todo.append(module)
     assert reached <= {"coeff", "elements"}
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # a sweep imports it when it starts a pool; loaded at import it would
+    # cost every command, and every benchmark set-up, tens of milliseconds.
+    # -S: a site .pth file may import anything
+    code = "import sys, uqsl2.cli; print([m for m in sys.modules if m.startswith('multiprocessing')])"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
