@@ -5,13 +5,13 @@ element operand with ``expr.evaluate`` and applies the table's function to
 the operands' values.
 
 Exit codes: 0 all expectations met, 1 discrepancies found, 2 usage, parse
-or configuration error, 141 (128 + SIGPIPE) stdout closed by its reader
-before the output was written, as in ``uqsl2 verify | head``, with no
-traceback.  Every command computes in full mode, in U_q(sl2-hat) under all
-of Drinfeld's relations (see ``rewrite``), unless ``--mode strict`` leaves
-out the same-sign x relation.  An optional JSON config file supplies the
-other verify defaults (flags win); a key it does not know is a
-configuration error.
+or configuration error, or a sweep worker that died, 141 (128 + SIGPIPE)
+stdout closed by its reader before the output was written, as in ``uqsl2
+verify | head``, with no traceback.  Every command computes in full mode,
+in U_q(sl2-hat) under all of Drinfeld's relations (see ``rewrite``),
+unless ``--mode strict`` leaves out the same-sign x relation.  An optional
+JSON config file supplies the other verify defaults (flags win); a key it
+does not know is a configuration error.
 
 ``verify`` streams its document to stdout in one pass: the head, then the
 reports in sweep order, then the summary, which comes last in both
@@ -21,16 +21,16 @@ one call of ``_check_chunk``, with a ``render.Printer`` of its own, so
 each distinct coefficient and word is rendered once per chunk; the call
 returns each report's text with its verdict kind, paper match and
 expectation.  With more than one CPU and more than one chunk, the calls
-run in a fork-context ``multiprocessing`` pool of one worker per CPU (at
-most one per chunk), imported only then; otherwise they run one after
-another in this process.  This process writes every report, in sweep
-order, and counts the summary.  At most two chunks per worker are
+run in a fork-context ``concurrent.futures`` process pool of one worker
+per CPU (at most one per chunk), imported only then; otherwise they run
+one after another in this process.  This process writes every report, in
+sweep order, and counts the summary.  At most two chunks per worker are
 submitted and not yet written, so a wide sweep holds a few chunks'
-reports at a time.  The pool is torn down on every way out of the sweep,
+reports at a time.  The pool is shut down on every way out of the sweep,
 an error or a closed stdout included, so no worker outlives ``main``.
 Every usage error is raised before the first byte is written; an engine
-error in the middle of a sweep, in a worker or here, leaves a truncated
-document on stdout and exits 2.
+error in the middle of a sweep, in a worker or here, or a worker killed
+by a signal, leaves a truncated document on stdout and exits 2.
 """
 
 from __future__ import annotations
@@ -54,6 +54,11 @@ from .verify import CLAIMS, VerdictReport, expectation_met, sweep_params, verify
 
 class ConfigError(ValueError):
     pass
+
+
+class WorkerDied(RuntimeError):
+    """A sweep worker ended without returning its chunk, as one killed by a
+    signal (the out-of-memory killer's SIGKILL, say) does."""
 
 
 _CLI_CLAIMS = {c.cli_name: name for name, c in CLAIMS.items() if c.cli_name}
@@ -224,12 +229,12 @@ def _in_order(pool, tasks: list, ahead: int):
     """The results of ``_check_chunk`` on ``tasks`` from ``pool``, in
     order.  A chunk is submitted only when the caller asks for the next
     result, so at most ``ahead`` are submitted and not yet consumed."""
-    pending = deque(pool.apply_async(_check_chunk, (t,)) for t in tasks[:ahead])
+    pending = deque(pool.submit(_check_chunk, t) for t in tasks[:ahead])
     for task in tasks[ahead:]:
-        yield pending.popleft().get()
-        pending.append(pool.apply_async(_check_chunk, (task,)))
-    for result in pending:
-        yield result.get()
+        yield pending.popleft().result()
+        pending.append(pool.submit(_check_chunk, task))
+    for future in pending:
+        yield future.result()
 
 
 def run_verify_suite(config: SuiteConfig, write) -> dict:
@@ -261,12 +266,20 @@ def run_verify_suite(config: SuiteConfig, write) -> dict:
         # imported here: it takes tens of milliseconds to import, and every
         # command imports this module
         import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         # fork: a worker starts with the engine imported, where spawn would
-        # import it again per worker; this process has started no thread.
-        # Leaving the block, by any way, terminates and joins the workers
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+        # import it again per worker; the workers are forked at the first
+        # submit, before the pool starts its threads
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
             write_reports(_in_order(pool, tasks, 2 * workers))
+        except BrokenProcessPool:
+            # the pool has terminated the other workers already
+            raise WorkerDied("a sweep worker died before returning its chunk") from None
+        finally:
+            # by any way out: drop the chunks not started and join the workers
+            pool.shutdown(cancel_futures=True)
     write(tail(counts))
     return counts
 
@@ -426,7 +439,7 @@ def main(argv=None) -> int:
         return 0
     # RecursionError: the parser takes a few frames per nesting level, so
     # deeply nested input outgrows the stack
-    except (ParseError, EvalError, ConfigError, ValueError, RecursionError) as exc:
+    except (ParseError, EvalError, ConfigError, ValueError, RecursionError, WorkerDied) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -9,9 +9,17 @@ with the one-parameter slice E(sign, p, m, index) fixing eta = th = -m - 2p
 and l = m.  central_c and the *_fixture builders reproduce stated closed
 forms literally; they are reference values to diff against, not
 engine-derived truth.
+
+family_E_pos and family_E_neg are bounded memos (family_E goes through
+them): every caller gets the one shared Element per (n, m/l, eta/theta,
+sign), so a member must never be mutated.  A bracket sweep asks for the
+same few hundred members many times over.  A bad index or sign raises on
+every call, since lru_cache stores no exception.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .coeff import RF_ONE, one_term, q_pow, qminus, u_pow
 from .currents import phi, psi
@@ -28,6 +36,7 @@ def _sgn(sign: str) -> int:
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
+@lru_cache(maxsize=1 << 12)
 def family_E_pos(n: int, m: int, eta: int, sign: str) -> Element:
     if n < 0:
         raise ValueError(f"nonnegative-branch index must satisfy n >= 0, got {n}")
@@ -40,6 +49,7 @@ def family_E_pos(n: int, m: int, eta: int, sign: str) -> Element:
     )
 
 
+@lru_cache(maxsize=1 << 12)
 def family_E_neg(n: int, l: int, theta: int, sign: str) -> Element:
     if n < 0:
         raise ValueError(f"negative-branch index must satisfy n >= 0, got {n}")

@@ -54,10 +54,10 @@ from .elements import (
     _element,
     agen,
     el_mul,
-    project_x_free,
     xminus,
     xplus,
 )
+from .family import family_E_neg, family_E_pos
 
 
 class RelationMode(enum.Enum):
@@ -157,23 +157,26 @@ def _expand_redex(word, kexp: int, i: int, tag: int):
 def clear_caches():
     """Empty every memo the engine keeps, so the next computation is cold.
 
-    There are five, each bounded: _word_moves, _replacement, one_term, psi
-    and phi.  Their bounds lie above the working sets of one round of each
-    perfbench workload, counted in a fresh process (one_term's include the
-    3 values made at import): the Strict verify sweep of all five claims at
-    n,k <= 16 (m, p in [-2, 2]) leaves _word_moves 2,347 words,
-    _replacement 578 entries, one_term 2,161 values and psi, phi one each;
-    the five 8-letter mixed word templates of nf-long-words leave 18,511,
-    144, 136 and 9 each; 100,000 family brackets use only one_term (433)
-    and psi, phi (6 each).  Such work is therefore done once per process.
+    There are seven, each bounded: _word_moves, _replacement, one_term,
+    psi, phi and the family members family_E_pos and family_E_neg.  Their
+    bounds lie above the working sets of one round of each perfbench
+    workload, counted in a fresh process with the sweep in that process
+    (one_term's include the 3 values made at import): the Strict verify
+    sweep of all five claims at n,k <= 16 (m, p in [-2, 2]) leaves
+    _word_moves 2,347 words, _replacement 578 entries, one_term 2,099
+    values, psi, phi one each and 850 and 1,258 members; the five 8-letter
+    mixed word templates of nf-long-words leave 18,511, 144, 136 and 9
+    each and build no member; 100,000 family brackets use only one_term
+    (433), psi, phi (6 each) and 200 + 200 members.  Such work is
+    therefore done once per process.
 
     Full mode, the default, needs more: the same verify sweep leaves
-    2,891, 1,412, 3,377 and one each, and the five mixed word templates
-    leave 17,965, 169, 179 and 9 each.  Wider full sweeps
-    pass one_term's bound of 4,096: n,k <= 20 fills it, and so do m, p in
-    [-4, 4] at n,k <= 16.  At n,k <= 24 _replacement holds 3,076 of its
-    4,096."""
-    for memo in (_word_moves, _replacement, one_term, psi, phi):
+    2,891, 1,412, 3,315, one each and the same 850 and 1,258 members, and
+    the five mixed word templates leave 17,965, 169, 179 and 9 each.
+    Wider full sweeps pass one_term's bound of 4,096: n,k <= 20 fills it,
+    and so do m, p in [-4, 4] at n,k <= 16.  At n,k <= 24 _replacement
+    holds 3,076 of its 4,096."""
+    for memo in (_word_moves, _replacement, one_term, psi, phi, family_E_pos, family_E_neg):
         memo.cache_clear()
 
 

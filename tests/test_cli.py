@@ -393,16 +393,16 @@ def test_verify_streams_the_document(fmt):
 
 def _count_submissions(monkeypatch):
     """A one-item list that counts the chunks submitted to a sweep pool."""
-    import multiprocessing.pool
+    from concurrent.futures import ProcessPoolExecutor
 
     submitted = [0]
-    apply_async = multiprocessing.pool.Pool.apply_async
+    submit = ProcessPoolExecutor.submit
 
     def counting(pool, *args, **kwargs):
         submitted[0] += 1
-        return apply_async(pool, *args, **kwargs)
+        return submit(pool, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", counting)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
     return submitted
 
 
@@ -489,6 +489,42 @@ def test_no_worker_outlives_main(monkeypatch):
     assert (code, err) == (2, "error: maximum recursion depth exceeded\n")
     assert whole.startswith(out)
     assert "claim=COMMC " in out and "claim=OMEGA_E " not in out
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_fails_the_sweep_and_leaves_no_worker(monkeypatch):
+    import multiprocessing
+    import signal
+
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    argv = _small_argv("text")
+    whole = run_cli(argv)[1]
+    # SIGKILL, as the out-of-memory killer sends, to the worker that checks
+    # one OMEGA_E instance: the workers fork after the patch, so they
+    # inherit it, and this process never runs it
+    check = CLAIMS["OMEGA_E"].check
+    parent = os.getpid()
+
+    def killed(params, mode):
+        if os.getpid() != parent and params == {"n": 1, "m": 0, "p": 0, "sign": "+"}:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return check(params, mode)
+
+    monkeypatch.setitem(CLAIMS, "OMEGA_E", dataclasses.replace(CLAIMS["OMEGA_E"], check=killed))
+
+    def hung(signum, frame):
+        raise TimeoutError("the sweep did not exit within 30 s of a worker's death")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        code, out, err = run_cli(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, err) == (2, "error: a sweep worker died before returning its chunk\n")
+    # the chunks in flight with the lost one fail with it
+    assert whole.startswith(out) and "claim=OMEGA_E " not in out
     assert multiprocessing.active_children() == []
 
 

@@ -56,6 +56,43 @@ def test_family_dispatch():
     )
 
 
+# criterion 4's member grid: n in [0, 11], m/l and eta/theta in [-2, 2]
+_R = range(-2, 3)
+_MEMBER_GRID = list(itertools.product(range(12), _R, _R, "+-"))
+
+
+@pytest.mark.parametrize("member", [family_E_pos, family_E_neg])
+def test_a_member_is_one_shared_value_equal_to_a_fresh_build(member):
+    for args in _MEMBER_GRID:
+        e = member(*args)
+        assert e == member.__wrapped__(*args)
+        assert member(*args) is e
+
+
+@pytest.mark.parametrize("member", [family_E_pos, family_E_neg])
+@pytest.mark.parametrize("args", [(-1, 0, 0, "+"), (0, 0, 0, "x")])
+def test_a_bad_member_raises_on_every_call(member, args):
+    # lru_cache stores no exception, so the second call checks again
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            member(*args)
+
+
+def test_a_bracket_grid_offset_builds_each_member_once():
+    # one n-offset of the 100,000-bracket grid asks 20,000 times per
+    # branch for 200 distinct members
+    from uqsl2 import rewrite
+
+    rewrite.clear_caches()
+    nk = range(5, 9)
+    for sign, n, k, m, l, eta, theta in itertools.product("+-", nk, nk, _R, _R, _R, _R):
+        family_E_pos(n, m, eta, sign)
+        family_E_neg(k, l, theta, sign)
+    for member in (family_E_pos, family_E_neg):
+        info = member.cache_info()
+        assert (info.misses, info.hits) == (200, 20_000 - 200)
+
+
 def test_central_c_examples():
     assert central_c(0, 1, "+") == Element.from_coeff((u_pow(2) - RF_ONE) / qminus())
     assert central_c(0, 0, "-") == Element.from_coeff(

@@ -211,6 +211,53 @@ def test_only_coeff_stores_the_fields_of_a_coefficient():
     assert writers == {"coeff.py"}
 
 
+_DICT_WRITERS = {"pop", "popitem", "update", "clear", "setdefault"}
+
+
+def _terms_writes(source):
+    """Lines that change the ``terms`` dict of an object in place: a store
+    or delete of ``X.terms[...]``, ``X.terms |= ...``, or a call of a dict
+    method that writes on ``X.terms``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif isinstance(node, ast.AugAssign):
+            target = node.target
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func.value if node.func.attr in _DICT_WRITERS else None
+        else:
+            continue
+        if isinstance(target, ast.Attribute) and target.attr == "terms":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_terms_writes_sees_each_kind_of_write():
+    source = """\
+e.terms[m] = c
+del e.terms[m]
+e.terms[m] += c
+e.terms |= other
+e.terms.pop(m)
+e.terms.popitem()
+e.terms.update(other)
+e.terms.clear()
+e.terms.setdefault(m, c)
+t = dict(e.terms)
+t[m] = c
+e.terms.get(m)
+"""
+    assert _terms_writes(source) == list(range(1, 10))
+
+
+def test_nothing_mutates_the_terms_of_an_element_or_polynomial():
+    # family members and one-term coefficients are memoized values that
+    # every caller shares: a write to one's terms would change it for all
+    found = {p.name: _terms_writes(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
 def test_no_default_is_the_strict_mode():
     # full mode computes in U_q(sl2-hat), so Strict is chosen only by name:
     # no parameter and no dataclass field defaults to it

@@ -202,7 +202,7 @@ def test_kexp_commutes_with_normal_form():
 
 
 def test_clear_caches_leaves_every_memo_empty():
-    from uqsl2 import coeff, currents, rewrite
+    from uqsl2 import coeff, currents, family, rewrite
 
     w = el_mul(
         el_mul(g(xminus(0)), g(xminus(1))), el_mul(g(xplus(0)), g(xplus(-1)))
@@ -214,6 +214,8 @@ def test_clear_caches_leaves_every_memo_empty():
         coeff.one_term,
         currents.psi,
         currents.phi,
+        family.family_E_pos,
+        family.family_E_neg,
     )
     assert set(memos) == set(_package_memos().values())
     rewrite.clear_caches()
