@@ -394,7 +394,7 @@ def _verify_config(args) -> SuiteConfig:
     p_range = _parse_range(pick(args.p_range, "p_range", SuiteConfig.p_range))
 
     fmt = pick(args.format, "format", SuiteConfig.format)
-    if fmt not in _VERIFY_FORMATS:
+    if not isinstance(fmt, str) or fmt not in _VERIFY_FORMATS:
         raise ConfigError(f"unknown report format {fmt!r}")
     config = SuiteConfig(
         # a claim named twice is swept once

@@ -229,10 +229,6 @@ class RatFunc:
 
     __slots__ = ("num", "den", "d", "single")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = P_ONE):
-        r = RatFunc.make(num, den)
-        self.num, self.den, self.d, self.single = r.num, r.den, r.d, r.single
-
     @classmethod
     def make(cls, num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
         """num / den, for den = c q^a u^b (q - q^-1)^k; any other den raises

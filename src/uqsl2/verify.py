@@ -1,10 +1,12 @@
 """Claim verification with exact residuals and discrepancy reporting.
 
-Every check computes the engine-derived object from first principles,
-classifies it (exact zero / central value / residual), and diffs it against
-the stated value kept as a literal fixture.  The report is the deliverable:
-stated values are never assumed correct, and a mismatch is recorded, not
-patched over.
+A claim is one row of ``CLAIMS``: its instance, its index regime and its
+sweep grid.  ``verify_claim`` is the one path that checks any of them: it
+refuses params outside the row's regime, computes the engine-derived object
+from first principles, classifies it (exact zero / central value /
+residual), and diffs it against the stated value kept as a literal fixture.
+The report is the deliverable: stated values are never assumed correct, and
+a mismatch is recorded, not patched over.
 """
 
 from __future__ import annotations
@@ -63,148 +65,96 @@ class VerdictReport:
     discrepancy: Element
 
 
-def _report(claim, params, mode, result, expected) -> VerdictReport:
-    """The report on ``result``, which must be a normal form, against the
-    stated value ``expected``.  When the stated value is zero, ``result``
-    itself is the discrepancy: normal_form is idempotent, so normal-forming
-    it again would give the same terms."""
-    if expected.is_zero():
-        disc = result
-    else:
-        disc = normal_form(result - expected, mode)
-    return VerdictReport(
-        claim=claim,
-        params=params,
-        mode=mode,
-        verdict=classify(result),
-        paper_match=disc.is_zero(),
-        paper_expected=expected,
-        discrepancy=disc,
-    )
+def _bracket(sign, p, m, n, k, b, mode) -> Element:
+    """[E^sign_(p,n)(m), E^sign_(p,-k-1)(m)]_{K^b}, normal-formed."""
+    return deformed_commutator(family_E(sign, p, m, n), family_E(sign, p, m, -k - 1), b, mode)
 
 
-def _verify_ep_em(claim, params, mode):
-    n, k, m, p = params["n"], params["k"], params["m"], params["p"]
-    if n < 0 or k < 0:
-        raise RegimeError(f"{claim} needs n, k >= 0, got n={n}, k={k}")
-    if claim == "EP":
-        sign = "+"
-        if not n < k:
-            raise RegimeError(f"EP is stated for n < k, got n={n}, k={k}")
-    else:
-        sign = "-"
-        if not n > k:
-            raise RegimeError(f"EM is stated for n > k, got n={n}, k={k}")
-    a = family_E(sign, p, m, n)
-    b = family_E(sign, p, m, -k - 1)
-    result = deformed_commutator(a, b, p, mode)
-    full = dict(params)
-    full["sign"] = sign
-    return _report(claim, full, mode, result, Element.zero())
+def _ep_em(sign, t, mode):
+    p = t["p"]
+    return _bracket(sign, p, t["m"], t["n"], t["k"], p, mode), Element.zero(), {"sign": sign}
 
 
-def _verify_commc(params, mode):
-    n, m, sign = params["n"], params["m"], params["sign"]
-    convention = params["convention"]
-    if n < 0:
-        raise RegimeError(f"COMMC needs n >= 0, got {n}")
-    if convention not in CONVENTIONS:
-        raise RegimeError(f"unknown convention {convention!r}")
-    p_fam = _sgn(sign)
+def _commc(t, mode):
+    n, m, sign = t["n"], t["m"], t["sign"]
+    p = _sgn(sign)
     # literal: family subscript +-1 is paired with bracket exponent -+1;
     # matching: the bracket exponent equals the family's p
-    b = -p_fam if convention == "literal" else p_fam
-    a = family_E(sign, p_fam, m, n)
-    c = family_E(sign, p_fam, m, -n - 1)
-    result = deformed_commutator(a, c, b, mode)
-    full = dict(params)
-    full["p"] = p_fam
-    full["bracket"] = b
-    return _report("COMMC", full, mode, result, central_c(n, m, sign))
+    b = -p if t["convention"] == "literal" else p
+    return _bracket(sign, p, m, n, n, b, mode), central_c(n, m, sign), {"p": p, "bracket": b}
 
 
-def _verify_omega_e(params, mode):
-    n, m, p, sign = params["n"], params["m"], params["p"], params["sign"]
-    if n < 0:
-        raise RegimeError(f"OMEGA_E needs index n >= 0, got {n}")
+def _omega_e(t, mode):
+    n, m, p, sign = t["n"], t["m"], t["p"], t["sign"]
     flip = "-" if sign == "+" else "+"
     result = normal_form(omega(family_E(sign, p, m, n)), mode)
-    expected = el_mul(family_E(flip, p, m, -n - 1), Element.k_power(2 * p))
-    return _report("OMEGA_E", dict(params), mode, result, expected)
+    return result, el_mul(family_E(flip, p, m, -n - 1), Element.k_power(2 * p)), {}
 
 
-def _verify_reflect(params, mode):
-    n, m, eta, sign = params["n"], params["m"], params["eta"], params["sign"]
-    if n < 0:
-        raise RegimeError(f"REFLECT needs n >= 0, got {n}")
-    s = _sgn(sign)
+def _reflect(t, mode):
+    n, m, eta, sign = t["n"], t["m"], t["eta"], t["sign"]
+    gamma = u_pow(-_sgn(sign) * (2 * n + 1))
     # E_n with n formally replaced by -n-1: the gamma power flips sign
     substituted = Element(
-        {
-            Monomial((xplus(-n - 1),), m): u_pow(-s * (2 * n + 1)),
-            Monomial((xminus(-n),), eta): u_pow(0),
-        }
+        {Monomial((xplus(-n - 1),), m): gamma, Monomial((xminus(-n),), eta): u_pow(0)}
     )
-    candidates = {
-        sigma: family_E_neg(n, m, eta, sigma).scale(u_pow(-s * (2 * n + 1)))
-        for sigma in SIGNS
-    }
-    full = dict(params)
-    reports = {
-        sigma: _report("REFLECT", full, mode, substituted, candidates[sigma])
-        for sigma in SIGNS
-    }
-    matched = [sigma for sigma in SIGNS if reports[sigma].paper_match]
-    full["matched_sign"] = matched[0] if len(matched) == 1 else None
-    return reports["-" if sign == "+" else "+"]
+    candidates = {sigma: family_E_neg(n, m, eta, sigma).scale(gamma) for sigma in SIGNS}
+    # both sides are single-letter normal forms, so equal terms is equal values
+    matched = [sigma for sigma in SIGNS if candidates[sigma] == substituted]
+    stated = candidates["-" if sign == "+" else "+"]
+    return substituted, stated, {"matched_sign": matched[0] if len(matched) == 1 else None}
 
 
-def _verify_display1(params, mode):
-    args = tuple(params[x] for x in ("n", "k", "m", "l", "eta", "theta", "p", "sign"))
-    if args[0] < 0 or args[1] < 0:
-        raise RegimeError("PROOF_DISPLAY_1 needs n, k >= 0")
+def _display1(t, mode):
+    args = tuple(t[x] for x in ("n", "k", "m", "l", "eta", "theta", "p", "sign"))
     result = normal_form(expand_general_commutator(*args), mode)
-    expected = general_display_fixture(*args)
-    return _report("PROOF_DISPLAY_1", dict(params), mode, result, expected)
+    return result, general_display_fixture(*args), {}
 
 
-def _verify_display2(params, mode):
-    n, k, m, p, sign = (params[x] for x in ("n", "k", "m", "p", "sign"))
-    if n < 0 or k < 0:
-        raise RegimeError("PROOF_DISPLAY_2 needs n, k >= 0")
-    a = family_E(sign, p, m, n)
-    b = family_E(sign, p, m, -k - 1)
-    result = deformed_commutator(a, b, p, mode)
-    expected = expand_specialized_commutator(n, k, m, p, sign)
-    return _report("PROOF_DISPLAY_2", dict(params), mode, result, expected)
+def _display2(t, mode):
+    n, k, m, p, sign = (t[x] for x in ("n", "k", "m", "p", "sign"))
+    result = _bracket(sign, p, m, n, k, p, mode)
+    return result, expand_specialized_commutator(n, k, m, p, sign), {}
 
 
 @dataclass(frozen=True)
 class Claim:
-    """One claim: its ``uqsl2 verify --claims`` name (None when the claim is
-    not offered there), its check ``(params, mode) -> VerdictReport``, and
-    its sweep grid (None when it is not sweepable).  A grid is a tuple of
-    parameter names, each ranging over ``_axes``; ``keep`` drops the tuples
-    outside the claim's index regime."""
+    """One claim, whole: its ``uqsl2 verify --claims`` name (None when the
+    claim is not offered there); its ``instance(params, mode)``, which
+    returns (the engine's normal-formed value, the stated value, the params
+    it adds to the report); the index regime the claim is stated for, as a
+    predicate on the params and as text; and its sweep grid (None when it
+    is not sweepable), a tuple of parameter names, each ranging over
+    ``_axes``, whose tuples outside the regime the sweep skips."""
 
     cli_name: str | None
-    check: Callable
+    instance: Callable
+    regime: Callable
+    regime_text: str
     grid: tuple | None = None
-    keep: Callable | None = None
 
 
 CLAIMS = {
     "EP": Claim(
-        "ep", partial(_verify_ep_em, "EP"), ("n", "k", "m", "p"), lambda t: t["n"] < t["k"]
+        "ep", partial(_ep_em, "+"), lambda t: 0 <= t["n"] < t["k"], "0 <= n < k",
+        ("n", "k", "m", "p"),
     ),
     "EM": Claim(
-        "em", partial(_verify_ep_em, "EM"), ("n", "k", "m", "p"), lambda t: t["n"] > t["k"]
+        "em", partial(_ep_em, "-"), lambda t: 0 <= t["k"] < t["n"], "0 <= k < n",
+        ("n", "k", "m", "p"),
     ),
-    "COMMC": Claim("commc", _verify_commc, ("n", "m", "sign", "convention")),
-    "OMEGA_E": Claim("omega", _verify_omega_e, ("n", "m", "p", "sign")),
-    "REFLECT": Claim("reflect", _verify_reflect, ("n", "m", "eta", "sign")),
-    "PROOF_DISPLAY_1": Claim(None, _verify_display1),
-    "PROOF_DISPLAY_2": Claim(None, _verify_display2),
+    "COMMC": Claim(
+        "commc", _commc, lambda t: t["n"] >= 0 and t["convention"] in CONVENTIONS,
+        f"n >= 0 and a convention in {CONVENTIONS}", ("n", "m", "sign", "convention"),
+    ),
+    "OMEGA_E": Claim(
+        "omega", _omega_e, lambda t: t["n"] >= 0, "n >= 0", ("n", "m", "p", "sign")
+    ),
+    "REFLECT": Claim(
+        "reflect", _reflect, lambda t: t["n"] >= 0, "n >= 0", ("n", "m", "eta", "sign")
+    ),
+    "PROOF_DISPLAY_1": Claim(None, _display1, lambda t: min(t["n"], t["k"]) >= 0, "n, k >= 0"),
+    "PROOF_DISPLAY_2": Claim(None, _display2, lambda t: min(t["n"], t["k"]) >= 0, "n, k >= 0"),
 }
 
 
@@ -212,11 +162,26 @@ def verify_claim(
     claim: str, params: dict, mode: RelationMode = RelationMode.FULL
 ) -> VerdictReport:
     """Check one claim instance exactly and report the verdict, the stated
-    value, and the normal-formed discrepancy between the two."""
+    value, and the normal-formed discrepancy between the two; raise
+    RegimeError for params outside the claim's regime."""
     entry = CLAIMS.get(claim)
     if entry is None:
         raise ValueError(f"unknown claim {claim!r}")
-    return entry.check(params, mode)
+    if not entry.regime(params):
+        raise RegimeError(f"{claim} is stated for {entry.regime_text}, got {params}")
+    result, expected, added = entry.instance(params, mode)
+    # when the stated value is zero, the result is itself the discrepancy:
+    # it is a normal form, and normal_form is idempotent
+    disc = result if expected.is_zero() else normal_form(result - expected, mode)
+    return VerdictReport(
+        claim=claim,
+        params={**params, **added},
+        mode=mode,
+        verdict=classify(result),
+        paper_match=disc.is_zero(),
+        paper_expected=expected,
+        discrepancy=disc,
+    )
 
 
 def expectation_met(report: VerdictReport) -> bool:
@@ -262,11 +227,5 @@ def sweep_params(claim: str, cfg: dict):
     axes = _axes(cfg)
     for values in product(*(axes[name] for name in entry.grid)):
         params = dict(zip(entry.grid, values))
-        if entry.keep is None or entry.keep(params):
+        if entry.regime(params):
             yield params
-
-
-def sweep_claim(claim: str, cfg: dict, mode: RelationMode) -> list:
-    """All reports for one claim over the ranges of ``cfg``, in the order
-    of ``sweep_params``."""
-    return [verify_claim(claim, params, mode) for params in sweep_params(claim, cfg)]

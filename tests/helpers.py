@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from uqsl2.coeff import RF_ONE, LaurentPoly, PoleError, RatFunc, one_term, q_pow, qminus, u_pow
 from uqsl2.elements import AGEN, Element, Monomial, agen, xminus, xplus
+from uqsl2.verify import sweep_params, verify_claim
 
 
 def rand_gen(rng, max_idx=3):
@@ -80,6 +81,12 @@ def assert_coeffs_match_numerically(a: Element, b: Element, rng, points=3):
                 continue
             assert va == vb, (mono, q0, u0)
             done += 1
+
+
+def sweep_claim(claim: str, cfg: dict, mode) -> list:
+    """All reports for one claim over the ranges of ``cfg``, in the order
+    of ``verify.sweep_params``."""
+    return [verify_claim(claim, params, mode) for params in sweep_params(claim, cfg)]
 
 
 def is_same_sign_residual(el: Element, u0=Fraction(3)) -> bool:

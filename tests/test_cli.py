@@ -21,14 +21,9 @@ from uqsl2.elements import Element
 from uqsl2.expr import CALLS, ELEMENT_ARGS, evaluate
 from uqsl2.render import FORMATS, element_from_json, element_to_obj, print_element
 from uqsl2.rewrite import RelationMode, commutator, deformed_commutator, equals, normal_form
-from uqsl2.verify import (
-    CLAIMS,
-    expectation_met,
-    sweep_claim,
-    verify_claim,
-)
+from uqsl2.verify import CLAIMS, expectation_met, verify_claim
 
-from helpers import rand_element
+from helpers import rand_element, sweep_claim
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -226,6 +221,9 @@ def test_config_file_and_flag_precedence(tmp_path):
         # the mode is --mode's alone, and an unknown key is no silent default
         {"mode": "full"},
         {"n-max": 1},
+        # a format that is no string is no format, not a crash
+        {"format": ["json"]},
+        {"format": {}},
     ],
 )
 def test_config_value_of_wrong_type_is_a_config_error(tmp_path, bad):
@@ -477,14 +475,14 @@ def test_no_worker_outlives_main(monkeypatch):
     assert multiprocessing.active_children() == []
     # an engine error at one OMEGA_E instance, raised in a worker: the
     # workers fork after the patch, so they inherit it
-    check = CLAIMS["OMEGA_E"].check
+    instance = CLAIMS["OMEGA_E"].instance
 
     def deep(params, mode):
         if params == {"n": 1, "m": 0, "p": 0, "sign": "+"}:
             raise RecursionError("maximum recursion depth exceeded")
-        return check(params, mode)
+        return instance(params, mode)
 
-    monkeypatch.setitem(CLAIMS, "OMEGA_E", dataclasses.replace(CLAIMS["OMEGA_E"], check=deep))
+    monkeypatch.setitem(CLAIMS, "OMEGA_E", dataclasses.replace(CLAIMS["OMEGA_E"], instance=deep))
     code, out, err = run_cli(argv)
     assert (code, err) == (2, "error: maximum recursion depth exceeded\n")
     assert whole.startswith(out)
@@ -502,15 +500,15 @@ def test_a_dead_worker_fails_the_sweep_and_leaves_no_worker(monkeypatch):
     # SIGKILL, as the out-of-memory killer sends, to the worker that checks
     # one OMEGA_E instance: the workers fork after the patch, so they
     # inherit it, and this process never runs it
-    check = CLAIMS["OMEGA_E"].check
+    instance = CLAIMS["OMEGA_E"].instance
     parent = os.getpid()
 
     def killed(params, mode):
         if os.getpid() != parent and params == {"n": 1, "m": 0, "p": 0, "sign": "+"}:
             os.kill(os.getpid(), signal.SIGKILL)
-        return check(params, mode)
+        return instance(params, mode)
 
-    monkeypatch.setitem(CLAIMS, "OMEGA_E", dataclasses.replace(CLAIMS["OMEGA_E"], check=killed))
+    monkeypatch.setitem(CLAIMS, "OMEGA_E", dataclasses.replace(CLAIMS["OMEGA_E"], instance=killed))
 
     def hung(signum, frame):
         raise TimeoutError("the sweep did not exit within 30 s of a worker's death")

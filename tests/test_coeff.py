@@ -70,7 +70,8 @@ def test_qint_addition_expansion():
         for n in range(1 - m, 5):
             if m + n < 1:
                 continue
-            expect = RatFunc(LaurentPoly({(m + n - 1 - 2 * i, 0): 1 for i in range(m + n)}))
+            num = LaurentPoly({(m + n - 1 - 2 * i, 0): 1 for i in range(m + n)})
+            expect = RatFunc.make(num, P_ONE)
             assert qint(m + n) == expect
 
 
@@ -197,15 +198,15 @@ def test_inv_accepts_exactly_the_admissible_values():
 
 def _one_term(rng):
     c = rng.choice([-3, -2, -1, 1, 2, 3])
-    return RatFunc(LaurentPoly.monomial(c, rng.randrange(-3, 4), rng.randrange(-3, 4)))
+    return RatFunc.make(LaurentPoly.monomial(c, rng.randrange(-3, 4), rng.randrange(-3, 4)), P_ONE)
 
 
 def _polynomial(rng):
-    return RatFunc(rand_poly(rng, nterms=4))
+    return RatFunc.make(rand_poly(rng, nterms=4), P_ONE)
 
 
 def _qminus_power_den(rng):
-    return RatFunc(rand_poly(rng, nterms=4)) / qminus() ** rng.randrange(1, 3)
+    return RatFunc.make(rand_poly(rng, nterms=4), P_ONE) / qminus() ** rng.randrange(1, 3)
 
 
 def _rational_number(rng):
@@ -342,8 +343,8 @@ def test_equal_values_over_an_integer_den_have_identical_fields():
 
 
 def test_product_over_qminus_powers_multiplies_only_the_numerators(monkeypatch):
-    x = RatFunc(LaurentPoly({(2, 0): 1, (0, 1): 3})) / qminus()
-    y = RatFunc(LaurentPoly({(1, 0): 2, (0, -1): -1})) / qminus() ** 2
+    x = RatFunc.make(LaurentPoly({(2, 0): 1, (0, 1): 3}), P_ONE) / qminus()
+    y = RatFunc.make(LaurentPoly({(1, 0): 2, (0, -1): -1}), P_ONE) / qminus() ** 2
     calls = [0]
     mul = LaurentPoly.__mul__
 
@@ -397,9 +398,9 @@ def test_single_is_the_one_term_of_the_value():
         RatFunc.make(LaurentPoly({(2, 0): 1, (0, 0): -1}), admissible_den(1, 0, 0, 1)),
         RatFunc.make(LaurentPoly({(1, 2): -4}), LaurentPoly.const(2)),
         RatFunc.make(LaurentPoly({(1, 2): -4}), LaurentPoly.const(8)),
-        RatFunc(LaurentPoly.monomial(3, -2, 1)),
-        RatFunc(LaurentPoly({(1, 0): 2, (-1, 0): -2}), LaurentPoly.const(2)),
-        RatFunc(P_ONE),
+        RatFunc.make(LaurentPoly.monomial(3, -2, 1), P_ONE),
+        RatFunc.make(LaurentPoly({(1, 0): 2, (-1, 0): -2}), LaurentPoly.const(2)),
+        RatFunc.make(P_ONE, P_ONE),
         one_term(-2, 1, -3).inv(),
         (2 * qminus()).inv(),
         one_term(5, 2, 3).subst_u_inverse(),

@@ -258,6 +258,42 @@ def test_nothing_mutates_the_terms_of_an_element_or_polynomial():
     assert {name: f for name, f in found.items() if f} == {}
 
 
+def _regime_raises(source):
+    """The function around each ``raise RegimeError``, in source order."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                if isinstance(exc, ast.Name) and exc.id == "RegimeError":
+                    found.append(func.name)
+    return found
+
+
+def test_regime_raises_sees_both_spellings():
+    source = """\
+def check(t):
+    if t < 0:
+        raise RegimeError(f"got {t}")
+    raise RegimeError
+def other():
+    raise ValueError("not a regime")
+"""
+    assert _regime_raises(source) == ["check", "check"]
+
+
+def test_regime_error_is_raised_only_by_verify_claim():
+    # each claim's regime is a predicate in its row of verify.CLAIMS, which
+    # verify_claim checks and sweep_params filters by; a guard anywhere else
+    # would be a second statement of a regime
+    found = [
+        (p.name, name) for p in sorted(SRC.glob("*.py")) for name in _regime_raises(p.read_text())
+    ]
+    assert found == [("verify.py", "verify_claim")]
+
+
 def test_no_default_is_the_strict_mode():
     # full mode computes in U_q(sl2-hat), so Strict is chosen only by name:
     # no parameter and no dataclass field defaults to it

@@ -24,7 +24,7 @@ from uqsl2.rewrite import (
     relation_instances,
 )
 
-from helpers import assert_coeffs_match_numerically, rand_element, rand_word
+from helpers import assert_coeffs_match_numerically, rand_element, rand_word, sweep_claim
 
 S = RelationMode.STRICT
 F = RelationMode.FULL
@@ -397,7 +397,6 @@ def test_every_memo_gets_hits_on_a_small_representative_run():
     # mixed word (an nf benchmark template) and 100 family brackets
     from uqsl2 import rewrite
     from uqsl2.family import expand_general_commutator, family_E_neg, family_E_pos
-    from uqsl2.verify import sweep_claim
 
     rewrite.clear_caches()
     cfg = {"n_max": 3, "k_max": 3, "m_range": (0, 1), "p_range": (0, 1)}

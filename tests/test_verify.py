@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from uqsl2.coeff import RF_ONE, one_term, q_pow, qminus, u_pow
@@ -6,14 +8,15 @@ from uqsl2.family import family_E
 from uqsl2 import rewrite, verify
 from uqsl2.rewrite import RelationMode, clear_caches, normal_form
 from uqsl2.verify import (
+    CLAIMS,
     RegimeError,
     classify,
     expectation_met,
-    sweep_claim,
+    sweep_params,
     verify_claim,
 )
 
-from helpers import is_same_sign_residual
+from helpers import is_same_sign_residual, sweep_claim
 
 S = RelationMode.STRICT
 F = RelationMode.FULL
@@ -44,14 +47,43 @@ def test_ep_base_case_strict_residual():
 
 
 def test_regime_errors():
-    with pytest.raises(RegimeError):
-        verify_claim("EP", {"n": 1, "k": 1, "m": 0, "p": 0}, F)
-    with pytest.raises(RegimeError):
-        verify_claim("EM", {"n": 0, "k": 2, "m": 0, "p": 0}, F)
-    with pytest.raises(RegimeError):
-        verify_claim("COMMC", {"n": -1, "m": 0, "sign": "+", "convention": "literal"}, F)
-    with pytest.raises(RegimeError):
-        verify_claim("COMMC", {"n": 0, "m": 0, "sign": "+", "convention": "bogus"}, F)
+    display1 = {"m": 0, "l": 0, "eta": 0, "theta": 0, "p": 0, "sign": "+"}
+    outside = [
+        ("EP", {"n": 1, "k": 1, "m": 0, "p": 0}),
+        ("EP", {"n": -1, "k": 1, "m": 0, "p": 0}),
+        ("EM", {"n": 0, "k": 2, "m": 0, "p": 0}),
+        ("EM", {"n": 2, "k": -1, "m": 0, "p": 0}),
+        ("COMMC", {"n": -1, "m": 0, "sign": "+", "convention": "literal"}),
+        ("COMMC", {"n": 0, "m": 0, "sign": "+", "convention": "bogus"}),
+        ("OMEGA_E", {"n": -1, "m": 0, "p": 0, "sign": "+"}),
+        ("REFLECT", {"n": -1, "m": 0, "eta": 0, "sign": "-"}),
+        ("PROOF_DISPLAY_1", {"n": -1, "k": 0, **display1}),
+        ("PROOF_DISPLAY_2", {"n": 0, "k": -1, "m": 0, "p": 0, "sign": "+"}),
+    ]
+    assert {claim for claim, _ in outside} == set(CLAIMS)
+    for claim, params in outside:
+        with pytest.raises(RegimeError, match=f"^{claim} is stated for "):
+            verify_claim(claim, params, F)
+
+
+def test_the_sweep_and_verify_claim_share_each_regime():
+    # sweep_params yields exactly the grid tuples that verify_claim accepts:
+    # both read the one regime predicate in the claim's row
+    cfg = {"n_max": 2, "k_max": 2, "m_range": (-1, 0), "p_range": (0, 0)}
+    axes = verify._axes(cfg)
+    swept = [name for name, c in CLAIMS.items() if c.grid]
+    assert swept == ["EP", "EM", "COMMC", "OMEGA_E", "REFLECT"]
+    for claim in swept:
+        grid = CLAIMS[claim].grid
+        kept = list(sweep_params(claim, cfg))
+        assert kept
+        for values in product(*(axes[x] for x in grid)):
+            params = dict(zip(grid, values))
+            if params in kept:
+                assert verify_claim(claim, params, F).params.items() >= params.items()
+            else:
+                with pytest.raises(RegimeError):
+                    verify_claim(claim, params, F)
 
 
 def test_em_mirror():
@@ -82,6 +114,24 @@ def test_ep_em_discrepancy_is_the_result_normal_formed_once(monkeypatch, mode):
         for r in reports:
             assert r.discrepancy is r.verdict.value
             assert not r.paper_match
+
+
+@pytest.mark.parametrize("mode", [S, F])
+def test_reflect_normal_forms_once_per_instance(monkeypatch, mode):
+    # both candidates are single-letter normal forms, so matched_sign is
+    # found by comparing terms, and only the discrepancy is normal-formed
+    calls = []
+
+    def counted(a, mode=S):
+        calls.append(a)
+        return normal_form(a, mode)
+
+    monkeypatch.setattr(rewrite, "normal_form", counted)
+    monkeypatch.setattr(verify, "normal_form", counted)
+    cfg = {"n_max": 2, "k_max": 0, "m_range": (-1, 1), "p_range": (0, 0)}
+    reports = sweep_claim("REFLECT", cfg, mode)
+    assert len(calls) == len(reports) == 54
+    assert all(r.params["matched_sign"] == r.params["sign"] for r in reports)
 
 
 def test_commc_literal_is_residual():
