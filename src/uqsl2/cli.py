@@ -22,12 +22,13 @@ each distinct coefficient and word is rendered once per chunk; the call
 returns each report's text with its verdict kind, paper match and
 expectation.  With more than one CPU and more than one chunk, the calls
 run in a fork-context ``concurrent.futures`` process pool of one worker
-per CPU (at most one per chunk), imported only then; otherwise they run
-one after another in this process.  This process writes every report, in
-sweep order, and counts the summary.  At most two chunks per worker are
-submitted and not yet written, so a wide sweep holds a few chunks'
-reports at a time.  The pool is shut down on every way out of the sweep,
-an error or a closed stdout included, so no worker outlives ``main``.
+per CPU (at most one per chunk), imported only then; otherwise, or where
+there is no fork, they run one after another in this process.  This
+process writes every report, in sweep order, and counts the summary.  At
+most two chunks per worker are submitted and not yet written, so a wide
+sweep holds a few chunks' reports at a time.  The pool is shut down on
+every way out of the sweep, an error or a closed stdout included, so no
+worker outlives ``main``.
 Every usage error is raised before the first byte is written; an engine
 error in the middle of a sweep, in a worker or here, or a worker killed
 by a signal, leaves a truncated document on stdout and exits 2.
@@ -260,12 +261,17 @@ def run_verify_suite(config: SuiteConfig, write) -> dict:
                 write(text)
 
     write(head(config.mode.value, config.ranges()))
-    if workers == 1:
-        write_reports(map(_check_chunk, tasks))
-    else:
+    if workers > 1:
         # imported here: it takes tens of milliseconds to import, and every
         # command imports this module
         import multiprocessing
+
+        # without fork (on Windows) the chunks run here
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers == 1:
+        write_reports(map(_check_chunk, tasks))
+    else:
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         # fork: a worker starts with the engine imported, where spawn would

@@ -20,23 +20,15 @@ from .coeff import RF_ONE, RatFunc, qminus
 from .elements import Element, Monomial, agen
 
 
-def _partitions(m: int):
-    """Partitions of m as {part: multiplicity} dicts, m >= 0."""
+def _partitions(m: int, largest=None):
+    """Partitions of m into parts of at most ``largest`` (default m) as
+    {part: multiplicity} dicts, m >= 0."""
     if m == 0:
         yield {}
         return
-
-    def rec(remaining, largest):
-        if remaining == 0:
-            yield {}
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - part, part):
-                out = dict(rest)
-                out[part] = out.get(part, 0) + 1
-                yield out
-
-    yield from rec(m, m)
+    for part in range(min(m, largest or m), 0, -1):
+        for rest in _partitions(m - part, part):
+            yield {**rest, part: rest.get(part, 0) + 1}
 
 
 def _expansion(m: int, index_sign: int, coeff_base: RatFunc, kexp: int) -> Element:

@@ -25,7 +25,6 @@ order is reported.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .coeff import RatFunc, q_pow, u_pow
@@ -50,45 +49,24 @@ class EvalError(ValueError):
 
 # --- Lexer -------------------------------------------------------------
 
-_PUNCT = "+-*/^()[],"
-_BRACKET_AHEAD = re.compile(r"\s*\[")
+# optional whitespace, then one token: an integer, a name (a generator
+# spelling such as x+ is one only before "[", spaces allowed between, and is
+# tried first) or an operator; any other character is an error
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>(?:%s)(?=\s*\[)|[^\W\d_]+)|(?P<op>[-+*/^()[\],])|(?P<bad>\S))"
+    % "|".join(map(re.escape, GEN_KINDS))
+)
 
 
 def _tokenize(text: str):
+    """The (kind, text, offset) tokens of ``text``, then an "end" token."""
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", text[i:j], i))
-            i = j
-            continue
-        if text[i : i + 2] in GEN_KINDS and _BRACKET_AHEAD.match(text, i + 2):
-            # x+ and x- before '[' (spaces allowed between) lex as names, as
-            # "a" does
-            toks.append(("name", text[i : i + 2], i))
-            i += 2
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            toks.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i, expected=())
-    toks.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        toks.append((kind, m[kind], m.start(kind)))
+    toks.append(("end", "", len(text)))
     return toks
 
 
@@ -164,7 +142,7 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind == "int":
             self.advance()
-            return Element.from_coeff(RatFunc.from_fraction(Fraction(_int(text))))
+            return Element.from_coeff(RatFunc.from_int(_int(text)))
         if self.take_op("("):
             inner = self.parse_expr()
             self.expect_op(")")

@@ -241,10 +241,6 @@ def element_from_obj(obj: dict) -> Element:
     return Element(terms)
 
 
-def element_from_json(s: str) -> Element:
-    return element_from_obj(json.loads(s))
-
-
 class Printer:
     """Prints elements in one of the ``FORMATS``.
 

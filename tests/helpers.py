@@ -1,12 +1,13 @@
 """Shared test utilities: random value generators, the independent
-power-series oracle for the current components, and numeric cross-checks."""
+power-series oracle for the current components, the level-0 representation
+oracle, and numeric cross-checks."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from uqsl2.coeff import RF_ONE, LaurentPoly, PoleError, RatFunc, one_term, q_pow, qminus, u_pow
-from uqsl2.elements import AGEN, Element, Monomial, agen, xminus, xplus
+from uqsl2.elements import AGEN, XPLUS, Element, Monomial, agen, xminus, xplus
 from uqsl2.verify import sweep_params, verify_claim
 
 
@@ -162,3 +163,43 @@ def oracle_current(m: int, upper: bool) -> Element:
         word = tuple(agen(i) for i in key)
         terms[Monomial(word, kexp)] = c
     return Element(terms)
+
+
+# --- level-0 representation oracle ---------------------------------------
+
+
+def level0_action(el: Element, m=3, q=Fraction(3), a=Fraction(5)) -> list:
+    """The matrix of ``el`` on the evaluation module V_m(a) at gamma = 1
+    (so u = 1), a list of rows over the basis v_0..v_m.  With
+    lambda_r = a q^(-2r):
+
+        K v_r = q^(m-2r) v_r,
+        x+_k v_r = [r] lambda_r^k v_(r-1),
+        x-_k v_r = [m-r] lambda_(r+1)^k v_(r+1).
+
+    A monomial applies its K-power first, then its letters from right to
+    left.  Words with an a-letter raise ValueError: only the x and K
+    actions are built.  Chari-Pressley, A Guide to Quantum Groups, ch. 12."""
+
+    def qint(n):
+        return (q**n - q**-n) / (q - 1 / q)
+
+    out = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
+    for mono, c in el.terms.items():
+        if any(g.kind == AGEN for g in mono.word):
+            raise ValueError(f"no a-action on V_m(a): {mono}")
+        value = c.evaluate(q, 1)
+        for col in range(m + 1):
+            r, s = col, q ** (mono.kexp * (m - 2 * col))
+            for g in reversed(mono.word):
+                if g.kind == XPLUS:
+                    s *= qint(r) * (a * q ** (-2 * r)) ** g.idx
+                    r -= 1
+                else:
+                    s *= qint(m - r) * (a * q ** (-2 * (r + 1))) ** g.idx
+                    r += 1
+                if not s:
+                    break
+            else:
+                out[r][col] += value * s
+    return out

@@ -19,7 +19,7 @@ from uqsl2.cli import _COMMANDS, SuiteConfig, main, run_verify_suite
 from uqsl2.coeff import RatFunc
 from uqsl2.elements import Element
 from uqsl2.expr import CALLS, ELEMENT_ARGS, evaluate
-from uqsl2.render import FORMATS, element_from_json, element_to_obj, print_element
+from uqsl2.render import FORMATS, element_from_obj, element_to_obj, print_element
 from uqsl2.rewrite import RelationMode, commutator, deformed_commutator, equals, normal_form
 from uqsl2.verify import CLAIMS, expectation_met, verify_claim
 
@@ -46,6 +46,10 @@ def test_nf_command():
     code, out, _ = run_cli(["nf", "q^2*x+[0]*K - K*x+[0]"])
     assert code == 0
     assert out.strip() == "0"
+
+
+def test_a_digit_that_is_not_decimal_exits_2_at_its_offset():
+    assert run_cli(["nf", "x+[²]"]) == (2, "", "error: expected integer, found '²' at offset 3\n")
 
 
 def test_mul_and_comm():
@@ -425,6 +429,20 @@ def test_one_worker_and_many_write_the_same_document(cpus, monkeypatch):
     assert submitted[0] == (0 if cpus == 1 else 4 * chunks)
 
 
+def test_without_fork_the_chunks_run_here(monkeypatch):
+    # where there is no fork start method (Windows), a sweep that would
+    # pool checks its chunks in this process and writes the same document
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    submitted = _count_submissions(monkeypatch)
+    assert len(list(cli._chunks(SuiteConfig(claims=_SWEPT, **_SMALL)))) > 2
+    for fmt in ("json", "text"):
+        assert run_cli(_small_argv(fmt)) == (1, _whole_document(RelationMode.FULL, fmt) + "\n", "")
+    assert submitted[0] == 0
+
+
 def _uqsl2(argv, **kwargs):
     """``python3 -m uqsl2.cli ARGV`` in a child process."""
     env = dict(os.environ, PYTHONPATH=_SRC)
@@ -695,7 +713,7 @@ def test_integers_past_the_conversion_limit_print_and_parse_exactly():
         assert decimal.Decimal(text) == decimal.Decimal(2) ** 20000
     assert evaluate(text) == want
     code, out, _ = run_cli(["nf", "2^20000", "--format", "json"])
-    assert code == 0 and element_from_json(out) == want
+    assert code == 0 and element_from_obj(json.loads(out)) == want
     digits = "7" * 5000
     code, out, _ = run_cli(["nf", digits + "*x+[0]"])
     assert code == 0 and out.strip() == digits + "*x+[0]"
