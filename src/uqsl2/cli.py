@@ -9,9 +9,8 @@ or configuration error, or a sweep worker that died, 141 (128 + SIGPIPE)
 stdout closed by its reader before the output was written, as in ``uqsl2
 verify | head``, with no traceback.  Every command computes in full mode,
 in U_q(sl2-hat) under all of Drinfeld's relations (see ``rewrite``),
-unless ``--mode strict`` leaves out the same-sign x relation.  An optional
-JSON config file supplies the other verify defaults (flags win); a key it
-does not know is a configuration error.
+unless ``--mode strict`` leaves out the same-sign x relation.  A sweep is
+set up by ``verify``'s flags alone, whose defaults are ``SuiteConfig``'s.
 
 ``verify`` streams its document to stdout in one pass: the head, then the
 reports in sweep order, then the summary, which comes last in both
@@ -65,27 +64,15 @@ class WorkerDied(RuntimeError):
 _CLI_CLAIMS = {c.cli_name: name for name, c in CLAIMS.items() if c.cli_name}
 _DEFAULT_CLAIMS = ",".join(_CLI_CLAIMS)
 _MODES = tuple(m.value for m in RelationMode)
-# the verify defaults a config file may set; the mode is --mode's alone
-_CONFIG_KEYS = ("claims", "n_max", "k_max", "m_range", "p_range", "format")
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bools, which are ints to Python
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _parse_range(text):
-    """An "a:b" string, or an (a, b) pair from a config file or the defaults."""
-    if not isinstance(text, str):
-        if not (isinstance(text, (list, tuple)) and len(text) == 2 and all(map(_is_int, text))):
-            raise ConfigError(f"bad range {text!r}, expected \"a:b\" or [a, b]")
-        lo, hi = text
-    else:
-        try:
-            lo_s, hi_s = text.split(":")
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise ConfigError(f"bad range {text!r}, expected a:b")
+def _parse_range(text: str) -> tuple:
+    """An "a:b" string as its (a, b) pair."""
+    try:
+        lo_s, hi_s = text.split(":")
+        lo, hi = int(lo_s), int(hi_s)
+    except ValueError:
+        raise ConfigError(f"bad range {text!r}, expected a:b")
     if lo > hi:
         raise ConfigError(f"empty range {text!r}")
     return lo, hi
@@ -339,78 +326,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default="text", choices=FORMATS)
 
     p = sub.add_parser("verify", help="run claim verification sweeps")
-    p.add_argument("--claims", default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--m-range", default=None)
-    p.add_argument("--p-range", default=None)
+    p.add_argument("--claims", default=_DEFAULT_CLAIMS)
+    p.add_argument("--n-max", type=int, default=SuiteConfig.n_max)
+    p.add_argument("--k-max", type=int, default=SuiteConfig.k_max)
+    p.add_argument("--m-range", default="{}:{}".format(*SuiteConfig.m_range))
+    p.add_argument("--p-range", default="{}:{}".format(*SuiteConfig.p_range))
     p.add_argument("--mode", default=SuiteConfig.mode.value, choices=_MODES)
-    p.add_argument("--format", default=None, choices=_VERIFY_FORMATS)
-    p.add_argument("--config", default=None, help="JSON file with verify defaults")
+    p.add_argument("--format", default=SuiteConfig.format, choices=_VERIFY_FORMATS)
     return ap
 
 
 def _verify_config(args) -> SuiteConfig:
-    file_cfg = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-        for key in file_cfg:
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(
-                    f"unknown config key {key!r} (use {', '.join(_CONFIG_KEYS)})"
-                )
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
-
-    claims_raw = pick(args.claims, "claims", _DEFAULT_CLAIMS)
-    if isinstance(claims_raw, str):
-        claim_names = [c.strip() for c in claims_raw.split(",") if c.strip()]
-    elif isinstance(claims_raw, list) and all(isinstance(c, str) for c in claims_raw):
-        claim_names = claims_raw
-    else:
-        raise ConfigError(f"claims must be a string or a list of strings, not {claims_raw!r}")
     claims = []
-    for name in claim_names:
-        key = name.lower()
-        if key not in _CLI_CLAIMS:
+    for name in filter(None, (c.strip() for c in args.claims.split(","))):
+        if name.lower() not in _CLI_CLAIMS:
             raise ConfigError(f"unknown claim {name!r} (use {','.join(_CLI_CLAIMS)})")
-        claims.append(_CLI_CLAIMS[key])
+        claims.append(_CLI_CLAIMS[name.lower()])
     if not claims:
         raise ConfigError("no claims selected")
-
-    n_max = pick(args.n_max, "n_max", SuiteConfig.n_max)
-    k_max = pick(args.k_max, "k_max", SuiteConfig.k_max)
-    if not (_is_int(n_max) and _is_int(k_max)):
-        raise ConfigError(f"n_max and k_max must be integers, not {n_max!r} and {k_max!r}")
-    if n_max < 0 or k_max < 0:
+    if args.n_max < 0 or args.k_max < 0:
         raise ConfigError("n-max and k-max must be nonnegative")
-
-    m_range = _parse_range(pick(args.m_range, "m_range", SuiteConfig.m_range))
-    p_range = _parse_range(pick(args.p_range, "p_range", SuiteConfig.p_range))
-
-    fmt = pick(args.format, "format", SuiteConfig.format)
-    if not isinstance(fmt, str) or fmt not in _VERIFY_FORMATS:
-        raise ConfigError(f"unknown report format {fmt!r}")
     config = SuiteConfig(
         # a claim named twice is swept once
         claims=list(dict.fromkeys(claims)),
-        n_max=n_max,
-        k_max=k_max,
-        m_range=m_range,
-        p_range=p_range,
+        n_max=args.n_max,
+        k_max=args.k_max,
+        m_range=_parse_range(args.m_range),
+        p_range=_parse_range(args.p_range),
         mode=RelationMode(args.mode),
-        format=fmt,
+        format=args.format,
     )
     # raised here, before the document's first byte is written
     for claim in config.claims:

@@ -349,7 +349,8 @@ def is_central(a: Element, mode: RelationMode = RelationMode.FULL) -> bool:
 def relation_instances(bound: int = 3):
     """Elements that the rewrite system must send to zero: lhs - rhs for
     each of R2-R4 with generator indices up to ``bound``.  Used by the
-    homomorphism tests for omega."""
+    homomorphism tests for omega, and as the input of the level-0
+    representation oracle, on which each must act as 0."""
     out = []
     idxs = [i for i in range(-bound, bound + 1) if i]
     for k in idxs:

@@ -175,28 +175,51 @@ def level0_action(el: Element, m=3, q=Fraction(3), a=Fraction(5)) -> list:
 
         K v_r = q^(m-2r) v_r,
         x+_k v_r = [r] lambda_r^k v_(r-1),
-        x-_k v_r = [m-r] lambda_(r+1)^k v_(r+1).
+        x-_k v_r = [m-r] lambda_(r+1)^k v_(r+1),
+        a_k v_r = alpha_k(r) v_r.
 
-    A monomial applies its K-power first, then its letters from right to
-    left.  Words with an a-letter raise ValueError: only the x and K
-    actions are built.  Chari-Pressley, A Guide to Quantum Groups, ch. 12."""
+    alpha_k(r), k != 0, comes from the exact series log of K^-1 psi(z)
+    (k > 0) or K phi(z) (k < 0).  With s the sign of k and
+    b_n(r) = [m-r][r+1] lambda_(r+1)^n - [r][m-r+1] lambda_r^n, the
+    eigenvalue of [x+_j, x-_(n-j)] on v_r,
+
+        alpha_k(r) = s [w^|k|] log(1 + sum_(n>=1) c_n w^n) / (q - q^-1),
+        c_n = s (q - q^-1) b_(s n)(r) q^(-s(m-2r)),
+
+    the log taken by k L_k = k c_k - sum_(j<k) j L_j c_(k-j).  A monomial
+    applies its K-power first, then its letters from right to left.
+    Chari-Pressley, A Guide to Quantum Groups, ch. 12."""
 
     def qint(n):
         return (q**n - q**-n) / (q - 1 / q)
 
+    def lam(t):
+        return a * q ** (-2 * t)
+
+    def alpha(k, r):
+        def b(n):
+            return qint(m - r) * qint(r + 1) * lam(r + 1) ** n - qint(r) * qint(m - r + 1) * lam(r) ** n
+
+        s, top = (1, k) if k > 0 else (-1, -k)
+        c = [None] + [s * (q - 1 / q) * b(s * n) * q ** (-s * (m - 2 * r)) for n in range(1, top + 1)]
+        log = [None]
+        for n in range(1, top + 1):
+            log.append((n * c[n] - sum(j * log[j] * c[n - j] for j in range(1, n))) / n)
+        return s * log[top] / (q - 1 / q)
+
     out = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
     for mono, c in el.terms.items():
-        if any(g.kind == AGEN for g in mono.word):
-            raise ValueError(f"no a-action on V_m(a): {mono}")
         value = c.evaluate(q, 1)
         for col in range(m + 1):
             r, s = col, q ** (mono.kexp * (m - 2 * col))
             for g in reversed(mono.word):
                 if g.kind == XPLUS:
-                    s *= qint(r) * (a * q ** (-2 * r)) ** g.idx
+                    s *= qint(r) * lam(r) ** g.idx
                     r -= 1
+                elif g.kind == AGEN:
+                    s *= alpha(g.idx, r)
                 else:
-                    s *= qint(m - r) * (a * q ** (-2 * (r + 1))) ** g.idx
+                    s *= qint(m - r) * lam(r + 1) ** g.idx
                     r += 1
                 if not s:
                     break

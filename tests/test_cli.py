@@ -186,66 +186,29 @@ def test_every_entry_point_decides_in_full_mode_by_default():
     assert out.startswith(f"uqsl2 verify report (version {__version__}, mode full)\n")
 
 
-def test_config_file_and_flag_precedence(tmp_path):
-    cfg = tmp_path / "verify.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "claims": "ep",
-                "n_max": 1,
-                "k_max": 2,
-                "m_range": "0:0",
-                "p_range": "0:0",
-            }
-        )
-    )
-    code, out, _ = run_cli(["verify", "--config", str(cfg)])
-    assert code == 0  # EP in full: same-sign residuals with no x-free term
-    assert "mode full" in out
-    assert out.count("claim=EP") == 3  # (n, k) = (0, 1), (0, 2), (1, 2)
-    # flags win over the config file
-    code, out, _ = run_cli(["verify", "--config", str(cfg), "--k-max", "1", "--mode", "strict"])
-    assert "mode strict" in out
-    assert out.count("claim=EP") == 1
-    assert code == 0  # EP in strict: residuals have empty x-free projection
-
-
 @pytest.mark.parametrize(
-    "bad",
+    "flags",
     [
-        {"claims": [1]},
-        {"claims": 5},
-        {"n_max": "3"},
-        {"k_max": 2.5},
-        {"n_max": True},
-        {"m_range": 7},
-        {"m_range": [1]},
-        {"p_range": [0, 1.0]},
-        {"m_range": [2, 1]},
-        # the mode is --mode's alone, and an unknown key is no silent default
-        {"mode": "full"},
-        {"n-max": 1},
-        # a format that is no string is no format, not a crash
-        {"format": ["json"]},
-        {"format": {}},
+        ["--n-max", "-1"],
+        ["--k-max", "x"],
+        ["--m-range", "1"],
+        ["--m-range", "2:1"],
+        ["--p-range", "0:1.0"],
+        ["--format", "yaml"],
+        ["--claims", ","],
+        # a sweep is set up by its flags alone
+        ["--config", "c.json"],
     ],
 )
-def test_config_value_of_wrong_type_is_a_config_error(tmp_path, bad):
-    cfg = tmp_path / "verify.json"
-    cfg.write_text(json.dumps(bad))
-    code, out, err = run_cli(["verify", "--config", str(cfg)])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("key", ["mode", "n-max", "bogus"])
-def test_config_error_names_the_unknown_key(tmp_path, key):
-    cfg = tmp_path / "verify.json"
-    cfg.write_text(json.dumps({"claims": "ep", key: 1}))
-    code, out, err = run_cli(["verify", "--config", str(cfg)])
+def test_a_bad_verify_flag_exits_2_with_nothing_on_stdout(flags):
+    code, out, err = run_cli(["verify", *flags])
     assert (code, out) == (2, "")
-    assert f"unknown config key {key!r}" in err
+    assert err
+
+
+def test_the_verify_flags_default_to_the_suite_config():
+    config = cli._verify_config(cli.build_parser().parse_args(["verify"]))
+    assert config == SuiteConfig(claims=["EP", "EM", "COMMC", "OMEGA_E", "REFLECT"])
 
 
 def test_verify_json_report():
@@ -570,33 +533,11 @@ def test_at_most_two_chunks_per_worker_are_ahead_of_the_written_ones(fmt, monkey
     assert max(ahead) == 4 and ahead[-1] == 0
 
 
-def test_explicit_claims_flag_beats_config_file(tmp_path):
-    cfg = tmp_path / "verify.json"
-    cfg.write_text(
-        json.dumps(
-            {"claims": "commc", "n_max": 1, "k_max": 1, "m_range": "0:0", "p_range": "0:0"}
-        )
-    )
-
-    def claims(argv):
-        _, out, _ = run_cli(["verify", "--config", str(cfg)] + argv)
-        return {line.split()[0] for line in out.splitlines() if line.startswith("claim=")}
-
-    assert claims([]) == {"claim=COMMC"}
-    # the flag's value equals the default, and it still wins
-    assert claims(["--claims", "ep,em,commc,omega,reflect"]) == {
-        f"claim={c}" for c in ("EP", "EM", "COMMC", "OMEGA_E", "REFLECT")
-    }
-
-
-def test_a_claim_named_twice_is_swept_once(tmp_path):
+def test_a_claim_named_twice_is_swept_once():
     small = ["--n-max", "1", "--k-max", "1", "--m-range", "0:0", "--p-range", "0:0"]
     once = run_cli(["verify", "--claims", "ep,commc", *small])
     assert once[0] == 1 and once[1].count("claim=EP") == 1
     assert run_cli(["verify", "--claims", "ep,EP,commc,ep", *small]) == once
-    cfg = tmp_path / "verify.json"
-    cfg.write_text(json.dumps({"claims": ["ep", "commc", "commc", "ep"]}))
-    assert run_cli(["verify", "--config", str(cfg), *small]) == once
 
 
 # an operand for each argument name of a call of the language

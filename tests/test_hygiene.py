@@ -160,6 +160,35 @@ def test_no_function_writes_module_level_state():
     assert {name: f for name, f in found.items() if f} == {}
 
 
+def _open_calls(source):
+    """The lines of ``source`` that call the builtin ``open``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "open"
+    ]
+
+
+def test_open_scan_sees_a_call_of_open():
+    source = """
+with open(path) as fh:
+    pass
+os.open(os.devnull, os.O_WRONLY)
+reader = open
+"""
+    assert _open_calls(source) == [2]
+
+
+def test_no_module_opens_a_file():
+    # the engine's input is argv: no command reads a file (os.open of
+    # devnull, which discards stdout after a closed pipe, is not a call of
+    # the builtin)
+    found = {p.name: _open_calls(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_only_coeff_and_render_read_the_stored_den():
     # a coefficient is num / (den (q - q^-1)^d), so den alone is not its
     # denominator; other modules ask ``as_poly()``, and printing reads the

@@ -1,15 +1,16 @@
 """The engine against a representation: the level-0 evaluation module
-V_3(5) at q = 3 (``helpers.level0_action``), acting by x and K letters."""
+V_3(5) at q = 3 (``helpers.level0_action``), acting by x, a and K
+letters."""
 
 import random
 
 from uqsl2.coeff import q_pow
 from uqsl2.elements import AGEN, Element, Monomial, el_mul, xminus, xplus
 from uqsl2.family import family_E
-from uqsl2.rewrite import normal_form
+from uqsl2.rewrite import normal_form, relation_instances
 from uqsl2.verify import verify_claim
 
-from helpers import level0_action
+from helpers import level0_action, rand_element
 
 
 def g(gen):
@@ -47,6 +48,49 @@ def test_normal_forms_of_same_sign_words_act_as_the_words():
         action = level0_action(e)
         assert not _is_zero(action)
         assert level0_action(normal_form(e)) == action, e
+
+
+def _mixed_words():
+    # sums of up to three words in x+, x- and a letters, with K-powers
+    rng = random.Random(901)
+    words = [rand_element(rng) for _ in range(60)]
+    assert sum(any(g.kind == AGEN for m in w.terms for g in m.word) for w in words) > 30
+    return words
+
+
+def test_every_relation_instance_acts_as_zero():
+    # R2-R4 at indices up to 3, a-letters included: the engine's relation
+    # table against the module, with no rewriting
+    instances = relation_instances()
+    assert len(instances) == 169
+    for rel in instances:
+        assert _is_zero(level0_action(rel)), rel
+
+
+def test_normal_forms_of_mixed_words_act_as_the_words():
+    for e in _mixed_words():
+        action = level0_action(e)
+        assert not _is_zero(action)
+        assert level0_action(normal_form(e)) == action, e
+
+
+def test_the_wrong_r3_sign_fails_the_relations_and_the_words(monkeypatch):
+    # a_n x+-_k - x+-_k a_n with the sign of its x+-_(n+k) term flipped
+    from uqsl2 import rewrite
+
+    words = _mixed_words()
+    ax_coeff = rewrite._ax_coeff
+    rewrite.clear_caches()
+    monkeypatch.setattr(rewrite, "_ax_coeff", lambda n, kind: -ax_coeff(n, kind))
+    try:
+        zero = sum(_is_zero(level0_action(rel)) for rel in relation_instances())
+        agree = sum(level0_action(normal_form(e)) == level0_action(e) for e in words)
+    finally:
+        monkeypatch.undo()
+        rewrite.clear_caches()
+    # every one of the 84 R3 instances fails, and only those
+    assert zero == 169 - 84
+    assert agree < len(words)
 
 
 def _ep_em_brackets():
