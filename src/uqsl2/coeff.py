@@ -60,10 +60,6 @@ class LaurentPoly:
     def const(cls, n: int) -> "LaurentPoly":
         return cls({(0, 0): n})
 
-    @classmethod
-    def monomial(cls, c: int, eq: int, eu: int) -> "LaurentPoly":
-        return cls({(eq, eu): c})
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -7,19 +7,24 @@ Grammar (whitespace-insensitive):
     term    := factor (("*"|"/") factor)*
     factor  := atom ("^" int)?
     atom    := gen "[" int "]" | name | int | "(" expr ")" | call "(" args ")"
-    args    := arg ("," arg)* ;  arg := expr | "+" | "-"
+    args    := slot ("," slot)*
+    slot    := "+" | "-" | int | expr
 
 A gen is a spelling of ``elements.GEN_NAMES`` (x+, x-, a), a name a key of
-``NAMES`` (K, gamma, u, q) and a call a key of ``CALLS``, which also lists
-each call's arguments.  "/" requires an invertible right operand: one
-bare K-power term whose coefficient is c q^a u^b (q - q^-1)^k, c a nonzero
-integer, the only denominators the algebra makes.  So 1/2, 1/(q^2 - 1)
-and x+[0]/(3*u) work, and 1/(q + 1) is an error.
+``NAMES`` (K, gamma, u, q) and a call a key of ``CALLS``, which also names
+the kind of each of a call's slots: a sign, an integer or an element.  An
+int is a decimal literal, signed where "^", an index or a slot reads it.
+"/" requires an invertible right operand: one bare K-power term whose
+coefficient is c q^a u^b (q - q^-1)^k, c a nonzero integer, the only
+denominators the algebra makes.  So 1/2, 1/(q^2 - 1) and x+[0]/(3*u)
+work, and 1/(q + 1) is an error.
 
-``evaluate`` is the one way from text to an Element.  Each production of
-the parser returns the Element it denotes as soon as it has read it, so no
-syntax tree is built, and of two faults in one text the first in reading
-order is reported.
+This module is the one reader of text in the package, and ``evaluate``
+the one way from text to an Element; the JSON output is for other
+programs, and no code of the package reads it back.  Each production of
+the parser returns the Element it denotes as soon as it has read it, so
+no syntax tree is built, and of two faults in one text the first in
+reading order is reported.
 """
 
 from __future__ import annotations
@@ -164,33 +169,27 @@ class _Parser:
 
     def parse_call(self, name: str) -> Element:
         """The value of the call ``name(args)``, its "(" already read.  Each
-        argument is made the kind its slot names as soon as it is read."""
+        argument is read as the kind its slot names: a sign as one + or -
+        token, an integer as a signed integer literal, an element as an
+        expression."""
         spec = CALLS.get(name)
         if spec is None:
             raise EvalError(f"unknown function {name!r}")
         args = []
-        while True:
-            value = self.parse_arg()
-            if len(args) < len(spec.args):
-                value = _argument(name, spec.args[len(args)], value)
-            args.append(value)
-            if not self.take_op(","):
-                break
+        for slot in spec.args:
+            if args:
+                self.expect_op(",")
+            if slot == "sign":
+                sign = self.take_op("+-")
+                if sign is None:
+                    self.fail(("'+'", "'-'"))
+                args.append(sign)
+            elif slot in ELEMENT_ARGS:
+                args.append(self.parse_expr())
+            else:
+                args.append(self.parse_int())
         self.expect_op(")")
-        if len(args) != len(spec.args):
-            raise EvalError(f"{name} takes {len(spec.args)} argument(s), got {len(args)}")
         return spec.fn(self.mode, *args)
-
-    def parse_arg(self):
-        """A bare sign (a lone + or - before ',' or ')') as its text; any
-        other argument as its Element."""
-        kind, text, _ = self.peek()
-        if kind == "op" and text in "+-":
-            nxt = self.toks[self.i + 1]
-            if nxt[0] == "op" and nxt[1] in ",)":
-                self.advance()
-                return text
-        return self.parse_expr()
 
 
 def evaluate(text: str, mode: RelationMode = RelationMode.FULL) -> Element:
@@ -221,8 +220,8 @@ class CallSpec(NamedTuple):
     """A call of the language, which is also a CLI command: its help text,
     its argument names and a function of (mode, *arguments).  An argument
     named in ``ELEMENT_ARGS`` is an element, "sign" is a bare + or -, and
-    any other is an integer; a name that begins with "--" is an option of
-    the CLI command, defaulting to 0."""
+    any other is a signed integer literal; a name that begins with "--" is
+    an option of the CLI command, defaulting to 0."""
 
     help: str
     args: tuple
@@ -259,17 +258,6 @@ CALLS = {
 }
 
 
-def _as_int(el: Element, what: str) -> int:
-    if el.is_zero():
-        return 0
-    if len(el.terms) == 1:
-        mono, c = next(iter(el.terms.items()))
-        p = c.as_poly()
-        if mono == Monomial((), 0) and p is not None and list(p.terms) == [(0, 0)]:
-            return p.terms[(0, 0)]
-    raise EvalError(f"{what} must be an integer literal")
-
-
 def _invert(el: Element) -> Element:
     if el.is_zero():
         raise EvalError("division by zero element")
@@ -297,15 +285,3 @@ def _power(el: Element, n: int) -> Element:
             el = el_mul(el, el)
     return out
 
-
-def _argument(call: str, name: str, value):
-    """One call argument, a sign's text or an Element, as the kind its
-    name says."""
-    what = f"{call} {name.lstrip('-')}"
-    if name == "sign":
-        if isinstance(value, str):
-            return value
-        raise EvalError(f"{what} must be a bare + or - sign")
-    if isinstance(value, str):
-        raise EvalError("a bare sign is only valid as a call argument")
-    return value if name in ELEMENT_ARGS else _as_int(value, what)

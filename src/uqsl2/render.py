@@ -2,8 +2,7 @@
 
 Text output reads back through expr.evaluate; JSON follows the schema
 {"terms":[{"coeff":{"num":...,"den":...},"word":[{"g":"x+","k":0},...],
-"kexp":0},...]} with polynomials as canonical text, read back by a reader of
-that printed grammar only.  A coefficient stored as
+"kexp":0},...]} with polynomials as canonical text.  A coefficient stored as
 num / (den (q - q^-1)^d), den an integer, prints its display pair
 ``canonical()``: num q^d over den (q^2 - 1)^d.  In human-facing text even
 powers of u print as powers of gamma; JSON keeps raw u powers.
@@ -20,21 +19,10 @@ document's fragments, which costs memory that nothing bounds or clears.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, replace
 
 from .coeff import P_ONE, LaurentPoly, RatFunc
-from .elements import (
-    AGEN,
-    GEN_KINDS,
-    GEN_NAMES,
-    XMINUS,
-    XPLUS,
-    Element,
-    Gen,
-    Monomial,
-    word_sort_key,
-)
+from .elements import AGEN, GEN_NAMES, XMINUS, XPLUS, Element, word_sort_key
 
 
 @dataclass(frozen=True)
@@ -163,6 +151,8 @@ def _signed(text: str) -> tuple:
 
 
 def element_to_obj(e: Element) -> dict:
+    """The JSON object of ``e``, built term by term: the reference the JSON
+    ``Printer`` is checked against."""
     terms = []
     for mono, c in e.sorted_terms():
         num, den = c.canonical()
@@ -177,68 +167,6 @@ def element_to_obj(e: Element) -> dict:
             }
         )
     return {"terms": terms}
-
-
-# the grammar ``_poly`` prints: signed terms, each an integer, q and u
-# (with an integer exponent) joined by "*"
-_FACTOR = r"(?:\d+|[qu](?:\^-?\d+)?)"
-_TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
-_POLY_TEXT = re.compile(rf"\s*[+-]?\s*{_TERM}(?:\s*[+-]\s*{_TERM})*\s*")
-_SIGNED_TERM = re.compile(rf"([+-]?)\s*({_TERM})")
-_FACTOR_PARTS = re.compile(r"(\d+)|([qu])(?:\^(-?\d+))?")
-
-
-def _poly_from_text(text: str) -> LaurentPoly:
-    """The Laurent polynomial that a JSON coefficient text spells, in the
-    grammar the printer writes; anything else, such as a call, a generator,
-    K, gamma, "/", a parenthesis or a value that is not a string, raises
-    ValueError."""
-    if not (isinstance(text, str) and _POLY_TEXT.fullmatch(text)):
-        raise ValueError(f"not a polynomial: {text!r}")
-    terms = {}
-    for sign, body in _SIGNED_TERM.findall(text):
-        c, eq, eu = 1, 0, 0
-        for digits, var, exp in _FACTOR_PARTS.findall(body):
-            if digits:
-                c *= _int(digits)
-            elif var == "q":
-                eq += int(exp or 1)
-            else:
-                eu += int(exp or 1)
-        terms[(eq, eu)] = terms.get((eq, eu), 0) + (-c if sign == "-" else c)
-    return LaurentPoly(terms)
-
-
-def _gen_from_obj(g: dict) -> Gen:
-    kind = GEN_KINDS.get(g["g"]) if isinstance(g["g"], str) else None
-    k = g["k"]
-    # type(k) is int refuses bools, which are ints to Python
-    if kind is None or type(k) is not int or (kind == AGEN and k == 0):
-        raise ValueError(f"not a generator: {g!r}")
-    return Gen(kind, k)
-
-
-def element_from_obj(obj: dict) -> Element:
-    """The element a JSON object of ``element_to_obj``'s schema spells; an
-    object of another shape (a missing key, a list or a number where an
-    object belongs), or a generator, K-power or coefficient outside that
-    schema, raises ValueError."""
-    terms = {}
-    try:
-        for t in obj["terms"]:
-            num = _poly_from_text(t["coeff"]["num"])
-            den = _poly_from_text(t["coeff"]["den"])
-            if type(t["kexp"]) is not int:
-                raise ValueError(f"not a K-exponent: {t['kexp']!r}")
-            mono = Monomial(tuple(map(_gen_from_obj, t["word"])), t["kexp"])
-            coeff = RatFunc.make(num, den)
-            acc = terms.get(mono)
-            terms[mono] = coeff if acc is None else acc + coeff
-    # indexing a value of the wrong shape: a missing key, or a list, number
-    # or string where the schema has an object
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"not an element object: {type(exc).__name__} {exc}") from None
-    return Element(terms)
 
 
 class Printer:

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from uqsl2.coeff import RF_ONE, LaurentPoly, PoleError, RatFunc, one_term, q_pow, qminus, u_pow
 from uqsl2.elements import AGEN, XPLUS, Element, Monomial, agen, xminus, xplus
+from uqsl2.expr import evaluate
 from uqsl2.verify import sweep_params, verify_claim
 
 
@@ -58,6 +59,21 @@ def rand_ratfunc(rng):
     c = rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6])
     den = admissible_den(c, rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(4))
     return RatFunc.make(rand_poly(rng), den)
+
+
+def json_to_element(obj: dict) -> Element:
+    """The element a JSON object of ``render.element_to_obj``'s schema
+    spells, read back by ``expr.evaluate``: each term is the text
+    (num)/(den)*gen[k]*...*K^kexp, and the terms are summed."""
+    terms = [
+        "*".join(
+            [f"({t['coeff']['num']})/({t['coeff']['den']})"]
+            + [f"{g['g']}[{g['k']}]" for g in t["word"]]
+            + [f"K^{t['kexp']}"]
+        )
+        for t in obj["terms"]
+    ]
+    return evaluate("+".join(terms) or "0")
 
 
 def rand_point(rng):

@@ -37,7 +37,7 @@ from uqsl2.rewrite import (
 )
 from uqsl2.verify import verify_claim
 
-from helpers import is_same_sign_residual, oracle_current, rand_element, rand_word
+from helpers import is_same_sign_residual, json_to_element, oracle_current, rand_element, rand_word
 
 S = RelationMode.STRICT
 F = RelationMode.FULL
@@ -214,7 +214,7 @@ def test_criterion_6_omega():
 def test_criterion_7_parser_serialization():
     t0 = time.perf_counter()
     from uqsl2.expr import evaluate
-    from uqsl2.render import element_from_obj, print_element
+    from uqsl2.render import print_element
     from uqsl2.cli import main
     import contextlib, io
 
@@ -223,7 +223,7 @@ def test_criterion_7_parser_serialization():
     for _ in range(200):
         e = rand_element(rng)
         ok = ok and evaluate(print_element(e, "text")) == e
-        ok = ok and element_from_obj(json.loads(print_element(e, "json"))) == e
+        ok = ok and json_to_element(json.loads(print_element(e, "json"))) == e
 
     def run(argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(

@@ -19,11 +19,11 @@ from uqsl2.cli import _COMMANDS, SuiteConfig, main, run_verify_suite
 from uqsl2.coeff import RatFunc
 from uqsl2.elements import Element
 from uqsl2.expr import CALLS, ELEMENT_ARGS, evaluate
-from uqsl2.render import FORMATS, element_from_obj, element_to_obj, print_element
+from uqsl2.render import FORMATS, element_to_obj, print_element
 from uqsl2.rewrite import RelationMode, commutator, deformed_commutator, equals, normal_form
 from uqsl2.verify import CLAIMS, expectation_met, verify_claim
 
-from helpers import rand_element, sweep_claim
+from helpers import json_to_element, rand_element, sweep_claim
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -654,7 +654,7 @@ def test_integers_past_the_conversion_limit_print_and_parse_exactly():
         assert decimal.Decimal(text) == decimal.Decimal(2) ** 20000
     assert evaluate(text) == want
     code, out, _ = run_cli(["nf", "2^20000", "--format", "json"])
-    assert code == 0 and element_from_obj(json.loads(out)) == want
+    assert code == 0 and json_to_element(json.loads(out)) == want
     digits = "7" * 5000
     code, out, _ = run_cli(["nf", digits + "*x+[0]"])
     assert code == 0 and out.strip() == digits + "*x+[0]"

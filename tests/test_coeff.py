@@ -198,7 +198,7 @@ def test_inv_accepts_exactly_the_admissible_values():
 
 def _one_term(rng):
     c = rng.choice([-3, -2, -1, 1, 2, 3])
-    return RatFunc.make(LaurentPoly.monomial(c, rng.randrange(-3, 4), rng.randrange(-3, 4)), P_ONE)
+    return RatFunc.make(LaurentPoly({(rng.randrange(-3, 4), rng.randrange(-3, 4)): c}), P_ONE)
 
 
 def _polynomial(rng):
@@ -398,7 +398,7 @@ def test_single_is_the_one_term_of_the_value():
         RatFunc.make(LaurentPoly({(2, 0): 1, (0, 0): -1}), admissible_den(1, 0, 0, 1)),
         RatFunc.make(LaurentPoly({(1, 2): -4}), LaurentPoly.const(2)),
         RatFunc.make(LaurentPoly({(1, 2): -4}), LaurentPoly.const(8)),
-        RatFunc.make(LaurentPoly.monomial(3, -2, 1), P_ONE),
+        RatFunc.make(LaurentPoly({(-2, 1): 3}), P_ONE),
         RatFunc.make(LaurentPoly({(1, 0): 2, (-1, 0): -2}), LaurentPoly.const(2)),
         RatFunc.make(P_ONE, P_ONE),
         one_term(-2, 1, -3).inv(),

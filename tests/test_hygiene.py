@@ -189,6 +189,39 @@ def test_no_module_opens_a_file():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+def _imports_re(source):
+    """The lines of ``source`` that import the ``re`` module, a module of
+    its package or a name from one."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import)
+        and any(a.name.split(".")[0] == "re" for a in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and node.module.split(".")[0] == "re"
+    ]
+
+
+def test_re_scan_sees_each_import_of_re():
+    source = """
+import re
+import os, re as regex
+from re import compile
+from . import re
+from .re import x
+import rex
+pattern = "import re"
+"""
+    assert _imports_re(source) == [2, 3, 4]
+
+
+def test_only_expr_imports_re():
+    # expr is the one reader of text: no other module matches patterns
+    found = {p.name: _imports_re(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines and name != "expr.py"} == {}
+
+
 def test_only_coeff_and_render_read_the_stored_den():
     # a coefficient is num / (den (q - q^-1)^d), so den alone is not its
     # denominator; other modules ask ``as_poly()``, and printing reads the
