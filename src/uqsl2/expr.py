@@ -182,7 +182,7 @@ class _Parser:
             if slot == "sign":
                 sign = self.take_op("+-")
                 if sign is None:
-                    self.fail(("'+'", "'-'"))
+                    self.fail(("sign",))
                 args.append(sign)
             elif slot in ELEMENT_ARGS:
                 args.append(self.parse_expr())

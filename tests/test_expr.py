@@ -86,7 +86,7 @@ def test_tokens_are_the_text_without_its_whitespace():
         ("+", ParseError, "expected atom, found 'end of input' at offset 1"),
         ("(+)", ParseError, "expected atom, found ')' at offset 2"),
         ("psi(+)", ParseError, "expected integer, found ')' at offset 5"),
-        ("E(1,1,0,0)", ParseError, "expected '+' or '-', found '1' at offset 2"),
+        ("E(1,1,0,0)", ParseError, "expected sign, found '1' at offset 2"),
         ("E(+,1,0,0,-)", ParseError, "expected ')', found ',' at offset 9"),
         ("E(+, 1+1, 0, 0)", ParseError, "expected ',', found '+' at offset 6"),
         ("dcomm(x+[0], x-[0], q^0)", ParseError, "expected integer, found 'q' at offset 20"),
