@@ -22,14 +22,12 @@ from uqsl2.family import (
     central_c,
     expand_general_commutator,
     expand_specialized_commutator,
-    family_E,
     family_E_neg,
     family_E_pos,
 )
 from uqsl2.rewrite import (
     RelationMode,
     deformed_commutator,
-    equals,
     is_central,
     normal_form,
     normal_form_random,

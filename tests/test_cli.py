@@ -36,6 +36,10 @@ def run_cli(argv, env=None, monkeypatch=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_version_flag_prints_the_package_version():
+    assert run_cli(["--version"]) == (0, f"{__version__}\n", "")
+
+
 def test_psi_command():
     code, out, _ = run_cli(["psi", "1"])
     assert code == 0

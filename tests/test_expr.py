@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from uqsl2.coeff import P_ONE, RF_ONE, RatFunc, one_term, q_pow, qminus, u_pow
-from uqsl2.currents import phi, psi
+from uqsl2.coeff import P_ONE, RatFunc, one_term, qminus, u_pow
+from uqsl2.currents import psi
 from uqsl2.elements import Element, Monomial, agen, el_mul, xminus, xplus
 from uqsl2.expr import EvalError, ParseError, _tokenize, evaluate
 from uqsl2.family import central_c, family_E

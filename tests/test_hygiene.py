@@ -7,7 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "uqsl2"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "uqsl2"
 
 
 def _private_module_names(tree):
@@ -220,6 +221,72 @@ def test_only_expr_imports_re():
     # expr is the one reader of text: no other module matches patterns
     found = {p.name: _imports_re(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines and name != "expr.py"} == {}
+
+
+def _unused_imports(source):
+    """The names that ``source`` binds by ``import`` or ``from ... import``
+    and never reads, with the line of their import.  A read is an
+    ``ast.Name`` load anywhere in the module, which is also the root of an
+    attribute chain; ``from __future__`` binds nothing."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            bound.setdefault(name, node.lineno)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_unused_import_scan_sees_a_name_never_read():
+    source = """
+from __future__ import annotations
+import os, sys as system
+import os.path
+from json import dumps, loads as load
+from . import helper
+def f():
+    from .x import inner
+    return os.sep, load, "dumps helper inner"
+"""
+    assert _unused_imports(source) == [(3, "system"), (5, "dumps"), (6, "helper"), (8, "inner")]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # an import that nothing reads is dead code, and a name imported for
+    # nothing has to be edited whenever it is renamed or deleted
+    found = {
+        str(p.relative_to(ROOT)): _unused_imports(p.read_text())
+        for folder in (SRC, ROOT / "tests")
+        for p in sorted(folder.glob("*.py"))
+    }
+    assert {name: f for name, f in found.items() if f} == {}
+
+
+def test_the_package_module_holds_only_its_version():
+    # every name is imported from its module; the package re-exports none
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert ast.get_docstring(tree)
+    assert [type(node).__name__ for node in tree.body] == ["Expr", "Assign"]
+    assert [ast.unparse(t) for t in tree.body[1].targets] == ["__version__"]
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    imported = {
+        (str(p.relative_to(ROOT)), a.name)
+        for folder in (SRC, ROOT / "tests", ROOT / "perfbench")
+        for p in folder.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level, node.module) in ((0, "uqsl2"), (1, None))
+        for a in node.names
+    }
+    # the scan sees both spellings: cli's relative import and the tests'
+    assert {("src/uqsl2/cli.py", "__version__"), ("tests/test_cli.py", "cli")} <= imported
+    assert {(path, name) for path, name in imported if name not in modules | {"__version__"}} == set()
 
 
 def test_only_coeff_and_render_read_the_stored_den():

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 from uqsl2.coeff import RF_ONE, q_pow, qint, qminus, u_pow
 from uqsl2.currents import phi, psi
@@ -9,7 +8,6 @@ from uqsl2.elements import (
     agen,
     el_mul,
     omega,
-    project_x_free,
     xminus,
     xplus,
 )
