@@ -66,8 +66,6 @@ class RelationMode(enum.Enum):
 
 
 _R2, _R3, _R4, _R6 = 2, 3, 4, 6
-# the swap half of an R4 step whose correction _reduce keeps in a block
-_R4_SWAP = 7
 
 
 def _aa_central(k: int) -> RatFunc:
@@ -96,19 +94,11 @@ def _r4_parts(i: int, j: int) -> list:
     return parts
 
 
-def _r4_correction(i: int, j: int) -> Element:
-    """x-_i x+_j - x+_j x-_i, that is -[x+_j, x-_i]."""
-    out = Element.zero()
-    for current, m, s in _r4_parts(i, j):
-        out = out + current(m).scale(s)
-    return out.scale(qminus().inv())
-
-
 @lru_cache(maxsize=1 << 12)
 def _replacement(g: Gen, h: Gen, tag: int) -> Element:
-    if tag in (_R2, _R4_SWAP):
+    if tag == _R2:
         terms = {Monomial((h, g), 0): RF_ONE}
-        if tag == _R2 and g.idx == -h.idx:
+        if g.idx == -h.idx:
             terms[Monomial((), 0)] = _aa_central(g.idx)
         return Element(terms)
     if tag == _R3:
@@ -129,7 +119,10 @@ def _replacement(g: Gen, h: Gen, tag: int) -> Element:
             out = out - Element.from_monomial(Monomial((lo, hi), 0))
         return out
     # R4: g = x-_i, h = x+_j
-    return Element.from_monomial(Monomial((h, g), 0)) + _r4_correction(g.idx, h.idx)
+    out = Element.from_monomial(Monomial((h, g), 0))
+    for current, m, s in _r4_parts(g.idx, h.idx):
+        out = out + current(m).scale(s / qminus())
+    return out
 
 
 def _expand_redex(word, kexp: int, i: int, tag: int):
@@ -163,19 +156,20 @@ def clear_caches():
     workload, counted in a fresh process with the sweep in that process
     (one_term's include the 3 values made at import): the Strict verify
     sweep of all five claims at n,k <= 16 (m, p in [-2, 2]) leaves
-    _word_moves 2,347 words, _replacement 578 entries, one_term 2,099
-    values, psi, phi one each and 850 and 1,258 members; the five 8-letter
-    mixed word templates of nf-long-words leave 18,511, 144, 136 and 9
-    each and build no member; 100,000 family brackets use only one_term
-    (433), psi, phi (6 each) and 200 + 200 members.  Such work is
-    therefore done once per process.
+    _word_moves 2,347 words, _replacement no entries (each of its R4 steps
+    is a block step, which needs no row), one_term 2,099 values, psi, phi
+    one each and 850 and 1,258 members; the five 8-letter mixed word
+    templates of nf-long-words leave 18,511, 141, 136 and 9 each and build
+    no member; 100,000 family brackets use only one_term (433), psi, phi
+    (6 each) and 200 + 200 members.  Such work is therefore done once per
+    process.
 
     Full mode, the default, needs more: the same verify sweep leaves
-    2,891, 1,412, 3,315, one each and the same 850 and 1,258 members, and
-    the five mixed word templates leave 17,965, 169, 179 and 9 each.
+    2,891, 834, 3,315, one each and the same 850 and 1,258 members, and
+    the five mixed word templates leave 17,965, 166, 179 and 9 each.
     Wider full sweeps pass one_term's bound of 4,096: n,k <= 20 fills it,
     and so do m, p in [-4, 4] at n,k <= 16.  At n,k <= 24 _replacement
-    holds 3,076 of its 4,096."""
+    holds 1,826 of its 4,096."""
     for memo in (_word_moves, _replacement, one_term, psi, phi, family_E_pos, family_E_neg):
         memo.cache_clear()
 
@@ -279,10 +273,11 @@ def _reduce(a: Element, mode: RelationMode, choose) -> Element:
             and all(g.kind != AGEN for g in word)
             and not _word_moves(word[:i], full)
         ):
-            tag = _R4_SWAP
             prefix = word[:i]
             for current, m, s in _r4_parts(word[i].idx, word[i + 1].idx):
                 bump(blocks, (prefix, mono.kexp, current, m), c * s)
+            add(Monomial(prefix + (word[i + 1], word[i]), mono.kexp), c)
+            continue
         for m2, c2 in _expand_redex(word, mono.kexp, i, tag):
             add(m2, c * c2)
     for (prefix, kexp, current, m), s in blocks.items():
@@ -347,32 +342,17 @@ def is_central(a: Element, mode: RelationMode = RelationMode.FULL) -> bool:
 
 
 def relation_instances(bound: int = 3):
-    """Elements that the rewrite system must send to zero: lhs - rhs for
-    each of R2-R4 with generator indices up to ``bound``.  Used by the
-    homomorphism tests for omega, and as the input of the level-0
-    representation oracle, on which each must act as 0."""
-    out = []
-    idxs = [i for i in range(-bound, bound + 1) if i]
-    for k in idxs:
-        for l in idxs:
-            lhs = el_mul(Element.from_gen(agen(k)), Element.from_gen(agen(l)))
-            rhs = el_mul(Element.from_gen(agen(l)), Element.from_gen(agen(k)))
-            if k == -l and k > 0:
-                rhs = rhs + Element.from_coeff(_aa_central(k))
-            elif k == -l and k < 0:
-                rhs = rhs - Element.from_coeff(_aa_central(-k))
-            out.append(lhs - rhs)
-    for n in idxs:
-        for k in range(-bound, bound + 1):
-            for kind, mk in ((XPLUS, xplus), (XMINUS, xminus)):
-                lhs = el_mul(Element.from_gen(agen(n)), Element.from_gen(mk(k)))
-                rhs = el_mul(Element.from_gen(mk(k)), Element.from_gen(agen(n)))
-                rhs = rhs + Element.from_gen(mk(n + k)).scale(_ax_coeff(n, kind))
-                out.append(lhs - rhs)
-    for i in range(-bound, bound + 1):
-        for j in range(-bound, bound + 1):
-            lhs = el_mul(Element.from_gen(xminus(i)), Element.from_gen(xplus(j)))
-            rhs = el_mul(Element.from_gen(xplus(j)), Element.from_gen(xminus(i)))
-            rhs = rhs + _r4_correction(i, j)
-            out.append(lhs - rhs)
-    return out
+    """Elements that the rewrite system must send to zero: g h minus its
+    replacement, for each move of each two-letter word g h in x+-_i and a_i
+    (i != 0 for a) with |i| <= ``bound``.  These are the engine's own rules,
+    R2-R4 and R6, read off its table.  Used by the homomorphism tests for
+    omega, and as the input of the level-0 representation oracle, on which
+    each must act as 0."""
+    span = range(-bound, bound + 1)
+    gens = [mk(i) for i in span for mk in (xplus, xminus)] + [agen(i) for i in span if i]
+    return [
+        Element.from_monomial(Monomial((g, h), 0)) - _replacement(g, h, tag)
+        for g in gens
+        for h in gens
+        for _, tag in _word_moves((g, h), True)
+    ]

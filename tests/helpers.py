@@ -1,13 +1,13 @@
-"""Shared test utilities: random value generators, the independent
-power-series oracle for the current components, the level-0 representation
-oracle, and numeric cross-checks."""
+"""Shared test utilities: random value generators, Drinfeld's same-sign
+relation as stated, the independent power-series oracle for the current
+components, the level-0 representation oracle, and numeric cross-checks."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from uqsl2.coeff import RF_ONE, LaurentPoly, PoleError, RatFunc, one_term, q_pow, qminus, u_pow
-from uqsl2.elements import AGEN, XPLUS, Element, Monomial, agen, xminus, xplus
+from uqsl2.elements import AGEN, XPLUS, Element, Monomial, agen, el_mul, xminus, xplus
 from uqsl2.expr import evaluate
 from uqsl2.verify import sweep_params, verify_claim
 
@@ -98,6 +98,22 @@ def assert_coeffs_match_numerically(a: Element, b: Element, rng, points=3):
                 continue
             assert va == vb, (mono, q0, u0)
             done += 1
+
+
+def drinfeld_r6(mk, s, k, l) -> Element:
+    """Drinfeld's same-sign relation, unsolved, with x = mk (xplus or
+    xminus) and s = q^(+-2) its convention:
+
+        x_(k+1) x_l - s x_l x_(k+1) - s x_k x_(l+1) + x_(l+1) x_k.
+
+    Built from the relation as stated, not from the engine's rewrite
+    table, so it is the independent statement the table is checked
+    against."""
+
+    def pair(i, j):
+        return el_mul(Element.from_gen(mk(i)), Element.from_gen(mk(j)))
+
+    return pair(k + 1, l) - pair(l, k + 1).scale(s) - pair(k, l + 1).scale(s) + pair(l + 1, k)
 
 
 def sweep_claim(claim: str, cfg: dict, mode) -> list:

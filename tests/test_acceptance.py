@@ -196,7 +196,7 @@ def test_criterion_6_omega():
     t0 = time.perf_counter()
     rng = random.Random(606)
     ok = all((lambda e: omega(omega(e)) == e)(rand_element(rng)) for _ in range(200))
-    ok = ok and all(normal_form(omega(rel), S).is_zero() for rel in relation_instances(3))
+    ok = ok and all(normal_form(omega(rel), F).is_zero() for rel in relation_instances(3))
     for p in (0, 1):
         for n in (0, 1):
             ok = ok and verify_claim("OMEGA_E", {"sign": "+", "p": p, "m": 0, "n": n}).paper_match

@@ -3,18 +3,15 @@ V_3(5) at q = 3 (``helpers.level0_action``), acting by x, a and K
 letters."""
 
 import random
+from collections import Counter
 
 from uqsl2.coeff import q_pow
-from uqsl2.elements import AGEN, Element, Monomial, el_mul, xminus, xplus
+from uqsl2.elements import AGEN, XMINUS, XPLUS, Element, Monomial, el_mul, xminus, xplus
 from uqsl2.family import family_E
 from uqsl2.rewrite import normal_form, relation_instances
 from uqsl2.verify import verify_claim
 
-from helpers import level0_action, rand_element
-
-
-def g(gen):
-    return Element.from_gen(gen)
+from helpers import drinfeld_r6, level0_action, rand_element
 
 
 def _is_zero(matrix):
@@ -28,13 +25,7 @@ def test_every_r6_instance_acts_as_zero():
     for mk, s in ((xplus, q_pow(2)), (xminus, q_pow(-2))):
         for k in range(-3, 3):
             for l in range(-3, 3):
-                rel = (
-                    el_mul(g(mk(k + 1)), g(mk(l)))
-                    - el_mul(g(mk(l)), g(mk(k + 1))).scale(s)
-                    - el_mul(g(mk(k)), g(mk(l + 1))).scale(s)
-                    + el_mul(g(mk(l + 1)), g(mk(k)))
-                )
-                assert _is_zero(level0_action(rel)), (mk, k, l)
+                assert _is_zero(level0_action(drinfeld_r6(mk, s, k, l))), (mk, k, l)
                 count += 1
     assert count == 72
 
@@ -58,11 +49,23 @@ def _mixed_words():
     return words
 
 
+def _rule(rel):
+    # which rule a relation_instances row states, read off its letters
+    letters = {gen.kind for mono in rel.terms for gen in mono.word}
+    if XPLUS in letters and XMINUS in letters:
+        return "R4"
+    if XPLUS in letters or XMINUS in letters:
+        return "R3" if AGEN in letters else "R6"
+    return "R2"
+
+
 def test_every_relation_instance_acts_as_zero():
-    # R2-R4 at indices up to 3, a-letters included: the engine's relation
-    # table against the module, with no rewriting
+    # every move of every two-letter word at indices up to 3, a-letters
+    # included: the engine's rewrite table against the module, with no
+    # rewriting
     instances = relation_instances()
-    assert len(instances) == 169
+    assert len(instances) == 190
+    assert Counter(map(_rule, instances)) == {"R2": 15, "R3": 84, "R4": 49, "R6": 42}
     for rel in instances:
         assert _is_zero(level0_action(rel)), rel
 
@@ -74,23 +77,42 @@ def test_normal_forms_of_mixed_words_act_as_the_words():
         assert level0_action(normal_form(e)) == action, e
 
 
-def test_the_wrong_r3_sign_fails_the_relations_and_the_words(monkeypatch):
-    # a_n x+-_k - x+-_k a_n with the sign of its x+-_(n+k) term flipped
+def _under_a_wrong_rule(monkeypatch, name, value):
+    """(relation_instances rows that act as 0, mixed words whose normal
+    form acts as the word) with rewrite.<name> patched to ``value``."""
     from uqsl2 import rewrite
 
     words = _mixed_words()
-    ax_coeff = rewrite._ax_coeff
     rewrite.clear_caches()
-    monkeypatch.setattr(rewrite, "_ax_coeff", lambda n, kind: -ax_coeff(n, kind))
+    monkeypatch.setattr(rewrite, name, value)
     try:
         zero = sum(_is_zero(level0_action(rel)) for rel in relation_instances())
         agree = sum(level0_action(normal_form(e)) == level0_action(e) for e in words)
     finally:
         monkeypatch.undo()
         rewrite.clear_caches()
+    return zero, agree, len(words)
+
+
+def test_the_wrong_r3_sign_fails_the_relations_and_the_words(monkeypatch):
+    # a_n x+-_k - x+-_k a_n with the sign of its x+-_(n+k) term flipped
+    from uqsl2.rewrite import _ax_coeff
+
+    zero, agree, n_words = _under_a_wrong_rule(
+        monkeypatch, "_ax_coeff", lambda n, kind: -_ax_coeff(n, kind)
+    )
     # every one of the 84 R3 instances fails, and only those
-    assert zero == 169 - 84
-    assert agree < len(words)
+    assert zero == 190 - 84
+    assert agree < n_words
+
+
+def test_the_wrong_r6_convention_fails_the_relations_and_the_words(monkeypatch):
+    # R6 with s = q^(-+2) in place of q^(+-2), as in
+    # test_no_ep_em_normal_form_acts_as_its_bracket_under_the_wrong_r6
+    zero, agree, n_words = _under_a_wrong_rule(monkeypatch, "q_pow", lambda k: q_pow(-k))
+    # every one of the 42 R6 instances fails, and only those
+    assert zero == 190 - 42
+    assert agree < n_words
 
 
 def _ep_em_brackets():

@@ -22,7 +22,13 @@ from uqsl2.rewrite import (
     relation_instances,
 )
 
-from helpers import assert_coeffs_match_numerically, rand_element, rand_word, sweep_claim
+from helpers import (
+    assert_coeffs_match_numerically,
+    drinfeld_r6,
+    rand_element,
+    rand_word,
+    sweep_claim,
+)
 
 S = RelationMode.STRICT
 F = RelationMode.FULL
@@ -84,29 +90,28 @@ def test_diamond_small():
 
 
 def test_relations_rewrite_to_zero():
+    # each row is g h minus the table's own replacement of g h, so what
+    # this still checks is that the rewrite loop's R4 block step (its
+    # correction summed into a block and expanded at the end) agrees with
+    # the R4 row.  Full mode, for the R6 rows; the R2-R4 rows have no
+    # same-sign pair, so they mean the same in Strict.
     for rel in relation_instances(3):
-        assert normal_form(rel, S).is_zero()
+        assert normal_form(rel, F).is_zero()
 
 
 def test_omega_maps_relations_to_zero():
     for rel in relation_instances(3):
-        assert normal_form(omega(rel), S).is_zero()
+        assert normal_form(omega(rel), F).is_zero()
 
 
 def test_r6_instances_and_their_omega_images_rewrite_to_zero():
-    # Drinfeld's same-sign relation, which relation_instances leaves out:
-    # x_(k+1) x_l - s x_l x_(k+1) = s x_k x_(l+1) - x_(l+1) x_k with
-    # s = q^(+-2), for every k, l; omega swaps the two signs
+    # Drinfeld's same-sign relation as stated, for every k, l; omega swaps
+    # the two signs
     count = 0
     for mk, s in ((xplus, q_pow(2)), (xminus, q_pow(-2))):
         for k in range(-3, 4):
             for l in range(-3, 4):
-
-                def pair(i, j):
-                    return el_mul(g(mk(i)), g(mk(j)))
-
-                rel = pair(k + 1, l) - pair(l, k + 1).scale(s)
-                rel = rel - pair(k, l + 1).scale(s) + pair(l + 1, k)
+                rel = drinfeld_r6(mk, s, k, l)
                 assert normal_form(rel, F).is_zero()
                 assert normal_form(omega(rel), F).is_zero()
                 count += not rel.is_zero()
