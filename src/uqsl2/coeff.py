@@ -69,23 +69,10 @@ class LaurentPoly:
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
-    def __neg__(self):
-        return _lp({e: -c for e, c in self.terms.items()})
-
     def __add__(self, other):
         t = dict(self.terms)
         for e, c in other.terms.items():
             s = t.get(e, 0) + c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        return _lp(t)
-
-    def __sub__(self, other):
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, 0) - c
             if s:
                 t[e] = s
             else:
@@ -114,8 +101,6 @@ class LaurentPoly:
         return _lp({e: c // n for e, c in self.terms.items()})
 
     def shift(self, dq: int, du: int) -> "LaurentPoly":
-        if dq == 0 and du == 0:
-            return self
         return _lp({(eq + dq, eu + du): c for (eq, eu), c in self.terms.items()})
 
     def subst_u_inverse(self) -> "LaurentPoly":
@@ -148,33 +133,29 @@ P_ONE = LaurentPoly.const(1)
 def _div_qminus(p: LaurentPoly):
     """Exact quotient p/(q - q^-1), or None when not divisible.
 
-    Divisibility is pre-checked by evaluating at (q, u) = (1, 1), then at
-    q = 1 and q = -1 column by column (all must vanish since q^2 - 1 is
-    monic); the division itself is a linear running-sum recurrence per
-    u-column.
+    A p that does not vanish at (q, u) = (1, 1) is refused at once.  Each
+    u-column of the rest is divided in one pass, by the running-sum
+    recurrence t_(e-1) = p_e + t_(e+1) from the column's top q-exponent
+    down to its lowest, bot.  A quotient's exponents lie strictly between
+    bot and the top, so p is divisible exactly when the two values the
+    recurrence leaves at bot and bot - 1 are 0.
     """
     if sum(p.terms.values()):
-        return None
-    s1 = {}
-    s2 = {}
-    for (eq, eu), c in p.terms.items():
-        s1[eu] = s1.get(eu, 0) + c
-        s2[eu] = s2.get(eu, 0) + (c if eq % 2 == 0 else -c)
-    if any(s1.values()) or any(s2.values()):
         return None
     cols = {}
     for (eq, eu), c in p.terms.items():
         cols.setdefault(eu, {})[eq] = c
     out = {}
     for eu, col in cols.items():
-        top = max(col)
         bot = min(col)
         # p_e = t_(e-1) - t_(e+1)  =>  t_(e-1) = p_e + t_(e+1)
         t = {}
-        for e in range(top, bot - 1, -1):
+        for e in range(max(col), bot - 1, -1):
             v = col.get(e, 0) + t.get(e + 1, 0)
             if v:
                 t[e - 1] = v
+        if bot in t or bot - 1 in t:
+            return None
         for eq, c in t.items():
             out[(eq, eu)] = c
     return _lp(out)
@@ -212,10 +193,11 @@ class RatFunc:
 
     q - q^-1 is primitive, so these make the stored form unique: equal
     values have identical (num, den, d), and equality compares fields.  A
-    product multiplies numerators and dens and adds the d's, and a sum of
-    equal (den, d) adds numerators.  The invertible values are exactly
-    c q^a u^b (q - q^-1)^k for a nonzero integer c; ``inv`` refuses any
-    other, so no denominator is ever a general polynomial.
+    product multiplies numerators and dens and adds the d's, a sum of equal
+    (den, d) adds numerators, and a difference adds the negation.  The
+    invertible values are exactly c q^a u^b (q - q^-1)^k for a nonzero
+    integer c; ``inv`` refuses any other, so no denominator is ever a
+    general polynomial.
 
     ``single`` is derived from (num, den, d) by ``_rf``, the one
     constructor: the term (c, eq, eu) when the value is the polynomial
@@ -279,8 +261,6 @@ class RatFunc:
             s = self.num + other.num
             if not s.terms:
                 return RF_ZERO
-            if sd == 1 and not d:
-                return _rf(s, 1)
             return _reduced(s, sd, d)
         # over the lcm of the dens, with the smaller d lifted
         top = max(d, e)
@@ -297,11 +277,6 @@ class RatFunc:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.den == 1 and other.den == 1 and not self.d and not other.d:
-            s = self.num - other.num
-            if not s.terms:
-                return RF_ZERO
-            return _rf(s, 1)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -37,7 +37,6 @@ from .currents import phi as phi_el
 from .currents import psi as psi_el
 from .elements import AGEN, GEN_KINDS, Element, Gen, Monomial, el_mul, omega
 from .family import central_c, family_E
-from .render import _int
 from .rewrite import RelationMode, commutator, deformed_commutator, normal_form
 
 
@@ -73,6 +72,21 @@ def _tokenize(text: str):
         toks.append((kind, m[kind], m.start(kind)))
     toks.append(("end", "", len(text)))
     return toks
+
+
+def _int(digits: str) -> int:
+    """The integer a run of decimal digits spells, the inverse of
+    ``render._digits``.  Past the interpreter's limit on str-to-int
+    conversion ``int`` refuses, and the value is built from blocks of 4,000
+    digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        n = 0
+        for i in range(0, len(digits), 4000):
+            block = digits[i : i + 4000]
+            n = n * 10 ** len(block) + int(block)
+        return n
 
 
 # --- Parser ------------------------------------------------------------

@@ -110,20 +110,6 @@ def _digits(n: int) -> str:
         return str(parts.pop()) + "".join([str(r).zfill(4000) for r in reversed(parts)])
 
 
-def _int(digits: str) -> int:
-    """The integer a run of decimal digits spells, the inverse of
-    ``_digits``.  Past the interpreter's limit on str-to-int conversion
-    ``int`` refuses, and the value is built from blocks of 4,000 digits."""
-    try:
-        return int(digits)
-    except ValueError:
-        n = 0
-        for i in range(0, len(digits), 4000):
-            block = digits[i : i + 4000]
-            n = n * 10 ** len(block) + int(block)
-        return n
-
-
 def _coeff(rf: RatFunc, st: _Style) -> str:
     """Coefficient as a term factor: a composite one is grouped."""
     num, den = rf.canonical()

@@ -320,6 +320,37 @@ def test_every_result_is_in_normal_form():
             _assert_normal(got)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-6, 6), st.integers(-3, 3)),
+        st.integers(-50, 50).filter(bool),
+        min_size=2,
+        max_size=12,
+    ).filter(lambda t: len({eu for _, eu in t}) > 1)
+)
+def test_div_qminus_returns_the_quotient_of_a_multiple(terms):
+    t = LaurentPoly(terms)
+    assert coeff._div_qminus(t * qminus().num) == t
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1, 0): 1, (0, 1): -1},  # q - u
+        {(1, 1): 1, (0, 0): -1},  # q u - 1
+        {(1, 0): 1, (0, 0): -1},  # q - 1: vanishes at q = 1, not at q = -1
+        # (q^2 + q - 1)(1 - u): each u-column's recurrence leaves 0 below
+        # its lowest exponent and 1 or -1 at it
+        {(2, 0): 1, (1, 0): 1, (0, 0): -1, (2, 1): -1, (1, 1): -1, (0, 1): 1},
+    ],
+)
+def test_div_qminus_refuses_what_vanishes_at_one_but_is_not_divisible(terms):
+    p = LaurentPoly(terms)
+    assert sum(p.terms.values()) == 0
+    assert coeff._div_qminus(p) is None
+
+
 def test_equal_values_over_an_integer_den_have_identical_fields():
     # so __eq__ on the rewriting's coefficients is a field compare
     rng = random.Random(13)

@@ -458,8 +458,10 @@ def test_render_imports_no_module_above_elements():
     # importing expr, even for one helper, pulls in rewrite, family and
     # currents as well
     graph = {p.stem: _package_imports(ast.parse(p.read_text())) for p in SRC.glob("*.py")}
-    # the scan sees imports: expr reads the engine and the family
+    # the scan sees imports: expr reads the engine and the family, and
+    # reads text without the printer
     assert {"rewrite", "family"} <= graph["expr"]
+    assert "render" not in graph["expr"]
     reached, todo = set(), ["render"]
     while todo:
         for module in graph[todo.pop()] - reached:
