@@ -10,7 +10,8 @@ stdout closed by its reader before the output was written, as in ``uqsl2
 verify | head``, with no traceback.  Every command computes in full mode,
 in U_q(sl2-hat) under all of Drinfeld's relations (see ``rewrite``),
 unless ``--mode strict`` leaves out the same-sign x relation.  A sweep is
-set up by ``verify``'s flags alone, whose defaults are ``SuiteConfig``'s.
+set up by ``verify``'s flags alone, whose defaults are
+``SuiteConfig._field_defaults``.
 
 ``verify`` streams its document to stdout in one pass: the head, then the
 reports in sweep order, then the summary, which comes last in both
@@ -39,8 +40,7 @@ import argparse
 import json
 import os
 import sys
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from itertools import islice
 
 from . import __version__
@@ -78,15 +78,17 @@ def _parse_range(text: str) -> tuple:
     return lo, hi
 
 
-@dataclass
-class SuiteConfig:
-    claims: list
-    n_max: int = 4
-    k_max: int = 4
-    m_range: tuple = (-2, 2)
-    p_range: tuple = (-2, 2)
-    mode: RelationMode = RelationMode.FULL
-    format: str = "text"
+class SuiteConfig(
+    namedtuple(
+        "SuiteConfig",
+        ("claims", "n_max", "k_max", "m_range", "p_range", "mode", "format"),
+        defaults=(4, 4, (-2, 2), (-2, 2), RelationMode.FULL, "text"),
+    )
+):
+    """One sweep: its claims, ranges, mode and format.  The defaults of
+    every field but ``claims`` are ``verify``'s flags' defaults."""
+
+    __slots__ = ()
 
     def ranges(self) -> dict:
         """The sweep ranges, as ``verify.sweep_params`` reads them."""
@@ -310,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         "quantized affine sl2 and verification of its Heisenberg-type family.",
     )
     ap.add_argument("--version", action="version", version=__version__)
+    defaults = SuiteConfig._field_defaults
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     for cmd, spec in _COMMANDS.items():
@@ -322,17 +325,17 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 # only an option such as "--p" uses the default
                 p.add_argument(name, type=int, default=0)
-        p.add_argument("--mode", default=SuiteConfig.mode.value, choices=_MODES)
+        p.add_argument("--mode", default=defaults["mode"].value, choices=_MODES)
         p.add_argument("--format", default="text", choices=FORMATS)
 
     p = sub.add_parser("verify", help="run claim verification sweeps")
     p.add_argument("--claims", default=_DEFAULT_CLAIMS)
-    p.add_argument("--n-max", type=int, default=SuiteConfig.n_max)
-    p.add_argument("--k-max", type=int, default=SuiteConfig.k_max)
-    p.add_argument("--m-range", default="{}:{}".format(*SuiteConfig.m_range))
-    p.add_argument("--p-range", default="{}:{}".format(*SuiteConfig.p_range))
-    p.add_argument("--mode", default=SuiteConfig.mode.value, choices=_MODES)
-    p.add_argument("--format", default=SuiteConfig.format, choices=_VERIFY_FORMATS)
+    p.add_argument("--n-max", type=int, default=defaults["n_max"])
+    p.add_argument("--k-max", type=int, default=defaults["k_max"])
+    p.add_argument("--m-range", default="{}:{}".format(*defaults["m_range"]))
+    p.add_argument("--p-range", default="{}:{}".format(*defaults["p_range"]))
+    p.add_argument("--mode", default=defaults["mode"].value, choices=_MODES)
+    p.add_argument("--format", default=defaults["format"], choices=_VERIFY_FORMATS)
     return ap
 
 

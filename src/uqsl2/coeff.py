@@ -22,13 +22,18 @@ K-passing), negations and q-shifts of one-term polynomials read ``single``
 and look the result up, with no polynomial product, no normalization and,
 on a hit, no allocation.  Only this module reads ``single``.  Identity is only a shortcut: an
 evicted value is rebuilt as an equal fresh object.
+
+An int or any other rational number (``numbers.Rational``, a
+``fractions.Fraction`` say) is an operand of the ring's arithmetic.  The
+engine divides by integers through the ring, and ``fractions`` is imported
+only by ``evaluate``, which no command calls.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from numbers import Rational
 
 
 class PoleError(ZeroDivisionError):
@@ -106,7 +111,10 @@ class LaurentPoly:
     def subst_u_inverse(self) -> "LaurentPoly":
         return _lp({(eq, -eu): c for (eq, eu), c in self.terms.items()})
 
-    def evaluate(self, q0: Fraction, u0: Fraction) -> Fraction:
+    def evaluate(self, q0, u0):
+        """The value at rational q0, u0, as a Fraction."""
+        from fractions import Fraction
+
         total = Fraction(0)
         for (eq, eu), c in self.terms.items():
             total += c * q0 ** eq * u0 ** eu
@@ -218,7 +226,7 @@ class RatFunc:
         return _rf(LaurentPoly.const(n), 1) if n else RF_ZERO
 
     @classmethod
-    def from_fraction(cls, fr: Fraction) -> "RatFunc":
+    def from_fraction(cls, fr: Rational) -> "RatFunc":
         if fr.denominator == 1:
             return cls.from_int(fr.numerator)
         return _rf(LaurentPoly.const(fr.numerator), fr.denominator)
@@ -377,7 +385,10 @@ class RatFunc:
         # u -> 1/u fixes the integer den and q - q^-1, so the form stays normal
         return _rf(self.num.subst_u_inverse(), self.den, self.d)
 
-    def evaluate(self, q0, u0) -> Fraction:
+    def evaluate(self, q0, u0):
+        """The value at nonzero rational q0, u0, as a Fraction."""
+        from fractions import Fraction
+
         q0 = Fraction(q0)
         u0 = Fraction(u0)
         if q0 == 0 or u0 == 0:
@@ -412,11 +423,13 @@ RF_ONE = _rf(P_ONE, 1)
 
 
 def _coerce(x):
+    """x as a RatFunc when it is one, an int or another rational number;
+    NotImplemented otherwise."""
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, int):
         return RatFunc.from_int(x)
-    if isinstance(x, Fraction):
+    if isinstance(x, Rational):
         return RatFunc.from_fraction(x)
     return NotImplemented
 

@@ -12,7 +12,6 @@ rational multinomial factors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -42,7 +41,7 @@ def _expansion(m: int, index_sign: int, coeff_base: RatFunc, kexp: int) -> Eleme
         denom = 1
         for mult in lam.values():
             denom *= factorial(mult)
-        coeff = powers[length] * Fraction(1, denom)
+        coeff = powers[length] / denom
         word = []
         for part in sorted(lam, key=lambda p: p * index_sign):
             word.extend([agen(index_sign * part)] * lam[part])

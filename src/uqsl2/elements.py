@@ -9,7 +9,7 @@ reordering is done by the rewrite module.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .coeff import RF_ONE, RatFunc, _coerce, mul_shifted
 
@@ -19,12 +19,9 @@ GEN_NAMES = {XPLUS: "x+", XMINUS: "x-", AGEN: "a"}
 GEN_KINDS = {name: kind for kind, name in GEN_NAMES.items()}
 
 
-class Gen(NamedTuple):
-    kind: int
-    idx: int
+Gen = namedtuple("Gen", ("kind", "idx"))
 
-
-# tuple.__new__ builds a Gen or Monomial without the NamedTuple's
+# tuple.__new__ builds a Gen or Monomial without the namedtuple's
 # Python-level __new__; the hot constructors below use it
 _tuple_new = tuple.__new__
 _object_new = object.__new__
@@ -44,11 +41,7 @@ def agen(n: int) -> Gen:
     return Gen(AGEN, n)
 
 
-class Monomial(NamedTuple):
-    word: tuple
-    kexp: int
-
-
+Monomial = namedtuple("Monomial", ("word", "kexp"))
 UNIT_MONO = Monomial((), 0)
 
 

@@ -30,7 +30,7 @@ reading order is reported.
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .coeff import RatFunc, q_pow, u_pow
 from .currents import phi as phi_el
@@ -230,16 +230,14 @@ NAMES = {
 ELEMENT_ARGS = ("expr", "left", "right")
 
 
-class CallSpec(NamedTuple):
+class CallSpec(namedtuple("CallSpec", ("help", "args", "fn"))):
     """A call of the language, which is also a CLI command: its help text,
     its argument names and a function of (mode, *arguments).  An argument
     named in ``ELEMENT_ARGS`` is an element, "sign" is a bare + or -, and
     any other is a signed integer literal; a name that begins with "--" is
     an option of the CLI command, defaulting to 0."""
 
-    help: str
-    args: tuple
-    fn: Callable
+    __slots__ = ()
 
 
 CALLS = {

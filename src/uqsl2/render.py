@@ -19,26 +19,21 @@ document's fragments, which costs memory that nothing bounds or clears.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .coeff import P_ONE, LaurentPoly, RatFunc
 from .elements import AGEN, GEN_NAMES, XMINUS, XPLUS, Element, word_sort_key
 
 
-@dataclass(frozen=True)
-class _Style:
+class _Style(
+    namedtuple("_Style", ("power", "join", "gamma", "gen", "paren", "frac", "frac_parens"))
+):
     """Spelling of one output format.  ``power``, ``gen``, ``paren`` and
     ``frac`` are str.format templates; ``gamma`` is None where even u powers
     stay u powers; ``frac_parens`` parenthesizes a composite numerator or
     denominator inside ``frac``."""
 
-    power: str
-    join: str
-    gamma: str | None
-    gen: dict
-    paren: str
-    frac: str
-    frac_parens: bool
+    __slots__ = ()
 
 
 _TEXT = _Style(
@@ -50,7 +45,7 @@ _TEXT = _Style(
     frac="{}/{}",
     frac_parens=True,
 )
-_TEXT_U = replace(_TEXT, gamma=None)
+_TEXT_U = _TEXT._replace(gamma=None)
 _LATEX = _Style(
     power="{}^{{{}}}",
     join=" ",

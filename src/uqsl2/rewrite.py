@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-from fractions import Fraction
 from functools import lru_cache
 
 from .coeff import RF_ONE, RatFunc, one_term, q_pow, qint, qminus, u_pow
@@ -70,12 +69,12 @@ _R2, _R3, _R4, _R6 = 2, 3, 4, 6
 
 def _aa_central(k: int) -> RatFunc:
     # [a_k, a_-k] for k > 0
-    return qint(2 * k) * Fraction(1, k) * (u_pow(2 * k) - u_pow(-2 * k)) / qminus()
+    return qint(2 * k) / k * (u_pow(2 * k) - u_pow(-2 * k)) / qminus()
 
 
 def _ax_coeff(n: int, kind: int) -> RatFunc:
     # coefficient of x+-_(n+k) in a_n x+-_k - x+-_k a_n
-    c = qint(2 * n) * Fraction(1, n)
+    c = qint(2 * n) / n
     if kind == XPLUS:
         return c * u_pow(-abs(n))
     return -(c * u_pow(abs(n)))

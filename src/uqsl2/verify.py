@@ -11,10 +11,9 @@ a mismatch is recorded, not patched over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import product
-from typing import Callable
 
 from .elements import Element, Monomial, el_mul, omega, project_x_free, xminus, xplus
 from .coeff import u_pow
@@ -38,10 +37,7 @@ class RegimeError(ValueError):
     """Parameters outside the index regime a claim is stated for."""
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    value: Element
+Verdict = namedtuple("Verdict", ("kind", "value"))
 
 
 def classify(el: Element) -> Verdict:
@@ -54,15 +50,10 @@ def classify(el: Element) -> Verdict:
     return Verdict(RESIDUAL, el)
 
 
-@dataclass
-class VerdictReport:
-    claim: str
-    params: dict
-    mode: RelationMode
-    verdict: Verdict
-    paper_match: bool
-    paper_expected: Element
-    discrepancy: Element
+VerdictReport = namedtuple(
+    "VerdictReport",
+    ("claim", "params", "mode", "verdict", "paper_match", "paper_expected", "discrepancy"),
+)
 
 
 def _bracket(sign, p, m, n, k, b, mode) -> Element:
@@ -117,21 +108,20 @@ def _display2(t, mode):
     return result, expand_specialized_commutator(n, k, m, p, sign), {}
 
 
-@dataclass(frozen=True)
-class Claim:
-    """One claim, whole: its ``uqsl2 verify --claims`` name (None when the
-    claim is not offered there); its ``instance(params, mode)``, which
-    returns (the engine's normal-formed value, the stated value, the params
-    it adds to the report); the index regime the claim is stated for, as a
-    predicate on the params and as text; and its sweep grid (None when it
-    is not sweepable), a tuple of parameter names, each ranging over
-    ``_axes``, whose tuples outside the regime the sweep skips."""
+class Claim(
+    namedtuple("Claim", ("cli_name", "instance", "regime", "regime_text", "grid"), defaults=(None,))
+):
+    """One claim, whole: its ``uqsl2 verify --claims`` name ``cli_name``
+    (None when the claim is not offered there); its ``instance(params,
+    mode)``, which returns (the engine's normal-formed value, the stated
+    value, the params it adds to the report); the index regime the claim is
+    stated for, as a predicate ``regime`` on the params and as
+    ``regime_text``; and its sweep ``grid``, a tuple of parameter names,
+    each ranging over ``_axes``, whose tuples outside the regime the sweep
+    skips, or None (the default) when it is not sweepable.  A claim is
+    immutable: a variant is ``claim._replace(instance=...)``."""
 
-    cli_name: str | None
-    instance: Callable
-    regime: Callable
-    regime_text: str
-    grid: tuple | None = None
+    __slots__ = ()
 
 
 CLAIMS = {

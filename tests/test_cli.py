@@ -1,6 +1,5 @@
 import bisect
 import contextlib
-import dataclasses
 import decimal
 import io
 import itertools
@@ -467,7 +466,7 @@ def test_no_worker_outlives_main(monkeypatch):
             raise RecursionError("maximum recursion depth exceeded")
         return instance(params, mode)
 
-    monkeypatch.setitem(CLAIMS, "OMEGA_E", dataclasses.replace(CLAIMS["OMEGA_E"], instance=deep))
+    monkeypatch.setitem(CLAIMS, "OMEGA_E", CLAIMS["OMEGA_E"]._replace(instance=deep))
     code, out, err = run_cli(argv)
     assert (code, err) == (2, "error: maximum recursion depth exceeded\n")
     assert whole.startswith(out)
@@ -493,7 +492,7 @@ def test_a_dead_worker_fails_the_sweep_and_leaves_no_worker(monkeypatch):
             os.kill(os.getpid(), signal.SIGKILL)
         return instance(params, mode)
 
-    monkeypatch.setitem(CLAIMS, "OMEGA_E", dataclasses.replace(CLAIMS["OMEGA_E"], instance=killed))
+    monkeypatch.setitem(CLAIMS, "OMEGA_E", CLAIMS["OMEGA_E"]._replace(instance=killed))
 
     def hung(signum, frame):
         raise TimeoutError("the sweep did not exit within 30 s of a worker's death")

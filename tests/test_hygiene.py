@@ -423,24 +423,41 @@ def test_regime_error_is_raised_only_by_verify_claim():
     assert found == [("verify.py", "verify_claim")]
 
 
+def _strict_defaults(source):
+    """The lines of ``source`` where a default is ``RelationMode.STRICT``:
+    a parameter's, an annotated field's, or any element of a ``defaults=``
+    keyword, as ``namedtuple`` takes its fields' defaults."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.arguments):
+            defaults = [*node.defaults, *node.kw_defaults]
+        elif isinstance(node, ast.AnnAssign):
+            defaults = [node.value]
+        elif isinstance(node, ast.keyword) and node.arg == "defaults":
+            defaults = getattr(node.value, "elts", [node.value])
+        else:
+            continue
+        found += [
+            d.lineno for d in defaults if d is not None and ast.unparse(d) == "RelationMode.STRICT"
+        ]
+    return found
+
+
 def test_no_default_is_the_strict_mode():
     # full mode computes in U_q(sl2-hat), so Strict is chosen only by name:
-    # no parameter and no dataclass field defaults to it
-    found = []
-    for p in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(p.read_text())):
-            if isinstance(node, ast.arguments):
-                defaults = [*node.defaults, *node.kw_defaults]
-            elif isinstance(node, ast.AnnAssign):
-                defaults = [node.value]
-            else:
-                continue
-            found += [
-                f"{p.name}:{d.lineno}"
-                for d in defaults
-                if d is not None and ast.unparse(d) == "RelationMode.STRICT"
-            ]
-    assert found == []
+    # no parameter and no record field (a namedtuple's ``defaults=``)
+    # defaults to it.  The probe shows that the scan sees each kind
+    probe = """\
+def f(mode=RelationMode.STRICT, *, other=RelationMode.STRICT): pass
+class D:
+    mode: RelationMode = RelationMode.STRICT
+C = namedtuple("C", ("mode",), defaults=(RelationMode.STRICT,))
+C = namedtuple("C", ("n", "mode"), defaults=[0, RelationMode.STRICT])
+C = namedtuple("C", ("mode",), defaults=(RelationMode.FULL,))
+"""
+    assert _strict_defaults(probe) == [1, 1, 3, 4, 5]
+    found = {p.name: _strict_defaults(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def _package_imports(tree):
@@ -470,11 +487,20 @@ def test_render_imports_no_module_above_elements():
     assert reached <= {"coeff", "elements"}
 
 
-def test_importing_the_cli_loads_no_multiprocessing():
-    # a sweep imports it when it starts a pool; loaded at import it would
-    # cost every command, and every benchmark set-up, tens of milliseconds.
-    # -S: a site .pth file may import anything
-    code = "import sys, uqsl2.cli; print([m for m in sys.modules if m.startswith('multiprocessing')])"
+# modules that no command runs: a sweep imports multiprocessing when it
+# starts a pool, and only tests evaluate a coefficient with fractions
+# (which imports decimal); records are collections.namedtuple types, not
+# dataclasses (which import inspect) or typing.NamedTuple
+_NOT_AT_IMPORT = ("multiprocessing", "dataclasses", "inspect", "typing", "fractions", "decimal")
+
+
+def test_importing_the_cli_loads_no_module_that_no_command_runs():
+    # each would cost every command, and every benchmark set-up, from one to
+    # tens of milliseconds.  -S: a site .pth file may import anything
+    code = (
+        "import sys, uqsl2.cli; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {_NOT_AT_IMPORT!r}))"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
