@@ -4,6 +4,10 @@ Coefficients are integer Laurent polynomials in two variables, the
 deformation parameter q and the central half-power u, where u**2 stands for
 the central element gamma, divided by the denominators the algebra makes.
 All integer arithmetic is arbitrary precision and nothing is ever rounded.
+A Laurent polynomial is a plain dict {(eq, eu): c} from the exponents of q
+and u to nonzero integers, zero the empty dict, added by ``_padd`` and
+multiplied by ``_pmul``.  A dict that a coefficient holds is never changed:
+one-term values and ``P_ONE`` are shared.
 
 Every denominator is an integer (the 1/prod(mult!) of psi and phi) times a
 power of Q = q - q^-1 (from the relations), so a coefficient is stored as
@@ -40,105 +44,45 @@ class PoleError(ZeroDivisionError):
     """An evaluation point makes a denominator vanish."""
 
 
-# exponent pairs are (power of q, power of u)
+def _padd(a: dict, b: dict) -> dict:
+    """The polynomial a + b."""
+    t = dict(a)
+    for e, c in b.items():
+        s = t.get(e, 0) + c
+        if s:
+            t[e] = s
+        else:
+            del t[e]
+    return t
 
 
-class LaurentPoly:
-    """Sparse integer Laurent polynomial in (q, u).
-
-    ``terms`` maps (eq, eu) exponent pairs to nonzero integers; the zero
-    polynomial is the empty map.  Instances are never mutated after
-    construction.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    t[e] = c
-        self.terms = t
-
-    @classmethod
-    def const(cls, n: int) -> "LaurentPoly":
-        return cls({(0, 0): n})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
-
-    def __add__(self, other):
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, 0) + c
+def _pmul(a: dict, b: dict) -> dict:
+    """The polynomial a b; a one-term factor shifts the other's terms."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((aq, au), ca), = a.items()
+        return {(aq + bq, au + bu): ca * cb for (bq, bu), cb in b.items()}
+    t = {}
+    for (aq, au), ca in a.items():
+        for (bq, bu), cb in b.items():
+            e = (aq + bq, au + bu)
+            s = t.get(e, 0) + ca * cb
             if s:
                 t[e] = s
             else:
-                t.pop(e, None)
-        return _lp(t)
-
-    def __mul__(self, other):
-        if len(self.terms) == 1:
-            ((aq, au), ca), = self.terms.items()
-            return _lp({(aq + bq, au + bu): ca * cb for (bq, bu), cb in other.terms.items()})
-        if len(other.terms) == 1:
-            return other * self
-        t = {}
-        for (aq, au), ca in self.terms.items():
-            for (bq, bu), cb in other.terms.items():
-                e = (aq + bq, au + bu)
-                s = t.get(e, 0) + ca * cb
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        return _lp(t)
-
-    def scale_div(self, n: int) -> "LaurentPoly":
-        # exact division of every coefficient
-        return _lp({e: c // n for e, c in self.terms.items()})
-
-    def shift(self, dq: int, du: int) -> "LaurentPoly":
-        return _lp({(eq + dq, eu + du): c for (eq, eu), c in self.terms.items()})
-
-    def subst_u_inverse(self) -> "LaurentPoly":
-        return _lp({(eq, -eu): c for (eq, eu), c in self.terms.items()})
-
-    def evaluate(self, q0, u0):
-        """The value at rational q0, u0, as a Fraction."""
-        from fractions import Fraction
-
-        total = Fraction(0)
-        for (eq, eu), c in self.terms.items():
-            total += c * q0 ** eq * u0 ** eu
-        return total
-
-    def __repr__(self):
-        return f"LaurentPoly({self.terms!r})"
+                del t[e]
+    return t
 
 
 _new = object.__new__
 
-
-def _lp(terms: dict) -> LaurentPoly:
-    """A LaurentPoly holding ``terms``, which has no zero coefficient."""
-    p = _new(LaurentPoly)
-    p.terms = terms
-    return p
+# the polynomial 1: the numerator of RF_ONE and the display denominator of
+# every polynomial, which the printer recognizes by identity
+P_ONE = {(0, 0): 1}
 
 
-P_ZERO = LaurentPoly()
-P_ONE = LaurentPoly.const(1)
-
-
-def _div_qminus(p: LaurentPoly):
+def _div_qminus(p: dict):
     """Exact quotient p/(q - q^-1), or None when not divisible.
 
     A p that does not vanish at (q, u) = (1, 1) is refused at once.  Each
@@ -148,10 +92,10 @@ def _div_qminus(p: LaurentPoly):
     bot and the top, so p is divisible exactly when the two values the
     recurrence leaves at bot and bot - 1 are 0.
     """
-    if sum(p.terms.values()):
+    if sum(p.values()):
         return None
     cols = {}
-    for (eq, eu), c in p.terms.items():
+    for (eq, eu), c in p.items():
         cols.setdefault(eu, {})[eq] = c
     out = {}
     for eu, col in cols.items():
@@ -166,24 +110,24 @@ def _div_qminus(p: LaurentPoly):
             return None
         for eq, c in t.items():
             out[(eq, eu)] = c
-    return _lp(out)
+    return out
 
 
-def _lift(p: LaurentPoly, m: int, k: int) -> LaurentPoly:
+def _lift(p: dict, m: int, k: int) -> dict:
     """p m (q - q^-1)^k, the power expanded by the binomial theorem."""
     if k:
-        return p * _lp({(k - 2 * i, 0): m * comb(k, i) * (-1) ** i for i in range(k + 1)})
-    return p if m == 1 else _lp({e: c * m for e, c in p.terms.items()})
+        return _pmul(p, {(k - 2 * i, 0): m * comb(k, i) * (-1) ** i for i in range(k + 1)})
+    return p if m == 1 else {e: c * m for e, c in p.items()}
 
 
-def _reduced(num: LaurentPoly, den: int, d: int) -> "RatFunc":
+def _reduced(num: dict, den: int, d: int) -> "RatFunc":
     """num / (den (q - q^-1)^d) in normal form, for a nonzero num and a
     positive integer den: the content gcd, then (q - q^-1) peeled off num
     while d > 0."""
     if den != 1:
-        g = gcd(den, *num.terms.values())
+        g = gcd(den, *num.values())
         if g > 1:
-            num = num.scale_div(g)
+            num = {e: c // g for e, c in num.items()}
             den //= g
     while d and (n2 := _div_qminus(num)) is not None:
         num, d = n2, d - 1
@@ -192,12 +136,12 @@ def _reduced(num: LaurentPoly, den: int, d: int) -> "RatFunc":
 
 class RatFunc:
     """The fraction num / (den (q - q^-1)^d) of an integer Laurent
-    polynomial num in (q, u) over a positive integer den, immutable and kept
-    in normal form:
+    polynomial num in (q, u), an exponent dict {(eq, eu): c}, over a
+    positive integer den, immutable and kept in normal form:
 
     - d >= 0, and when d > 0, (q - q^-1) does not divide num;
     - den is coprime to the integer content of num;
-    - zero is num = 0, den = 1, d = 0.
+    - zero is num = {}, den = 1, d = 0.
 
     q - q^-1 is primitive, so these make the stored form unique: equal
     values have identical (num, den, d), and equality compares fields.  A
@@ -216,48 +160,42 @@ class RatFunc:
     __slots__ = ("num", "den", "d", "single")
 
     @classmethod
-    def make(cls, num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
-        """num / den, for den = c q^a u^b (q - q^-1)^k; any other den raises
-        ValueError (see ``inv``)."""
-        return _rf(num, 1) * _rf(den, 1).inv()
-
-    @classmethod
     def from_int(cls, n: int) -> "RatFunc":
-        return _rf(LaurentPoly.const(n), 1) if n else RF_ZERO
+        return _rf({(0, 0): n}, 1) if n else RF_ZERO
 
     @classmethod
     def from_fraction(cls, fr: Rational) -> "RatFunc":
         if fr.denominator == 1:
             return cls.from_int(fr.numerator)
-        return _rf(LaurentPoly.const(fr.numerator), fr.denominator)
+        return _rf({(0, 0): fr.numerator}, fr.denominator)
 
     def is_zero(self) -> bool:
-        return not self.num.terms
+        return not self.num
 
     def is_one(self) -> bool:
-        return not self.d and self.den == 1 and self.num.terms == P_ONE.terms
+        return not self.d and self.den == 1 and self.num == P_ONE
 
-    def as_poly(self) -> LaurentPoly | None:
+    def as_poly(self) -> dict | None:
         """The value as a Laurent polynomial, or None when it is not one."""
         if self.den == 1 and not self.d:
             return self.num
         return None
 
     def __bool__(self):
-        return bool(self.num.terms)
+        return bool(self.num)
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.d == other.d and self.den == other.den and self.num.terms == other.num.terms
+        return self.d == other.d and self.den == other.den and self.num == other.num
 
     def __neg__(self):
         s = self.single
         if s is not None:
             return one_term(-s[0], s[1], s[2])
-        return _rf(_lp({e: -c for e, c in self.num.terms.items()}), self.den, self.d)
+        return _rf({e: -c for e, c in self.num.items()}, self.den, self.d)
 
     def __add__(self, other):
         if other.__class__ is not RatFunc:
@@ -266,15 +204,15 @@ class RatFunc:
                 return NotImplemented
         sd, od, d, e = self.den, other.den, self.d, other.d
         if d == e and sd == od:
-            s = self.num + other.num
-            if not s.terms:
+            s = _padd(self.num, other.num)
+            if not s:
                 return RF_ZERO
             return _reduced(s, sd, d)
         # over the lcm of the dens, with the smaller d lifted
         top = max(d, e)
         m = sd * od // gcd(sd, od)
-        s = _lift(self.num, m // sd, top - d) + _lift(other.num, m // od, top - e)
-        if not s.terms:
+        s = _padd(_lift(self.num, m // sd, top - d), _lift(other.num, m // od, top - e))
+        if not s:
             return RF_ZERO
         return _reduced(s, m, top)
 
@@ -304,21 +242,21 @@ class RatFunc:
             return other
         if self.single is not None and other.single is not None:
             return mul_shifted(self, other, 0)
-        a = self.num.terms
-        b = other.num.terms
+        a = self.num
+        b = other.num
         if not a or not b:
             return RF_ZERO
         sd = self.den
         od = other.den
         d = self.d + other.d
         if sd == 1 and od == 1:
-            num = self.num * other.num
+            num = _pmul(a, b)
             if not d or len(a) == 1 and other.d or len(b) == 1 and self.d:
                 # a polynomial product, or a unit times a num free of
                 # (q - q^-1): already normal
                 return _rf(num, 1, d)
             return _reduced(num, 1, d)
-        return _reduced(self.num * other.num, sd * od, d)
+        return _reduced(_pmul(a, b), sd * od, d)
 
     __rmul__ = __mul__
 
@@ -332,17 +270,17 @@ class RatFunc:
         """1/self, for self = c q^a u^b (q - q^-1)^k / (den (q - q^-1)^d)
         with c a nonzero integer; any other value raises ValueError."""
         num = self.num
-        if not num.terms:
+        if not num:
             raise ZeroDivisionError("inverse of zero")
         k = 0
-        while len(num.terms) > 1 and (n2 := _div_qminus(num)) is not None:
+        while len(num) > 1 and (n2 := _div_qminus(num)) is not None:
             num, k = n2, k + 1
-        if len(num.terms) > 1:
+        if len(num) > 1:
             raise ValueError(
                 "can only divide by c*q^a*u^b*(q - q^-1)^k with c a nonzero integer"
             )
-        ((eq, eu), c), = num.terms.items()
-        top = _lp({(-eq, -eu): self.den if c > 0 else -self.den})
+        ((eq, eu), c), = num.items()
+        top = {(-eq, -eu): self.den if c > 0 else -self.den}
         if k >= self.d:
             return _reduced(top, abs(c), k - self.d)
         return _reduced(_lift(top, 1, self.d - k), abs(c), 0)
@@ -368,22 +306,24 @@ class RatFunc:
         s = self.single
         if s is not None:
             return one_term(s[0], s[1] + k, s[2])
-        t = self.num.terms
-        return _rf(_lp({(eq + k, eu): c for (eq, eu), c in t.items()}), self.den, self.d)
+        return _rf({(eq + k, eu): c for (eq, eu), c in self.num.items()}, self.den, self.d)
 
     def canonical(self) -> tuple:
-        """The display pair (num q^d, den (q^2 - 1)^d) of Laurent
-        polynomials, numerator and denominator as they print; the
-        denominator is the shared ``P_ONE`` when the value is a
-        polynomial."""
+        """The display pair (num q^d, den (q^2 - 1)^d) of exponent dicts,
+        numerator and denominator as they print; the denominator is the
+        shared ``P_ONE`` when the value is a polynomial."""
         d = self.d
         if not d:
-            return self.num, P_ONE if self.den == 1 else LaurentPoly.const(self.den)
-        return self.num.shift(d, 0), _lift(LaurentPoly.const(self.den), 1, d).shift(d, 0)
+            return self.num, P_ONE if self.den == 1 else {(0, 0): self.den}
+        # q^d (q - q^-1)^d = (q^2 - 1)^d
+        return (
+            {(eq + d, eu): c for (eq, eu), c in self.num.items()},
+            {(2 * (d - i), 0): self.den * comb(d, i) * (-1) ** i for i in range(d + 1)},
+        )
 
     def subst_u_inverse(self) -> "RatFunc":
         # u -> 1/u fixes the integer den and q - q^-1, so the form stays normal
-        return _rf(self.num.subst_u_inverse(), self.den, self.d)
+        return _rf({(eq, -eu): c for (eq, eu), c in self.num.items()}, self.den, self.d)
 
     def evaluate(self, q0, u0):
         """The value at nonzero rational q0, u0, as a Fraction."""
@@ -396,29 +336,28 @@ class RatFunc:
         dv = self.den * (q0 - 1 / q0) ** self.d
         if dv == 0:
             raise PoleError(f"denominator vanishes at q={q0}, u={u0}")
-        return self.num.evaluate(q0, u0) / dv
+        return sum(c * q0**eq * u0**eu for (eq, eu), c in self.num.items()) / dv
 
     def __repr__(self):
-        return f"RatFunc({self.num.terms!r}, {self.den}, d={self.d})"
+        return f"RatFunc({self.num!r}, {self.den}, d={self.d})"
 
 
-def _rf(num: LaurentPoly, den: int, d: int = 0) -> RatFunc:
+def _rf(num: dict, den: int, d: int = 0) -> RatFunc:
     """The RatFunc num / (den (q - q^-1)^d), taken as in normal form, with
     its ``single`` derived here and nowhere else."""
     r = _new(RatFunc)
     r.num = num
     r.den = den
     r.d = d
-    t = num.terms
-    if den == 1 and not d and len(t) == 1:
-        ((eq, eu), c), = t.items()
+    if den == 1 and not d and len(num) == 1:
+        ((eq, eu), c), = num.items()
         r.single = (c, eq, eu)
     else:
         r.single = None
     return r
 
 
-RF_ZERO = _rf(P_ZERO, 1)
+RF_ZERO = _rf({}, 1)
 RF_ONE = _rf(P_ONE, 1)
 
 
@@ -453,7 +392,7 @@ def one_term(c: int, eq: int, eu: int) -> RatFunc:
     shared value; 1 is ``RF_ONE`` itself."""
     if c == 1 and not eq and not eu:
         return RF_ONE
-    return _rf(_lp({(eq, eu): c}), 1)
+    return _rf({(eq, eu): c}, 1)
 
 
 def q_pow(k: int) -> RatFunc:
@@ -464,7 +403,7 @@ def u_pow(k: int) -> RatFunc:
     return one_term(1, 0, k)
 
 
-_QMINUS = _rf(LaurentPoly({(1, 0): 1, (-1, 0): -1}), 1)
+_QMINUS = _rf({(1, 0): 1, (-1, 0): -1}, 1)
 
 
 def qminus() -> RatFunc:
@@ -481,4 +420,4 @@ def qint(n: int) -> RatFunc:
         return RF_ZERO
     if n < 0:
         return -qint(-n)
-    return _rf(LaurentPoly({(n - 1 - 2 * i, 0): 1 for i in range(n)}), 1)
+    return _rf({(n - 1 - 2 * i, 0): 1 for i in range(n)}, 1)

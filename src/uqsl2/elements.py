@@ -75,7 +75,7 @@ class Element:
         t = {}
         if terms:
             for mono, c in terms.items():
-                if c.num.terms:
+                if c.num:
                     t[mono] = c
         self.terms = t
 
@@ -138,7 +138,7 @@ class Element:
                 t[m] = -c
                 continue
             s = acc - c
-            if s.num.terms:
+            if s.num:
                 t[m] = s
             else:
                 del t[m]
@@ -211,7 +211,7 @@ def el_mul(a: Element, b: Element) -> Element:
                 out[mono] = c
                 continue
             s = acc + c
-            if s.num.terms:
+            if s.num:
                 out[mono] = s
             else:
                 del out[mono]

@@ -3,12 +3,13 @@
 Text output reads back through expr.evaluate; JSON follows the schema
 {"terms":[{"coeff":{"num":...,"den":...},"word":[{"g":"x+","k":0},...],
 "kexp":0},...]} with polynomials as canonical text.  A coefficient stored as
-num / (den (q - q^-1)^d), den an integer, prints its display pair
-``canonical()``: num q^d over den (q^2 - 1)^d.  In human-facing text even
-powers of u print as powers of gamma; JSON keeps raw u powers.
+num / (den (q - q^-1)^d), num an exponent dict and den an integer, prints
+its display pair ``canonical()``: num q^d over den (q^2 - 1)^d.  In
+human-facing text even powers of u print as powers of gamma; JSON keeps raw
+u powers.
 
-A ``Printer`` renders each distinct coefficient, keyed by its stored (num
-terms, den, d), and each distinct word once, and reuses the text.
+A ``Printer`` renders each distinct coefficient, keyed by its stored (num,
+den, d), and each distinct word once, and reuses the text.
 Its memos are plain dicts that live as long as the printer, and a caller
 makes one printer per document, or per chunk of a ``verify`` sweep: the
 reports repeat a few thousand coefficients and words tens of thousands of
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .coeff import P_ONE, LaurentPoly, RatFunc
+from .coeff import P_ONE, RatFunc
 from .elements import AGEN, GEN_NAMES, XMINUS, XPLUS, Element, word_sort_key
 
 
@@ -63,14 +64,14 @@ def _pow(st: _Style, base: str, e: int) -> str:
     return base if e == 1 else st.power.format(base, e)
 
 
-def _poly(p: LaurentPoly, st: _Style) -> str:
+def _poly(p: dict, st: _Style) -> str:
     if p is P_ONE:
         # the denominator of every polynomial coefficient
         return "1"
-    if p.is_zero():
+    if not p:
         return "0"
     out = []
-    for (eq, eu), c in sorted(p.terms.items(), reverse=True):
+    for (eq, eu), c in sorted(p.items(), reverse=True):
         bits = []
         if eq:
             bits.append(_pow(st, "q", eq))
@@ -110,12 +111,12 @@ def _coeff(rf: RatFunc, st: _Style) -> str:
     num, den = rf.canonical()
     text = _poly(num, st)
     whole = den is P_ONE
-    if len(num.terms) > 1 and (whole or st.frac_parens):
+    if len(num) > 1 and (whole or st.frac_parens):
         text = st.paren.format(text)
     if whole:
         return text
     den_text = _poly(den, st)
-    if len(den.terms) > 1 and st.frac_parens:
+    if len(den) > 1 and st.frac_parens:
         den_text = st.paren.format(den_text)
     return st.frac.format(text, den_text)
 
@@ -153,7 +154,7 @@ def element_to_obj(e: Element) -> dict:
 class Printer:
     """Prints elements in one of the ``FORMATS``.
 
-    A coefficient is rendered once per distinct stored (num terms, den, d),
+    A coefficient is rendered once per distinct stored (num, den, d),
     the fields of its value num / (den (q - q^-1)^d), from its display pair
     ``canonical()``; a word once per distinct tuple of generators, together
     with its part of ``mono_sort_key``.  A JSON fragment is escaped once,
@@ -178,7 +179,7 @@ class Printer:
             w = words.get(word)
             if w is None:
                 w = words[word] = (word_sort_key(word), self._word_fragment(word))
-            key = (tuple(c.num.terms.items()), c.den, c.d)
+            key = (tuple(c.num.items()), c.den, c.d)
             cf = coeffs.get(key)
             if cf is None:
                 cf = coeffs[key] = self._coeff_fragment(c)

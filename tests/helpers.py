@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from uqsl2.coeff import RF_ONE, LaurentPoly, PoleError, RatFunc, one_term, q_pow, qminus, u_pow
+from uqsl2.coeff import RF_ONE, PoleError, RatFunc, _rf, one_term, q_pow, qminus, u_pow
 from uqsl2.elements import AGEN, XPLUS, Element, Monomial, agen, el_mul, xminus, xplus
 from uqsl2.expr import evaluate
 from uqsl2.verify import sweep_params, verify_claim
@@ -46,19 +46,25 @@ def rand_poly(rng, nterms=3, max_exp=3):
     for _ in range(rng.randrange(0, nterms + 1)):
         e = (rng.randrange(-max_exp, max_exp + 1), rng.randrange(-max_exp, max_exp + 1))
         terms[e] = rng.randrange(-5, 6)
-    return LaurentPoly(terms)
+    return {e: c for e, c in terms.items() if c}
 
 
-def admissible_den(c, eq, eu, k) -> LaurentPoly:
+def admissible_den(c, eq, eu, k) -> dict:
     """c q^eq u^eu (q - q^-1)^k as a polynomial: the denominators the
     coefficient arithmetic divides by, for a nonzero integer c."""
     return (one_term(c, eq, eu) * qminus() ** k).as_poly()
 
 
+def ratfunc(num: dict, den: dict) -> RatFunc:
+    """num / den for zero-free exponent dicts, den = c q^a u^b (q - q^-1)^k;
+    any other den raises ValueError (see ``RatFunc.inv``)."""
+    return _rf(num, 1) * _rf(den, 1).inv()
+
+
 def rand_ratfunc(rng):
     c = rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6])
     den = admissible_den(c, rng.randrange(-2, 3), rng.randrange(-2, 3), rng.randrange(4))
-    return RatFunc.make(rand_poly(rng), den)
+    return ratfunc(rand_poly(rng), den)
 
 
 def json_to_element(obj: dict) -> Element:

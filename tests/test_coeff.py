@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from uqsl2 import coeff
 from uqsl2.coeff import (
     P_ONE,
-    LaurentPoly,
     PoleError,
     RF_ONE,
     RF_ZERO,
@@ -22,7 +21,7 @@ from uqsl2.coeff import (
     u_pow,
 )
 
-from helpers import admissible_den, rand_poly, rand_ratfunc
+from helpers import admissible_den, rand_poly, rand_ratfunc, ratfunc
 
 HALF = RatFunc.from_fraction(Fraction(1, 2))
 
@@ -61,7 +60,7 @@ def test_qint_is_polynomial():
         v = qint(n)
         assert v.den == 1
         # q^(n-1) + q^(n-3) + ... + q^(1-n)
-        assert v.num.terms == {(n - 1 - 2 * i, 0): 1 for i in range(n)}
+        assert v.num == {(n - 1 - 2 * i, 0): 1 for i in range(n)}
 
 
 def test_qint_addition_expansion():
@@ -70,8 +69,8 @@ def test_qint_addition_expansion():
         for n in range(1 - m, 5):
             if m + n < 1:
                 continue
-            num = LaurentPoly({(m + n - 1 - 2 * i, 0): 1 for i in range(m + n)})
-            expect = RatFunc.make(num, P_ONE)
+            num = {(m + n - 1 - 2 * i, 0): 1 for i in range(m + n)}
+            expect = ratfunc(num, P_ONE)
             assert qint(m + n) == expect
 
 
@@ -86,7 +85,7 @@ def test_eval_examples():
 
 def test_zero_is_canonical():
     z = qminus() - qminus()
-    assert z.num.terms == {}
+    assert z.num == {}
     assert z.den == 1
     assert z.is_zero()
 
@@ -94,19 +93,19 @@ def test_zero_is_canonical():
 def test_denominator_anchoring():
     # monomial denominators collapse into the numerator, all but their
     # integer part
-    r = RatFunc.make(LaurentPoly({(2, 0): 1}), LaurentPoly({(1, 1): 3}))
+    r = ratfunc({(2, 0): 1}, {(1, 1): 3})
     assert r.den == 3
-    assert r.num.terms == {(1, -1): 1}
+    assert r.num == {(1, -1): 1}
     # the sign and the (q - q^-1) factors of a denominator go to num and d
-    r = RatFunc.make(LaurentPoly({(0, 0): 1}), LaurentPoly({(1, 0): -1, (-1, 0): 1}))
-    assert (r.num.terms, r.den, r.d) == ({(0, 0): -1}, 1, 1)
+    r = ratfunc({(0, 0): 1}, {(1, 0): -1, (-1, 0): 1})
+    assert (r.num, r.den, r.d) == ({(0, 0): -1}, 1, 1)
 
 
 _polys = st.dictionaries(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-    st.integers(-6, 6),
+    st.integers(-6, 6).filter(bool),
     max_size=4,
-).map(LaurentPoly)
+)
 
 _dens = st.builds(
     admissible_den,
@@ -116,7 +115,7 @@ _dens = st.builds(
     st.integers(0, 3),
 )
 
-_ratfuncs = st.builds(RatFunc.make, _polys, _dens)
+_ratfuncs = st.builds(ratfunc, _polys, _dens)
 
 
 def _inverse(r):
@@ -166,7 +165,7 @@ def test_canonical_is_idempotent():
     for _ in range(100):
         r = rand_ratfunc(rng)
         num, den = r.canonical()
-        back = RatFunc.make(num, den)
+        back = ratfunc(num, den)
         assert back == r
         assert back.canonical() == (num, den)
 
@@ -178,7 +177,7 @@ def test_inv_accepts_exactly_the_admissible_values():
     for _ in range(200):
         c = rng.choice([-6, -3, -2, -1, 1, 2, 5])
         top = admissible_den(c, rng.randrange(-3, 4), rng.randrange(-3, 4), rng.randrange(4))
-        x = RatFunc.make(top, rand_ratfunc(rng).canonical()[1])
+        x = ratfunc(top, rand_ratfunc(rng).canonical()[1])
         inv = x.inv()
         assert x * inv == RF_ONE and inv.inv() == x
         q0, u0 = Fraction(rng.randrange(2, 9), 9), Fraction(rng.randrange(2, 9), 5)
@@ -190,7 +189,7 @@ def test_inv_accepts_exactly_the_admissible_values():
         with pytest.raises(ValueError):
             RF_ONE / bad
     with pytest.raises(ValueError):
-        RatFunc.make(LaurentPoly({(2, 0): 1, (0, 0): -1}), LaurentPoly({(1, 0): 1, (0, 0): 1}))
+        ratfunc({(2, 0): 1, (0, 0): -1}, {(1, 0): 1, (0, 0): 1})
 
 
 # --- coefficients of the shapes the arithmetic treats differently ----------
@@ -198,15 +197,15 @@ def test_inv_accepts_exactly_the_admissible_values():
 
 def _one_term(rng):
     c = rng.choice([-3, -2, -1, 1, 2, 3])
-    return RatFunc.make(LaurentPoly({(rng.randrange(-3, 4), rng.randrange(-3, 4)): c}), P_ONE)
+    return ratfunc({(rng.randrange(-3, 4), rng.randrange(-3, 4)): c}, P_ONE)
 
 
 def _polynomial(rng):
-    return RatFunc.make(rand_poly(rng, nterms=4), P_ONE)
+    return ratfunc(rand_poly(rng, nterms=4), P_ONE)
 
 
 def _qminus_power_den(rng):
-    return RatFunc.make(rand_poly(rng, nterms=4), P_ONE) / qminus() ** rng.randrange(1, 3)
+    return ratfunc(rand_poly(rng, nterms=4), P_ONE) / qminus() ** rng.randrange(1, 3)
 
 
 def _rational_number(rng):
@@ -246,7 +245,7 @@ def test_ring_operations_agree_with_sympy_cancel():
 
     def sym(r):
         def poly(p):
-            return sum(sympy.Integer(c) * q**eq * u**eu for (eq, eu), c in p.terms.items())
+            return sum(sympy.Integer(c) * q**eq * u**eu for (eq, eu), c in p.items())
 
         num, den = r.canonical()
         return poly(num) / poly(den)
@@ -268,7 +267,7 @@ def test_polynomial_results_hold_the_shared_denominator():
     for a, b in _shaped_pairs(seed=7, count=400):
         for got in (a, b, *_results(a, b).values()):
             den = got.canonical()[1]
-            if den.terms == {(0, 0): 1}:
+            if den == {(0, 0): 1}:
                 assert den is P_ONE and got.as_poly() is got.num, got
                 seen += 1
     assert seen > 500
@@ -308,8 +307,8 @@ def _assert_normal(r):
     if d:
         assert coeff._div_qminus(num) is None, r
     assert type(den) is int and den > 0, r
-    if num.terms:
-        assert math.gcd(den, *num.terms.values()) == 1, r
+    if num:
+        assert math.gcd(den, *num.values()) == 1, r
     else:
         assert den == 1 and d == 0, r
 
@@ -330,8 +329,7 @@ def test_every_result_is_in_normal_form():
     ).filter(lambda t: len({eu for _, eu in t}) > 1)
 )
 def test_div_qminus_returns_the_quotient_of_a_multiple(terms):
-    t = LaurentPoly(terms)
-    assert coeff._div_qminus(t * qminus().num) == t
+    assert coeff._div_qminus(coeff._pmul(terms, qminus().num)) == terms
 
 
 @pytest.mark.parametrize(
@@ -346,9 +344,8 @@ def test_div_qminus_returns_the_quotient_of_a_multiple(terms):
     ],
 )
 def test_div_qminus_refuses_what_vanishes_at_one_but_is_not_divisible(terms):
-    p = LaurentPoly(terms)
-    assert sum(p.terms.values()) == 0
-    assert coeff._div_qminus(p) is None
+    assert sum(terms.values()) == 0
+    assert coeff._div_qminus(terms) is None
 
 
 def test_equal_values_over_an_integer_den_have_identical_fields():
@@ -368,39 +365,37 @@ def test_equal_values_over_an_integer_den_have_identical_fields():
         ):
             # equal in value, by a subtraction and not by __eq__
             if (a - other).is_zero():
-                assert (a.num.terms, a.den, a.d) == (other.num.terms, other.den, other.d)
+                assert (a.num, a.den, a.d) == (other.num, other.den, other.d)
                 seen += 1
     assert seen > 800
 
 
 def test_product_over_qminus_powers_multiplies_only_the_numerators(monkeypatch):
-    x = RatFunc.make(LaurentPoly({(2, 0): 1, (0, 1): 3}), P_ONE) / qminus()
-    y = RatFunc.make(LaurentPoly({(1, 0): 2, (0, -1): -1}), P_ONE) / qminus() ** 2
+    x = ratfunc({(2, 0): 1, (0, 1): 3}, P_ONE) / qminus()
+    y = ratfunc({(1, 0): 2, (0, -1): -1}, P_ONE) / qminus() ** 2
     calls = [0]
-    mul = LaurentPoly.__mul__
+    mul = coeff._pmul
 
-    def counting_mul(p, other):
+    def counting_mul(a, b):
         calls[0] += 1
-        return mul(p, other)
+        return mul(a, b)
 
-    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(coeff, "_pmul", counting_mul)
     z = x * y
     assert calls == [1]
     assert z.den == 1 and z.d == 3
-    assert z.num.terms == {(3, 0): 2, (2, -1): -1, (1, 1): 6, (0, 0): -3}
+    assert z.num == {(3, 0): 2, (2, -1): -1, (1, 1): 6, (0, 0): -3}
 
 
 def test_as_poly_answers_is_it_a_polynomial():
     v = qint(3)
     assert v.as_poly() is v.num
-    assert RF_ZERO.as_poly().is_zero()
+    assert RF_ZERO.as_poly() == {}
     # 1/(q - q^-1) stores the numerator 1 over the den 1
     assert qminus().inv().as_poly() is None
-    assert (q_pow(1) / qminus() * qminus()).as_poly() == LaurentPoly({(1, 0): 1})
+    assert (q_pow(1) / qminus() * qminus()).as_poly() == {(1, 0): 1}
     assert RatFunc.from_fraction(Fraction(1, 2)).as_poly() is None
-    assert RatFunc.make(LaurentPoly({(2, 0): 1, (0, 0): -1}), LaurentPoly({(1, 0): 1, (-1, 0): -1})).as_poly() == (
-        LaurentPoly({(1, 0): 1})
-    )
+    assert ratfunc({(2, 0): 1, (0, 0): -1}, {(1, 0): 1, (-1, 0): -1}).as_poly() == {(1, 0): 1}
 
 
 # --- the derived slot ``single`` ---------------------------------------------
@@ -408,8 +403,8 @@ def test_as_poly_answers_is_it_a_polynomial():
 
 def _assert_single(r):
     p = r.as_poly()
-    if p is not None and len(p.terms) == 1:
-        ((eq, eu), c), = p.terms.items()
+    if p is not None and len(p) == 1:
+        ((eq, eu), c), = p.items()
         assert r.single == (c, eq, eu), r
     else:
         assert r.single is None, r
@@ -426,12 +421,12 @@ def test_single_is_the_one_term_of_the_value():
         (q * q - 1) - q * q,
         qminus() - q,
         q / qminus() * qminus(),
-        RatFunc.make(LaurentPoly({(2, 0): 1, (0, 0): -1}), admissible_den(1, 0, 0, 1)),
-        RatFunc.make(LaurentPoly({(1, 2): -4}), LaurentPoly.const(2)),
-        RatFunc.make(LaurentPoly({(1, 2): -4}), LaurentPoly.const(8)),
-        RatFunc.make(LaurentPoly({(-2, 1): 3}), P_ONE),
-        RatFunc.make(LaurentPoly({(1, 0): 2, (-1, 0): -2}), LaurentPoly.const(2)),
-        RatFunc.make(P_ONE, P_ONE),
+        ratfunc({(2, 0): 1, (0, 0): -1}, admissible_den(1, 0, 0, 1)),
+        ratfunc({(1, 2): -4}, {(0, 0): 2}),
+        ratfunc({(1, 2): -4}, {(0, 0): 8}),
+        ratfunc({(-2, 1): 3}, P_ONE),
+        ratfunc({(1, 0): 2, (-1, 0): -2}, {(0, 0): 2}),
+        ratfunc(P_ONE, P_ONE),
         one_term(-2, 1, -3).inv(),
         (2 * qminus()).inv(),
         one_term(5, 2, 3).subst_u_inverse(),
@@ -448,7 +443,7 @@ def test_single_is_the_one_term_of_the_value():
         _assert_single(v)
     seen = 0
     for a, b in _shaped_pairs(seed=18, count=400):
-        for got in (a, b, *_results(a, b).values(), a.mul_q_pow(3), a + (-a.num.terms.get((0, 0), 0))):
+        for got in (a, b, *_results(a, b).values(), a.mul_q_pow(3), a + (-a.num.get((0, 0), 0))):
             _assert_single(got)
             seen += got.single is not None
     assert seen > 200

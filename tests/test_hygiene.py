@@ -291,8 +291,8 @@ def test_the_package_module_holds_only_its_version():
 
 def test_only_coeff_and_render_read_the_stored_den():
     # a coefficient is num / (den (q - q^-1)^d), so den alone is not its
-    # denominator; other modules ask ``as_poly()``, and printing reads the
-    # display form ``canonical()``
+    # denominator; other modules ask ``as_poly()`` for the exponent dict of
+    # a polynomial, and printing reads the display form ``canonical()``
     readers = {
         p.name
         for p in SRC.glob("*.py")
@@ -341,12 +341,14 @@ def test_only_coeff_stores_the_fields_of_a_coefficient():
 
 
 _DICT_WRITERS = {"pop", "popitem", "update", "clear", "setdefault"}
+_SHARED_DICTS = {"terms", "num"}
 
 
 def _terms_writes(source):
-    """Lines that change the ``terms`` dict of an object in place: a store
-    or delete of ``X.terms[...]``, ``X.terms |= ...``, or a call of a dict
-    method that writes on ``X.terms``."""
+    """Lines that change the ``terms`` dict of an element or the ``num``
+    dict of a coefficient in place: a store or delete of ``X.terms[...]``,
+    ``X.terms |= ...``, or a call of a dict method that writes on
+    ``X.terms``, and the same on ``X.num``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
@@ -357,7 +359,7 @@ def _terms_writes(source):
             target = node.func.value if node.func.attr in _DICT_WRITERS else None
         else:
             continue
-        if isinstance(target, ast.Attribute) and target.attr == "terms":
+        if isinstance(target, ast.Attribute) and target.attr in _SHARED_DICTS:
             found.append(node.lineno)
     return sorted(found)
 
@@ -373,16 +375,29 @@ e.terms.popitem()
 e.terms.update(other)
 e.terms.clear()
 e.terms.setdefault(m, c)
+c.num[e] = n
+del c.num[e]
+c.num[e] -= n
+c.num |= other
+c.num.pop(e)
+c.num.popitem()
+c.num.update(other)
+c.num.clear()
+c.num.setdefault(e, n)
 t = dict(e.terms)
 t[m] = c
 e.terms.get(m)
+t = dict(c.num)
+t[e] = n
+c.num.get(e)
 """
-    assert _terms_writes(source) == list(range(1, 10))
+    assert _terms_writes(source) == list(range(1, 19))
 
 
 def test_nothing_mutates_the_terms_of_an_element_or_polynomial():
     # family members and one-term coefficients are memoized values that
-    # every caller shares: a write to one's terms would change it for all
+    # every caller shares, and so is the numerator P_ONE: a write to one's
+    # terms or num would change it for all
     found = {p.name: _terms_writes(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: f for name, f in found.items() if f} == {}
 

@@ -337,5 +337,5 @@ def test_sweeps_leave_shared_values_unchanged():
         for claim in ("EP", "EM", "COMMC", "OMEGA_E", "REFLECT"):
             sweep_claim(claim, cfg, mode)
     for (c, eq, eu), v in values.items():
-        assert v.num.terms == {(eq, eu): c} and v.den == 1
+        assert v.num == {(eq, eu): c} and v.den == 1
         assert one_term(c, eq, eu) is v
