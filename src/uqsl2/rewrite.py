@@ -25,6 +25,14 @@ mode leaves R6 out: it computes in the quotient of the free algebra by
 R2-R4 and the K/gamma relations only, where same-sign x words are not
 reordered.
 
+R2 and R3 act on a run: a move carries a_n across the whole run of x's
+(R3) or of smaller a's (R2) after it in one step, where one-letter swaps
+would take one step per letter.  By the diamond lemma (Bergman 1978) a
+composite of the rules that is an identity and lowers the order of
+_order_key is itself a rule, and leaves the normal forms as they are.
+The move reads only the two-letter rows of _replacement, which stays the
+one statement of the rules.
+
 The rewrite loop does not expand an R4 correction that lands in normal
 position: the redex is the word's last two letters and the prefix before it
 has no a's and no move.  Each term of such a correction is prefix * (sorted
@@ -127,15 +135,40 @@ def _replacement(g: Gen, h: Gen, tag: int) -> Element:
 def _expand_redex(word, kexp: int, i: int, tag: int):
     """One rewrite at position i: (monomial, coefficient) pairs for
     prefix * replacement * suffix, with replacement K-powers passed over
-    the suffix."""
-    repl = _replacement(word[i], word[i + 1], tag)
+    the suffix.
+
+    An R3 or R2 move carries g = a_n = word[i] across the whole run after
+    it in one step: the maximal run of x's (R3) or of a's smaller than a_n
+    (R2).  The chain of one-letter swaps across the run h_1 ... h_r sums
+    to h_1 ... h_r a_n plus, for each h_t, the non-swap terms of g h_t's
+    row put at h_t's place; neither rule has a K-power, so nothing passes
+    the suffix.  One monomial may occur in two pairs; the caller sums them."""
+    g = word[i]
     prefix = word[:i]
+    if tag == _R3 or tag == _R2:
+        j = i + 2
+        if tag == _R3:
+            while j < len(word) and word[j].kind != AGEN:
+                j += 1
+        else:
+            while j < len(word) and word[j].kind == AGEN and word[j].idx < g.idx:
+                j += 1
+        run = word[i + 1 : j]
+        suffix = word[j:]
+        out = [(Monomial(prefix + run + (g,) + suffix, kexp), RF_ONE)]
+        for t, h in enumerate(run):
+            for m2, c2 in _replacement(g, h, tag).terms.items():
+                if m2.word != (h, g):
+                    word2 = prefix + run[:t] + m2.word + run[t + 1 :] + suffix
+                    out.append((Monomial(word2, kexp), c2))
+        return out
+    repl = _replacement(g, word[i + 1], tag)
     suffix = word[i + 2 :]
     net = 0
-    for g in suffix:
-        if g.kind == XPLUS:
+    for h in suffix:
+        if h.kind == XPLUS:
             net += 1
-        elif g.kind == XMINUS:
+        elif h.kind == XMINUS:
             net -= 1
     out = []
     for m2, c2 in repl.terms.items():
@@ -149,31 +182,29 @@ def _expand_redex(word, kexp: int, i: int, tag: int):
 def clear_caches():
     """Empty every memo the engine keeps, so the next computation is cold.
 
-    There are seven, each bounded: _word_moves, _replacement, one_term,
-    psi, phi and the family members family_E_pos and family_E_neg.  Their
-    bounds lie above the working sets of one round of each perfbench
-    workload, counted in a fresh process with the sweep in that process
-    (one_term's include the 3 values made at import): the Strict verify
-    sweep of all five claims at n,k <= 16 (m, p in [-2, 2]) leaves
-    _word_moves 2,347 words, _replacement no entries (each of its R4 steps
-    is a block step, which needs no row), one_term 2,099 values, psi, phi
-    one each and 850 and 1,258 members; the five 8-letter mixed word
-    templates of nf-long-words leave 18,511, 141, 136 and 9 each and build
-    no member; 100,000 family brackets use only one_term (433), psi, phi
-    (6 each) and 200 + 200 members.  Such work is therefore done once per
-    process.
+    There are six, each bounded: _replacement, one_term, psi, phi and the
+    family members family_E_pos and family_E_neg.  The rewrite loop keeps
+    no memo of its own.  The bounds lie above the working sets of one round
+    of each perfbench workload, counted in a fresh process with the sweep
+    in that process (one_term's include the 3 values made at import): the
+    Strict verify sweep of all five claims at n,k <= 16 (m, p in [-2, 2])
+    leaves _replacement no entries (each of its R4 steps is a block step,
+    which needs no row), one_term 2,099 values, psi, phi one each and 850
+    and 1,258 members; the five 8-letter mixed word templates of
+    nf-long-words leave 141, 161 and 5 each and build no member; 100,000
+    family brackets use only one_term (429), psi, phi (6 each) and 200 +
+    200 members.  Such work is therefore done once per process.
 
-    Full mode, the default, needs more: the same verify sweep leaves
-    2,891, 834, 3,315, one each and the same 850 and 1,258 members, and
-    the five mixed word templates leave 17,965, 166, 179 and 9 each.
-    Wider full sweeps pass one_term's bound of 4,096: n,k <= 20 fills it,
-    and so do m, p in [-4, 4] at n,k <= 16.  At n,k <= 24 _replacement
-    holds 1,826 of its 4,096."""
-    for memo in (_word_moves, _replacement, one_term, psi, phi, family_E_pos, family_E_neg):
+    Full mode, the default, needs more: the same verify sweep leaves 834,
+    3,315, one each and the same 850 and 1,258 members, and the five mixed
+    word templates leave 166, 211 and 5 each.  Wider full sweeps pass
+    one_term's bound of 4,096: n,k <= 20 fills it, and so do m, p in
+    [-4, 4] at n,k <= 16.  At n,k <= 24 _replacement holds 1,826 of its
+    4,096."""
+    for memo in (_replacement, one_term, psi, phi, family_E_pos, family_E_neg):
         memo.cache_clear()
 
 
-@lru_cache(maxsize=1 << 16)
 def _word_moves(word, full: bool):
     """All admissible moves for one word, left to right: every R2-R4 redex
     and, in full mode, every out-of-order same-sign x pair (R6)."""
@@ -202,12 +233,17 @@ def _order_key(word):
     and puts a smaller generator first at its position; an R2/R3 correction
     drops an a and keeps the x's; an R4 correction drops two x's; an R6
     correction keeps both counts and puts x_(i-1) or x_(j+1) where x_i was.
+    A run move of R2/R3 lowers it too: its swap term puts the run's first
+    letter, an x or a smaller a, where a_n was, and each of its other terms
+    is an R2/R3 correction, which keeps the x's and drops one or two a's.
     Words of equal counts have equal length, so the lexicographic part
-    compares like with like.  No rule lengthens a word or raises the sum of
-    its |indices|, so everything reachable from a finite element lies in a
-    finite set of words and rewriting terminates; and a word taken off the
-    heap largest-first can never be produced again.  The key is O(length), which
-    matters: a key that counts inversions is quadratic in the length.
+    compares like with like.  No rule raises the number of x's or the sum
+    of the |indices| (an R4 correction may lengthen a word, into the
+    a-words of psi or phi), and every a has |index| >= 1, so everything
+    reachable from a finite element lies in a finite set of words and
+    rewriting terminates; and a word taken off the heap largest-first can
+    never be produced again.  The key is O(length), which matters: a key
+    that counts inversions is quadratic in the length.
     """
     nx = 0
     neg = []
@@ -224,16 +260,22 @@ def _reduce(a: Element, mode: RelationMode, choose) -> Element:
     to its coefficient has been summed.  ``choose(n)`` picks which of a
     word's n moves (listed left to right by _word_moves) to apply.
 
+    Each monomial is scanned once per call, when it first appears: its
+    moves ride on its heap entry (key, monomial, moves), and a monomial
+    already pending or done is only summed into.  A (key, monomial) pair
+    is unique, so the heap never compares moves.  The loop keeps nothing
+    between calls: what it builds is freed when it returns.
+
     An R4 step whose correction lands in normal position (the redex is the
-    word's last two letters and the prefix before it has no a's and no move)
-    sends its swap to the worklist as usual, but does not expand the
-    correction.  It adds one scalar to a block keyed by (prefix, K-power,
-    psi or phi, index), and each block whose scalar sums to nonzero is
-    expanded once when the worklist is empty.  That is sound by linearity:
-    every term of a block's expansion is prefix * (sorted a-word) * K^e,
-    already normal, so nothing could have rewritten it.  Corrections that
-    cancel, such as the Cartan part of an EP/EM bracket, are never
-    expanded at all.
+    word's last two letters and the prefix before it has no a's and no
+    move: the word's first move starts at i - 1 or later) sends its swap
+    to the worklist as usual, but does not expand the correction.  It adds
+    one scalar to a block keyed by (prefix, K-power, psi or phi, index),
+    and each block whose scalar sums to nonzero is expanded once when the
+    worklist is empty.  That is sound by linearity: every term of a
+    block's expansion is prefix * (sorted a-word) * K^e, already normal, so
+    nothing could have rewritten it.  Corrections that cancel, such as the
+    Cartan part of an EP/EM bracket, are never expanded at all.
     """
     full = mode is RelationMode.FULL
     done = {}
@@ -246,31 +288,35 @@ def _reduce(a: Element, mode: RelationMode, choose) -> Element:
         table[key] = c if acc is None else acc + c
 
     def add(mono, c):
-        if _word_moves(mono.word, full):
-            acc = pending.get(mono)
-            if acc is None:
-                pending[mono] = c
-                heapq.heappush(heap, (_order_key(mono.word), mono))
-            else:
-                pending[mono] = acc + c
+        acc = pending.get(mono)
+        if acc is not None:
+            pending[mono] = acc + c
+            return
+        acc = done.get(mono)
+        if acc is not None:
+            done[mono] = acc + c
+            return
+        moves = _word_moves(mono.word, full)
+        if moves:
+            pending[mono] = c
+            heapq.heappush(heap, (_order_key(mono.word), mono, moves))
         else:
-            bump(done, mono, c)
+            done[mono] = c
 
     for mono, c in a.terms.items():
         add(mono, c)
     while heap:
-        mono = heapq.heappop(heap)[1]
+        _, mono, moves = heapq.heappop(heap)
         c = pending.pop(mono)
         if not c:
             continue
         word = mono.word
-        moves = _word_moves(word, full)
         i, tag = moves[choose(len(moves))]
         if (
             tag == _R4
             and i == len(word) - 2
+            and moves[0][0] >= i - 1
             and all(g.kind != AGEN for g in word)
-            and not _word_moves(word[:i], full)
         ):
             prefix = word[:i]
             for current, m, s in _r4_parts(word[i].idx, word[i + 1].idx):

@@ -9,6 +9,7 @@ from fractions import Fraction
 from uqsl2.coeff import RF_ONE, PoleError, RatFunc, _rf, one_term, q_pow, qminus, u_pow
 from uqsl2.elements import AGEN, XPLUS, Element, Monomial, agen, el_mul, xminus, xplus
 from uqsl2.expr import evaluate
+from uqsl2.rewrite import _replacement
 from uqsl2.verify import sweep_params, verify_claim
 
 
@@ -120,6 +121,21 @@ def drinfeld_r6(mk, s, k, l) -> Element:
         return el_mul(Element.from_gen(mk(i)), Element.from_gen(mk(j)))
 
     return pair(k + 1, l) - pair(l, k + 1).scale(s) - pair(k, l + 1).scale(s) + pair(l + 1, k)
+
+
+def carry_one_letter_at_a_time(g, run: tuple, tag) -> Element:
+    """g h_1 ... h_r with g carried right across the run one letter at a
+    time: step t replaces the pair g h_t by the table's row
+    _replacement(g, h_t, tag) and rewrites only the word in which g moved
+    on.  The reference for the rewrite loop's one-move R2/R3."""
+    word = (g,) + run
+    out = Element.from_monomial(Monomial(word, 0))
+    for t, h in enumerate(run):
+        left, right = (Element.from_monomial(Monomial(w, 0)) for w in (word[:t], word[t + 2 :]))
+        out = out - Element.from_monomial(Monomial(word, 0))
+        out = out + el_mul(el_mul(left, _replacement(g, h, tag)), right)
+        word = word[:t] + (h, g) + word[t + 2 :]
+    return out
 
 
 def sweep_claim(claim: str, cfg: dict, mode) -> list:

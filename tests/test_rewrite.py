@@ -24,6 +24,7 @@ from uqsl2.rewrite import (
 
 from helpers import (
     assert_coeffs_match_numerically,
+    carry_one_letter_at_a_time,
     drinfeld_r6,
     rand_element,
     rand_word,
@@ -212,7 +213,6 @@ def test_clear_caches_leaves_every_memo_empty():
     )
     before = normal_form(w, S)
     memos = (
-        rewrite._word_moves,
         rewrite._replacement,
         coeff.one_term,
         currents.psi,
@@ -227,7 +227,8 @@ def test_clear_caches_leaves_every_memo_empty():
 
 
 def test_long_commuting_word_normal_forms_without_recursion():
-    # 19,900 rewrite steps, far more than the recursion limit of frames
+    # 19,900 one-letter swaps, far more than the recursion limit of frames
+    # (the loop makes them as 199 run moves)
     word = tuple(agen(i) for i in range(200, 0, -1))
     got = normal_form(Element.from_monomial(Monomial(word, 0)), S)
     assert got.terms == {Monomial(word[::-1], 0): RF_ONE}
@@ -250,6 +251,83 @@ def test_no_monomial_is_rewritten_twice(monkeypatch):
     normal_form(Element.from_monomial(Monomial(word, 0)), S)
     assert rewritten
     assert len(rewritten) == len(set(rewritten))
+
+
+def test_run_move_equals_the_one_letter_chain():
+    # a_n carried across a whole run in one move (R3 over x's of both
+    # kinds, R2 over smaller a's, a_-n among them) sums to the chain of
+    # one-letter rows; the run stops at the first letter that is no redex
+    # with a_n, and the prefix and the rest of the word stay as they are
+    from uqsl2.rewrite import _R2, _R3, _expand_redex
+
+    rng = random.Random(3232)
+    for _ in range(120):
+        tag = rng.choice((_R2, _R3))
+        n = rng.choice((1, 2, 3, 4)) if tag == _R2 else rng.choice((-3, -2, -1, 1, 2, 3))
+        size = rng.randrange(1, 7)
+        if tag == _R3:
+            run = tuple(rng.choice((xplus, xminus))(rng.randrange(-3, 4)) for _ in range(size))
+            stop = agen(rng.choice((-2, 1, 3)))
+        else:
+            smaller = [-n] + [l for l in range(-4, n) if l]
+            run = tuple(agen(rng.choice(smaller)) for _ in range(size))
+            stop = rng.choice((xplus(1), agen(n), agen(n + 1)))
+        prefix = rand_word(rng, max_len=2)
+        # the word ends with the run, or goes on from a letter that stops it
+        rest = rng.choice(((), (stop,) + rand_word(rng, max_len=2)))
+        word = prefix + (agen(n),) + run + rest
+        outer = [Element.from_monomial(Monomial(w, 0)) for w in (prefix, rest)]
+        want = el_mul(el_mul(outer[0], carry_one_letter_at_a_time(agen(n), run, tag)), outer[1])
+        got = Element.zero()
+        for mono, c in _expand_redex(word, 0, len(prefix), tag):
+            got = got + Element({mono: c})
+        assert got == want, word
+
+
+def test_run_moves_sort_a_falling_a_word_in_one_move_per_letter(monkeypatch):
+    # a[50]*...*a[1]: each a_n crosses the sorted run of smaller a's after
+    # it at once, so 49 moves where one-letter swaps take 1,225
+    from uqsl2 import rewrite
+
+    calls = []
+    expand = rewrite._expand_redex
+
+    def spy(word, kexp, i, tag):
+        calls.append(tag)
+        return expand(word, kexp, i, tag)
+
+    monkeypatch.setattr(rewrite, "_expand_redex", spy)
+    word = tuple(agen(i) for i in range(50, 0, -1))
+    got = normal_form(Element.from_monomial(Monomial(word, 0)), S)
+    assert got.terms == {Monomial(word[::-1], 0): RF_ONE}
+    assert len(calls) == 49
+
+
+def test_normal_form_retains_no_words():
+    # the rewrite loop keeps nothing between calls: once the result of a
+    # long normal form is dropped, only the bounded rule, coefficient and
+    # current memos hold what it built (a word memo held megabytes here)
+    import gc
+    import tracemalloc
+
+    from uqsl2 import rewrite
+
+    # the second 8-letter template of the nf-long-words benchmark
+    word = tuple(map(xminus, (3, 1, 0, 2))) + tuple(map(xplus, (-2, 0, -3, -1)))
+    for mode in (S, F):
+        rewrite.clear_caches()
+        tracemalloc.start()
+        try:
+            result = normal_form(Element.from_monomial(Monomial(word, 0)), mode)
+            assert result.terms
+            del result
+            # a full collection also empties the interpreter's free lists
+            # of tuples and dicts, which tracemalloc counts as in use
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.5 * 2**20, (mode, retained)
 
 
 def test_diamond_detects_the_wrong_r6_convention(monkeypatch):

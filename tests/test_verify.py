@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from uqsl2.coeff import RF_ONE, one_term, q_pow, qminus, u_pow
-from uqsl2.elements import Element, Monomial, el_mul, project_x_free, xminus, xplus
+from uqsl2.elements import Element, Monomial, el_mul, omega, project_x_free, xminus, xplus
 from uqsl2.family import family_E
 from uqsl2 import rewrite, verify
 from uqsl2.rewrite import RelationMode, clear_caches, normal_form
@@ -92,6 +92,21 @@ def test_em_mirror():
     assert is_same_sign_residual(r.verdict.value)
     r = verify_claim("EM", {"n": 3, "k": 1, "m": -1, "p": 2}, S)
     assert project_x_free(r.verdict.value).is_zero()
+
+
+@pytest.mark.parametrize("mode", [S, F])
+def test_em_is_the_omega_image_of_ep(mode):
+    # omega(E+_n(m; p)) = E-_(-n-1)(m + 2p; -p), so the EP bracket maps to
+    # minus an EM bracket: nf(omega(EP(n, k, m, p))) = -EM(k, n, m + 2p, -p)
+    # on all 375 instances with 0 <= n < k <= 5, m, p in [-2, 2]
+    count = 0
+    for n, k, m, p in product(range(6), range(6), range(-2, 3), range(-2, 3)):
+        if n < k:
+            ep = CLAIMS["EP"].instance({"n": n, "k": k, "m": m, "p": p}, mode)[0]
+            em = CLAIMS["EM"].instance({"n": k, "k": n, "m": m + 2 * p, "p": -p}, mode)[0]
+            assert normal_form(omega(ep), mode) == -em, (n, k, m, p)
+            count += 1
+    assert count == 375
 
 
 @pytest.mark.parametrize("mode", [S, F])
