@@ -115,32 +115,41 @@ def _report_text(r: VerdictReport, met: bool, printer: Printer) -> str:
     return line
 
 
-# one encoder for every report: json.dumps with separators builds a new one
-# per call
+# one encoder for the document's head and summary: json.dumps with
+# separators builds a new one per call
 _compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
+def _json_params(params: dict) -> str:
+    """The JSON object of a report's params, keys sorted.  Each value is
+    an int, one of the fixed sign and convention strings (``family.SIGNS``,
+    ``verify.CONVENTIONS``), which need no escaping, or None."""
+    out = []
+    for k in sorted(params):
+        v = params[k]
+        if v.__class__ is str:
+            out.append(f'"{k}":"{v}"')
+        else:
+            out.append(f'"{k}":{"null" if v is None else v}')
+    return "{" + ",".join(out) + "}"
+
+
 def _report_json(r: VerdictReport, met: bool, printer: Printer) -> str:
+    """The report's JSON, the bytes of one compact ``json.dumps`` of it,
+    written by string formatting: the claim, mode and verdict kind are
+    fixed names, and the elements are JSON already."""
     value = printer.element(r.verdict.value)
     # a zero stated value (EP/EM) makes the residual its own discrepancy
     if r.discrepancy is r.verdict.value:
         discrepancy = value
     else:
         discrepancy = printer.element(r.discrepancy)
-    head = _compact_json(
-        {
-            "claim": r.claim,
-            "params": {k: v for k, v in sorted(r.params.items())},
-            "mode": r.mode.value,
-            "verdict": {"kind": r.verdict.kind},
-        }
-    )
-    # the elements are JSON already: splice them in where one dump of the
-    # whole report would put them (head[:-2] leaves "verdict" open)
     return (
-        f'{head[:-2]},"value":{value}}},"paper_match":{_compact_json(r.paper_match)},'
+        f'{{"claim":"{r.claim}","params":{_json_params(r.params)},"mode":"{r.mode.value}",'
+        f'"verdict":{{"kind":"{r.verdict.kind}","value":{value}}},'
+        f'"paper_match":{"true" if r.paper_match else "false"},'
         f'"paper_expected":{printer.element(r.paper_expected)},'
-        f'"discrepancy":{discrepancy},"expectation_met":{_compact_json(met)}}}'
+        f'"discrepancy":{discrepancy},"expectation_met":{"true" if met else "false"}}}'
     )
 
 

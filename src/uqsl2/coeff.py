@@ -144,8 +144,8 @@ class RatFunc:
     - zero is num = {}, den = 1, d = 0.
 
     q - q^-1 is primitive, so these make the stored form unique: equal
-    values have identical (num, den, d), and equality compares fields.  A
-    product multiplies numerators and dens and adds the d's, a sum of equal
+    values have identical (num, den, d), and equality compares fields; the
+    hash agrees with it, so a value can key a memo.  A product multiplies numerators and dens and adds the d's, a sum of equal
     (den, d) adds numerators, and a difference adds the negation.  The
     invertible values are exactly c q^a u^b (q - q^-1)^k for a nonzero
     integer c; ``inv`` refuses any other, so no denominator is ever a
@@ -190,6 +190,15 @@ class RatFunc:
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.d == other.d and self.den == other.den and self.num == other.num
+
+    def __hash__(self):
+        # agrees with the field equality above: a one-term value hashes its
+        # stored term, any other the set of its exponents, which builds no
+        # item tuples; values that share it are told apart by __eq__
+        s = self.single
+        if s is not None:
+            return hash(s)
+        return hash(frozenset(self.num))
 
     def __neg__(self):
         s = self.single

@@ -185,11 +185,14 @@ def _element(terms: dict) -> Element:
     return el
 
 
-def el_mul(a: Element, b: Element) -> Element:
-    """Product in the algebra: words concatenate, the left K-power passes the
-    right word picking up q^(+-2) per x crossed, K-exponents add.  Each
-    coefficient product and its K-passing q-shift are one ``mul_shifted``:
-    one ``one_term`` lookup for a pair of one-term coefficients +-q^a u^b."""
+def el_mul(a: Element, b: Element, k: int = 0) -> Element:
+    """The product a K^k b in the algebra: words concatenate, the left
+    K-power, raised by k, passes the right word picking up q^(+-2) per x
+    crossed, K-exponents add.  Each coefficient product and its K-passing
+    q-shift are one ``mul_shifted``: one ``one_term`` lookup for a pair of
+    one-term coefficients +-q^a u^b.  So a K^k b is one pass over the term
+    pairs, with no K-power element and no intermediate product; k = 0 is
+    the plain product a b."""
     bterms = []
     for mb, cb in b.terms.items():
         net = 0
@@ -202,6 +205,7 @@ def el_mul(a: Element, b: Element) -> Element:
     out = {}
     for ma, ca in a.terms.items():
         wa, e = ma
+        e += k
         for wb, eb, cb, qstep in bterms:
             c = mul_shifted(ca, cb, e * qstep)
             mono = _tuple_new(Monomial, (wa + wb, e + eb))

@@ -8,18 +8,22 @@ its display pair ``canonical()``: num q^d over den (q^2 - 1)^d.  In
 human-facing text even powers of u print as powers of gamma; JSON keeps raw
 u powers.
 
-A ``Printer`` renders each distinct coefficient, keyed by its stored (num,
-den, d), and each distinct word once, and reuses the text.
-Its memos are plain dicts that live as long as the printer, and a caller
-makes one printer per document, or per chunk of a ``verify`` sweep: the
-reports repeat a few thousand coefficients and words tens of thousands of
-times, while a memo kept for the whole process would hold every
-document's fragments, which costs memory that nothing bounds or clears.
+A ``Printer`` renders each distinct coefficient, keyed by its value, and
+each distinct word once, and reuses the text.  Its memos are plain dicts
+that live as long as the printer, and a caller makes one printer per
+document, or per chunk of a ``verify`` sweep: the reports repeat a few
+thousand coefficients and words tens of thousands of times, while a memo
+kept for the whole process would hold every document's fragments, which
+costs memory that nothing bounds or clears.
+
+JSON fragments are built as strings, with no encoder call per fragment:
+generator names and integers need no escaping, and neither does a
+polynomial's text, whose alphabet is digits, q, u, ^, *, +, - and space.
+So this module imports no ``json``.
 """
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 from .coeff import P_ONE, RatFunc
@@ -151,15 +155,21 @@ def element_to_obj(e: Element) -> dict:
     return {"terms": terms}
 
 
+# the JSON of a generator up to its index, {"g":"x+","k":0} say
+_JSON_GEN = {kind: '{"g":"' + name + '","k":' for kind, name in GEN_NAMES.items()}
+
+
 class Printer:
     """Prints elements in one of the ``FORMATS``.
 
-    A coefficient is rendered once per distinct stored (num, den, d),
-    the fields of its value num / (den (q - q^-1)^d), from its display pair
-    ``canonical()``; a word once per distinct tuple of generators, together
-    with its part of ``mono_sort_key``.  A JSON fragment is escaped once,
-    when it is made; a term is its coefficient's fragment, its word's and
-    its K-power, which gives the bytes of ``json.dumps(element_to_obj(e))``.
+    A coefficient is rendered once per distinct value, the memo keyed on
+    the ``RatFunc`` itself, from its display pair ``canonical()``; a word
+    once per distinct tuple of generators, together with its part of
+    ``mono_sort_key``.  A JSON fragment is a string built from fixed
+    pieces and text that needs no escaping (see ``_coeff_fragment``), so
+    no fragment calls an encoder; a term is its coefficient's fragment, its
+    word's and its K-power, which gives the bytes of
+    ``json.dumps(element_to_obj(e), separators=(",", ":"))``.
     """
 
     __slots__ = ("_json", "_style", "_coeffs", "_words")
@@ -179,10 +189,9 @@ class Printer:
             w = words.get(word)
             if w is None:
                 w = words[word] = (word_sort_key(word), self._word_fragment(word))
-            key = (tuple(c.num.items()), c.den, c.d)
-            cf = coeffs.get(key)
+            cf = coeffs.get(c)
             if cf is None:
-                cf = coeffs[key] = self._coeff_fragment(c)
+                cf = coeffs[c] = self._coeff_fragment(c)
             terms.append((w[0], kexp, word, cf, w[1]))
         # the first three items are mono_sort_key, unique per term, so the
         # sort never compares fragments
@@ -209,15 +218,16 @@ class Printer:
         return "".join(out)
 
     def _coeff_fragment(self, c: RatFunc):
-        """JSON: the term's text up to its word.  Otherwise the lead and
+        """JSON: the term's text up to its word.  The polynomial texts are
+        quoted as they are: ``_poly`` writes only digits, q, u, ^, *, +, -
+        and space, none of which JSON escapes.  Otherwise the lead and
         later prefixes of a term with a word, then the lead and later text
         of a term without one (see ``_signed``)."""
         st = self._style
         if self._json:
             num, den = c.canonical()
-            num = json.dumps(_poly(num, st))
-            den = json.dumps(_poly(den, st))
-            return '{"coeff":{"num":' + num + ',"den":' + den + '},"word":'
+            num, den = _poly(num, st), _poly(den, st)
+            return '{"coeff":{"num":"' + num + '","den":"' + den + '"},"word":'
         alone = _coeff(c, st)
         if c.is_one():
             prefix = ""
@@ -229,9 +239,7 @@ class Printer:
 
     def _word_fragment(self, word: tuple) -> str:
         if self._json:
-            return json.dumps(
-                [{"g": GEN_NAMES[g.kind], "k": g.idx} for g in word], separators=(",", ":")
-            )
+            return "[" + ",".join([_JSON_GEN[g.kind] + str(g.idx) + "}" for g in word]) + "]"
         return self._style.join.join([self._style.gen[g.kind].format(g.idx) for g in word])
 
 

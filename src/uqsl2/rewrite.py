@@ -357,9 +357,9 @@ def deformed_commutator(
     a: Element, b: Element, p: int, mode: RelationMode = RelationMode.FULL
 ) -> Element:
     """[a, b]_{K^p} = a K^p b - b K^p a, normal-formed; the ordinary
-    commutator at p = 0."""
-    kp = Element.k_power(p)
-    return normal_form(el_mul(el_mul(a, kp), b) - el_mul(el_mul(b, kp), a), mode)
+    commutator at p = 0.  Each side is one ``el_mul`` pass, a K^p b,
+    with no K-power element built."""
+    return normal_form(el_mul(a, b, p) - el_mul(b, a, p), mode)
 
 
 def equals(a: Element, b: Element, mode: RelationMode = RelationMode.FULL) -> bool:

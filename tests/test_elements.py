@@ -16,9 +16,18 @@ from uqsl2.elements import (
     xminus,
     xplus,
 )
-from uqsl2.family import expand_general_commutator, family_E_neg, family_E_pos
+from uqsl2.family import (
+    SIGNS,
+    expand_general_commutator,
+    family_E,
+    family_E_neg,
+    family_E_pos,
+)
+from uqsl2.rewrite import RelationMode, deformed_commutator, normal_form
+from uqsl2.verify import sweep_params
 
 from helpers import rand_element
+from test_render import _shaped_elements
 
 K = Element.k_power(1)
 KINV = Element.k_power(-1)
@@ -186,3 +195,29 @@ def test_a_bare_k_power_on_the_right_only_adds_k_exponents():
             assert got == el_mul(a, Element.k_power(e).scale(RatFunc.from_int(2))).scale(half)
             assert sorted(m.kexp for m in got.terms) == sorted(m.kexp + e for m in a.terms)
     assert el_mul(Element.zero(), K).is_zero()
+
+
+def test_one_pass_product_is_the_product_through_a_k_power():
+    # el_mul(a, b, k) raises each left K-power by k before it passes b's
+    # word; the reference builds K^k and makes two products.  Every
+    # coefficient shape, every kind of generator and bare K-powers
+    rng = random.Random(33)
+    els = _shaped_elements(rng) + [Element.unit(), Element.zero(), K, KINV]
+    for _ in range(150):
+        a, b = rng.choice(els), rng.choice(els)
+        for k in range(-3, 4):
+            assert el_mul(a, b, k) == el_mul(el_mul(a, Element.k_power(k)), b)
+
+
+def test_deformed_commutator_is_the_four_product_reference():
+    # a K^p b - b K^p a in two one-pass products equals the normal form of
+    # four plain products through the K-power element, on the EP/EM grid
+    cfg = {"n_max": 3, "k_max": 3, "m_range": (-1, 1), "p_range": (-1, 1)}
+    for mode in RelationMode:
+        for claim, sign in zip(("EP", "EM"), SIGNS):
+            for t in sweep_params(claim, cfg):
+                n, k, m, p = t["n"], t["k"], t["m"], t["p"]
+                a, b = family_E(sign, p, m, n), family_E(sign, p, m, -k - 1)
+                kp = Element.k_power(p)
+                ref = normal_form(el_mul(el_mul(a, kp), b) - el_mul(el_mul(b, kp), a), mode)
+                assert deformed_commutator(a, b, p, mode) == ref, (claim, t, mode)

@@ -2,10 +2,12 @@
 
 import json
 import random
+import re
 
 import pytest
 
-from uqsl2.coeff import RF_ONE, qminus
+from uqsl2 import render
+from uqsl2.coeff import RF_ONE, RatFunc, q_pow, qminus, u_pow
 from uqsl2.elements import Element, Monomial, agen, xminus, xplus
 from uqsl2.render import Printer, element_to_obj
 from uqsl2.rewrite import normal_form
@@ -50,6 +52,10 @@ def elements():
     rng = random.Random(12)
     small = [Element.zero(), Element.k_power(-3), Element.k_power(1)]
     small += _shaped_elements(rng)
+    # an integer past the interpreter's 4,300-digit limit on str(): its
+    # digits are made by _digits' blocks
+    huge = RatFunc.from_int(10**4400 + 7) * q_pow(2) - u_pow(1)
+    small.append(Element({Monomial((xplus(-1), agen(2)), 1): huge / qminus()}))
     long = [
         normal_form(Element.from_monomial(Monomial(tuple(make(k) for make, k in word), 0)))
         for word in _TEMPLATES
@@ -64,6 +70,24 @@ def test_json_printer_prints_the_reference_serialization(elements):
     printer = Printer("json")
     for e in elements:
         assert printer.element(e) == json.dumps(element_to_obj(e), separators=(",", ":"))
+
+
+def test_json_polynomial_texts_need_no_escaping(elements, monkeypatch):
+    # the JSON printer quotes each polynomial's text as it is, so every text
+    # it prints must lie in an alphabet that JSON does not escape
+    texts = []
+    poly = render._poly
+
+    def recording(p, st):
+        texts.append(poly(p, st))
+        return texts[-1]
+
+    monkeypatch.setattr(render, "_poly", recording)
+    printer = Printer("json")
+    for e in elements:
+        printer.element(e)
+    assert [t for t in texts if not re.fullmatch(r"[0-9qu^*+\- ]*", t)] == []
+    assert max(map(len, texts)) > 4300
 
 
 @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
