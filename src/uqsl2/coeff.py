@@ -175,12 +175,6 @@ class RatFunc:
     def is_one(self) -> bool:
         return not self.d and self.den == 1 and self.num == P_ONE
 
-    def as_poly(self) -> dict | None:
-        """The value as a Laurent polynomial, or None when it is not one."""
-        if self.den == 1 and not self.d:
-            return self.num
-        return None
-
     def __bool__(self):
         return bool(self.num)
 

@@ -246,11 +246,3 @@ def omega(a: Element) -> Element:
         out[m2] = c2 if acc is None else acc + c2
     return Element(out)
 
-
-def project_x_free(a: Element) -> Element:
-    """Sub-sum of terms whose words contain no x generators."""
-    out = {}
-    for mono, c in a.terms.items():
-        if all(g.kind == AGEN for g in mono.word):
-            out[mono] = c
-    return _element(out)

@@ -19,7 +19,9 @@ costs memory that nothing bounds or clears.
 JSON fragments are built as strings, with no encoder call per fragment:
 generator names and integers need no escaping, and neither does a
 polynomial's text, whose alphabet is digits, q, u, ^, *, +, - and space.
-So this module imports no ``json``.
+So this module imports no ``json``.  The reference the JSON printer is
+checked against, a JSON object built term by term and dumped by the
+``json`` module, is ``element_to_obj`` in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -135,26 +137,6 @@ def _signed(text: str) -> tuple:
 
 # --- JSON --------------------------------------------------------------
 
-
-def element_to_obj(e: Element) -> dict:
-    """The JSON object of ``e``, built term by term: the reference the JSON
-    ``Printer`` is checked against."""
-    terms = []
-    for mono, c in e.sorted_terms():
-        num, den = c.canonical()
-        terms.append(
-            {
-                "coeff": {
-                    "num": _poly(num, _TEXT_U),
-                    "den": _poly(den, _TEXT_U),
-                },
-                "word": [{"g": GEN_NAMES[g.kind], "k": g.idx} for g in mono.word],
-                "kexp": mono.kexp,
-            }
-        )
-    return {"terms": terms}
-
-
 # the JSON of a generator up to its index, {"g":"x+","k":0} say
 _JSON_GEN = {kind: '{"g":"' + name + '","k":' for kind, name in GEN_NAMES.items()}
 
@@ -169,7 +151,8 @@ class Printer:
     pieces and text that needs no escaping (see ``_coeff_fragment``), so
     no fragment calls an encoder; a term is its coefficient's fragment, its
     word's and its K-power, which gives the bytes of
-    ``json.dumps(element_to_obj(e), separators=(",", ":"))``.
+    ``json.dumps(element_to_obj(e), separators=(",", ":"))`` for the
+    reference serializer ``element_to_obj`` of ``tests/helpers.py``.
     """
 
     __slots__ = ("_json", "_style", "_coeffs", "_words")

@@ -33,6 +33,12 @@ _order_key is itself a rule, and leaves the normal forms as they are.
 The move reads only the two-letter rows of _replacement, which stays the
 one statement of the rules.
 
+normal_form is the one rewrite loop, and it has one order: it always
+rewrites a word's rightmost redex.  The package has no random-order entry.
+The diamond tests rewrite in random order with a rewriter of their own,
+which has only the rule table (_replacement) and the redex scanner
+(_word_moves) in common with this loop.
+
 The rewrite loop does not expand an R4 correction that lands in normal
 position: the redex is the word's last two letters and the prefix before it
 has no a's and no move.  Each term of such a correction is prefix * (sorted
@@ -51,19 +57,7 @@ from functools import lru_cache
 
 from .coeff import RF_ONE, RatFunc, one_term, q_pow, qint, qminus, u_pow
 from .currents import phi, psi
-from .elements import (
-    AGEN,
-    XMINUS,
-    XPLUS,
-    Element,
-    Gen,
-    Monomial,
-    _element,
-    agen,
-    el_mul,
-    xminus,
-    xplus,
-)
+from .elements import AGEN, XMINUS, XPLUS, Element, Gen, Monomial, _element, el_mul
 from .family import family_E_neg, family_E_pos
 
 
@@ -254,11 +248,15 @@ def _order_key(word):
     return (-nx, nx - len(word), tuple(neg))
 
 
-def _reduce(a: Element, mode: RelationMode, choose) -> Element:
-    """The rewrite loop: a worklist of pending monomials, largest first
-    under _order_key, so each is rewritten once, after every contribution
-    to its coefficient has been summed.  ``choose(n)`` picks which of a
-    word's n moves (listed left to right by _word_moves) to apply.
+def normal_form(a: Element, mode: RelationMode = RelationMode.FULL) -> Element:
+    """Fixpoint of the rewrite system; idempotent.
+
+    The rewrite loop: a worklist of pending monomials, largest first under
+    _order_key, so each is rewritten once, after every contribution to its
+    coefficient has been summed.  It always applies a word's rightmost move
+    (the last one _word_moves lists): corrections then have the shortest
+    suffix to pass, which keeps the intermediate expansion markedly smaller.
+    It takes no other order (see the module docstring).
 
     Each monomial is scanned once per call, when it first appears: its
     moves ride on its heap entry (key, monomial, moves), and a monomial
@@ -311,7 +309,7 @@ def _reduce(a: Element, mode: RelationMode, choose) -> Element:
         if not c:
             continue
         word = mono.word
-        i, tag = moves[choose(len(moves))]
+        i, tag = moves[-1]
         if (
             tag == _R4
             and i == len(word) - 2
@@ -333,22 +331,6 @@ def _reduce(a: Element, mode: RelationMode, choose) -> Element:
     return _element({m: c for m, c in done.items() if c})
 
 
-def normal_form(a: Element, mode: RelationMode = RelationMode.FULL) -> Element:
-    """Fixpoint of the rewrite system; idempotent.  Always rewrites the
-    rightmost redex: corrections then have the shortest suffix to pass,
-    which keeps the intermediate expansion markedly smaller."""
-    return _reduce(a, mode, lambda n: n - 1)
-
-
-def normal_form_random(a: Element, mode: RelationMode, rng) -> Element:
-    """Normal form computed by applying admissible rules in random order.
-
-    Exists for the diamond tests: the result must coincide with
-    normal_form for every random order.
-    """
-    return _reduce(a, mode, rng.randrange)
-
-
 def commutator(a: Element, b: Element, mode: RelationMode = RelationMode.FULL) -> Element:
     return normal_form(el_mul(a, b) - el_mul(b, a), mode)
 
@@ -360,44 +342,3 @@ def deformed_commutator(
     commutator at p = 0.  Each side is one ``el_mul`` pass, a K^p b,
     with no K-power element built."""
     return normal_form(el_mul(a, b, p) - el_mul(b, a, p), mode)
-
-
-def equals(a: Element, b: Element, mode: RelationMode = RelationMode.FULL) -> bool:
-    """Whether a - b normal-forms to zero: in full mode, the default, this
-    is equality in U_q(sl2-hat).
-
-    In Strict mode it is equality in the quotient by R2-R4 only: the
-    quadratic same-sign x relation is never imposed, so a nonzero
-    difference there may still vanish in U_q(sl2-hat).
-    """
-    return normal_form(a - b, mode).is_zero()
-
-
-_PROBES = (
-    *(Element.from_gen(mk(k)) for k in range(-2, 3) for mk in (xplus, xminus)),
-    *(Element.from_gen(agen(n)) for n in (-2, -1, 1, 2)),
-    Element.k_power(1),
-)
-
-
-def is_central(a: Element, mode: RelationMode = RelationMode.FULL) -> bool:
-    """Commutes with every probe generator (x+-_k for |k| <= 2, a_(+-1),
-    a_(+-2), and K).  Expects ``a`` in normal form."""
-    return all(commutator(a, g, mode).is_zero() for g in _PROBES)
-
-
-def relation_instances(bound: int = 3):
-    """Elements that the rewrite system must send to zero: g h minus its
-    replacement, for each move of each two-letter word g h in x+-_i and a_i
-    (i != 0 for a) with |i| <= ``bound``.  These are the engine's own rules,
-    R2-R4 and R6, read off its table.  Used by the homomorphism tests for
-    omega, and as the input of the level-0 representation oracle, on which
-    each must act as 0."""
-    span = range(-bound, bound + 1)
-    gens = [mk(i) for i in span for mk in (xplus, xminus)] + [agen(i) for i in span if i]
-    return [
-        Element.from_monomial(Monomial((g, h), 0)) - _replacement(g, h, tag)
-        for g in gens
-        for h in gens
-        for _, tag in _word_moves((g, h), True)
-    ]

@@ -1,15 +1,33 @@
 """Shared test utilities: random value generators, Drinfeld's same-sign
 relation as stated, the independent power-series oracle for the current
-components, the level-0 representation oracle, and numeric cross-checks."""
+components, the level-0 representation oracle, and numeric cross-checks.
+
+It also holds what only tests call, so that the package holds only what
+its commands run: equality and centrality in the algebra, the engine's
+relation instances, a random-order rewriter for the diamond tests, the
+reference JSON serializer, a coefficient's polynomial form and the x-free
+part of an element."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, partial
 
 from uqsl2.coeff import RF_ONE, PoleError, RatFunc, _rf, one_term, q_pow, qminus, u_pow
-from uqsl2.elements import AGEN, XPLUS, Element, Monomial, agen, el_mul, xminus, xplus
+from uqsl2.elements import (
+    AGEN,
+    GEN_NAMES,
+    XPLUS,
+    Element,
+    Monomial,
+    agen,
+    el_mul,
+    xminus,
+    xplus,
+)
 from uqsl2.expr import evaluate
-from uqsl2.rewrite import _replacement
+from uqsl2.render import FORMATS, _poly
+from uqsl2.rewrite import RelationMode, _replacement, _word_moves, commutator, normal_form
 from uqsl2.verify import sweep_params, verify_claim
 
 
@@ -50,10 +68,18 @@ def rand_poly(rng, nterms=3, max_exp=3):
     return {e: c for e, c in terms.items() if c}
 
 
+def as_poly(c: RatFunc) -> dict | None:
+    """The value as a Laurent polynomial, its exponent dict, or None when
+    it is not one."""
+    if c.den == 1 and not c.d:
+        return c.num
+    return None
+
+
 def admissible_den(c, eq, eu, k) -> dict:
     """c q^eq u^eu (q - q^-1)^k as a polynomial: the denominators the
     coefficient arithmetic divides by, for a nonzero integer c."""
-    return (one_term(c, eq, eu) * qminus() ** k).as_poly()
+    return as_poly(one_term(c, eq, eu) * qminus() ** k)
 
 
 def ratfunc(num: dict, den: dict) -> RatFunc:
@@ -68,10 +94,134 @@ def rand_ratfunc(rng):
     return ratfunc(rand_poly(rng), den)
 
 
+def project_x_free(a: Element) -> Element:
+    """Sub-sum of terms whose words contain no x generators."""
+    return Element({m: c for m, c in a.terms.items() if all(g.kind == AGEN for g in m.word)})
+
+
+# --- the algebra, checked through the engine ------------------------------
+
+
+def equals(a: Element, b: Element, mode: RelationMode = RelationMode.FULL) -> bool:
+    """Whether a - b normal-forms to zero: in full mode, the default, this
+    is equality in U_q(sl2-hat).
+
+    In Strict mode it is equality in the quotient by R2-R4 only: the
+    quadratic same-sign x relation is never imposed, so a nonzero
+    difference there may still vanish in U_q(sl2-hat).
+    """
+    return normal_form(a - b, mode).is_zero()
+
+
+_PROBES = (
+    Element.from_gen(xplus(0)),
+    Element.from_gen(xminus(0)),
+    Element.from_gen(xminus(1)),
+    Element.from_gen(xplus(-1)),
+    Element.k_power(1),
+)
+
+
+def is_central(a: Element, mode: RelationMode = RelationMode.FULL) -> bool:
+    """Whether ``a`` commutes with x+_0, x-_0, x-_1, x+_-1 and K, which is
+    exactly centrality.  Expects ``a`` in normal form.
+
+    The five generate the algebra over Q(q, u), so nothing else need be
+    probed.  Whatever commutes with K commutes with K^-1.  R4 gives
+    [x+_0, x-_1] = u^-1 psi_1 / (q - q^-1) and
+    [x+_-1, x-_0] = -u phi_-1 / (q - q^-1), where psi_1 = (q - q^-1) K a_1
+    and phi_-1 = -(q - q^-1) K^-1 a_-1; so a_1 and a_-1.  R3 gives
+    a_n x+-_k - x+-_k a_n as a nonzero multiple of x+-_(n+k), so a_1 and
+    a_-1 carry x+-_0 to every x+-_k.  R4 then gives every psi_n and
+    phi_-n, as [x+_n, x-_0] and [x+_0, x-_-n], and psi_n is
+    (q - q^-1) K a_n plus a polynomial in K and a_1 ... a_(n-1), and
+    phi_-n likewise in a_-n; so every a_n.  Only R3 and R4 are used, so
+    the argument holds in full and in Strict mode alike.
+    """
+    return all(commutator(a, g, mode).is_zero() for g in _PROBES)
+
+
+def relation_instances(bound: int = 3):
+    """Elements that the rewrite system must send to zero: g h minus its
+    replacement, for each move of each two-letter word g h in x+-_i and a_i
+    (i != 0 for a) with |i| <= ``bound``.  These are the engine's own rules,
+    R2-R4 and R6, read off its table.  Used by the homomorphism tests for
+    omega, and as the input of the level-0 representation oracle, on which
+    each must act as 0."""
+    span = range(-bound, bound + 1)
+    gens = [mk(i) for i in span for mk in (xplus, xminus)] + [agen(i) for i in span if i]
+    return [
+        Element.from_monomial(Monomial((g, h), 0)) - _replacement(g, h, tag)
+        for g in gens
+        for h in gens
+        for _, tag in _word_moves((g, h), True)
+    ]
+
+
+def random_order_normal_form(e: Element, mode: RelationMode, rng) -> Element:
+    """The normal form of ``e`` reached by rewriting in random order, the
+    other side of the diamond tests.
+
+    Each step picks a random monomial that has a move (from a dict of them
+    in insertion order, so a seed reproduces the run) and a random one of
+    its moves from ``_word_moves``, and replaces the pair g h at the move by
+    its row of the rule table: c prefix g h suffix K^e becomes
+    c prefix * _replacement(g, h, tag) * suffix K^e, multiplied by
+    ``el_mul``.  A monomial is rewritten with whatever coefficient it has
+    when it is picked.  There is no worklist, no run move, no R4 block step
+    and no summing before a rewrite, so this shares no loop with
+    ``normal_form``: the two meet only in the rule table and the scanner."""
+    moves_of = cache(partial(_word_moves, full=mode is RelationMode.FULL))
+    terms = dict(e.terms)
+    pending = {m: None for m in terms if moves_of(m.word)}
+    while pending:
+        mono = list(pending)[rng.randrange(len(pending))]
+        del pending[mono]
+        word = mono.word
+        moves = moves_of(word)
+        i, tag = moves[rng.randrange(len(moves))]
+        prefix = Element.from_monomial(Monomial(word[:i], 0), terms.pop(mono))
+        suffix = Element.from_monomial(Monomial(word[i + 2 :], mono.kexp))
+        step = el_mul(el_mul(prefix, _replacement(word[i], word[i + 1], tag)), suffix)
+        for m, c in step.terms.items():
+            if m in terms:
+                c = terms[m] + c
+            if c:
+                terms[m] = c
+                if moves_of(m.word):
+                    pending[m] = None
+            else:
+                del terms[m]
+                pending.pop(m, None)
+    return Element(terms)
+
+
+# --- JSON ------------------------------------------------------------------
+
+
+def element_to_obj(e: Element) -> dict:
+    """The JSON object of ``e``, built term by term: the reference the JSON
+    ``render.Printer`` is checked against, as
+    ``json.dumps(element_to_obj(e), separators=(",", ":"))``."""
+    st = FORMATS["json"]
+    terms = []
+    for mono, c in e.sorted_terms():
+        num, den = c.canonical()
+        terms.append(
+            {
+                "coeff": {"num": _poly(num, st), "den": _poly(den, st)},
+                "word": [{"g": GEN_NAMES[g.kind], "k": g.idx} for g in mono.word],
+                "kexp": mono.kexp,
+            }
+        )
+    return {"terms": terms}
+
+
 def json_to_element(obj: dict) -> Element:
-    """The element a JSON object of ``render.element_to_obj``'s schema
-    spells, read back by ``expr.evaluate``: each term is the text
-    (num)/(den)*gen[k]*...*K^kexp, and the terms are summed."""
+    """The element a JSON object of ``element_to_obj``'s schema spells,
+    which is what the JSON printer writes, read back by
+    ``expr.evaluate``: each term is the text (num)/(den)*gen[k]*...*K^kexp,
+    and the terms are summed."""
     terms = [
         "*".join(
             [f"({t['coeff']['num']})/({t['coeff']['den']})"]

@@ -14,7 +14,6 @@ from uqsl2.elements import (
     agen,
     el_mul,
     omega,
-    project_x_free,
     xminus,
     xplus,
 )
@@ -25,17 +24,20 @@ from uqsl2.family import (
     family_E_neg,
     family_E_pos,
 )
-from uqsl2.rewrite import (
-    RelationMode,
-    deformed_commutator,
-    is_central,
-    normal_form,
-    normal_form_random,
-    relation_instances,
-)
+from uqsl2.rewrite import RelationMode, deformed_commutator, normal_form
 from uqsl2.verify import verify_claim
 
-from helpers import is_same_sign_residual, json_to_element, oracle_current, rand_element, rand_word
+from helpers import (
+    is_central,
+    is_same_sign_residual,
+    json_to_element,
+    oracle_current,
+    project_x_free,
+    rand_element,
+    rand_word,
+    random_order_normal_form,
+    relation_instances,
+)
 
 S = RelationMode.STRICT
 F = RelationMode.FULL
@@ -71,8 +73,8 @@ def test_criterion_1_rewriting_soundness():
         e = Element.from_monomial(Monomial(w, 0))
         for mode in (S, F):
             det = normal_form(e, mode)
-            r1 = normal_form_random(e, mode, random.Random(count * 2 + 1))
-            r2 = normal_form_random(e, mode, random.Random(count * 2 + 2))
+            r1 = random_order_normal_form(e, mode, random.Random(count * 2 + 1))
+            r2 = random_order_normal_form(e, mode, random.Random(count * 2 + 2))
             ok = ok and det == r1 == r2
             count += 1
         if not ok:

@@ -18,11 +18,11 @@ from uqsl2.cli import _COMMANDS, SuiteConfig, main, run_verify_suite
 from uqsl2.coeff import RatFunc
 from uqsl2.elements import Element
 from uqsl2.expr import CALLS, ELEMENT_ARGS, evaluate
-from uqsl2.render import FORMATS, element_to_obj, print_element
-from uqsl2.rewrite import RelationMode, commutator, deformed_commutator, equals, normal_form
+from uqsl2.render import FORMATS, print_element
+from uqsl2.rewrite import RelationMode, commutator, deformed_commutator, normal_form
 from uqsl2.verify import CLAIMS, expectation_met, verify_claim
 
-from helpers import json_to_element, rand_element, sweep_claim
+from helpers import element_to_obj, equals, json_to_element, rand_element, sweep_claim
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 

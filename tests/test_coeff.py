@@ -21,7 +21,7 @@ from uqsl2.coeff import (
     u_pow,
 )
 
-from helpers import admissible_den, rand_poly, rand_ratfunc, ratfunc
+from helpers import admissible_den, as_poly, rand_poly, rand_ratfunc, ratfunc
 
 HALF = RatFunc.from_fraction(Fraction(1, 2))
 
@@ -262,13 +262,13 @@ def test_polynomial_results_hold_the_shared_denominator():
     # the arithmetic tells polynomials apart by `den == 1` and d = 0, and
     # the printer by the shared den ``P_ONE`` of the display pair
     for value in (RatFunc.from_fraction(Fraction(3)), RatFunc.from_fraction(Fraction(-6, 2))):
-        assert value.den == 1 and value.as_poly() is value.num
+        assert value.den == 1 and as_poly(value) is value.num
     seen = 0
     for a, b in _shaped_pairs(seed=7, count=400):
         for got in (a, b, *_results(a, b).values()):
             den = got.canonical()[1]
             if den == {(0, 0): 1}:
-                assert den is P_ONE and got.as_poly() is got.num, got
+                assert den is P_ONE and as_poly(got) is got.num, got
                 seen += 1
     assert seen > 500
 
@@ -291,8 +291,8 @@ def test_mul_q_pow_is_the_product_with_q_pow():
                 assert got == want, (c, k)
                 # and prints alike: both have the same display pair
                 assert got.canonical() == want.canonical()
-                if c.as_poly() is not None:
-                    assert got.as_poly() is not None
+                if as_poly(c) is not None:
+                    assert as_poly(got) is not None
                     seen += 1
     assert c.mul_q_pow(0) is c
     assert seen > 300
@@ -389,20 +389,20 @@ def test_product_over_qminus_powers_multiplies_only_the_numerators(monkeypatch):
 
 def test_as_poly_answers_is_it_a_polynomial():
     v = qint(3)
-    assert v.as_poly() is v.num
-    assert RF_ZERO.as_poly() == {}
+    assert as_poly(v) is v.num
+    assert as_poly(RF_ZERO) == {}
     # 1/(q - q^-1) stores the numerator 1 over the den 1
-    assert qminus().inv().as_poly() is None
-    assert (q_pow(1) / qminus() * qminus()).as_poly() == {(1, 0): 1}
-    assert RatFunc.from_fraction(Fraction(1, 2)).as_poly() is None
-    assert ratfunc({(2, 0): 1, (0, 0): -1}, {(1, 0): 1, (-1, 0): -1}).as_poly() == {(1, 0): 1}
+    assert as_poly(qminus().inv()) is None
+    assert as_poly(q_pow(1) / qminus() * qminus()) == {(1, 0): 1}
+    assert as_poly(RatFunc.from_fraction(Fraction(1, 2))) is None
+    assert as_poly(ratfunc({(2, 0): 1, (0, 0): -1}, {(1, 0): 1, (-1, 0): -1})) == {(1, 0): 1}
 
 
 # --- the derived slot ``single`` ---------------------------------------------
 
 
 def _assert_single(r):
-    p = r.as_poly()
+    p = as_poly(r)
     if p is not None and len(p) == 1:
         ((eq, eu), c), = p.items()
         assert r.single == (c, eq, eu), r

@@ -12,7 +12,6 @@ from uqsl2.elements import (
     el_mul,
     mono_sort_key,
     omega,
-    project_x_free,
     xminus,
     xplus,
 )
@@ -26,7 +25,7 @@ from uqsl2.family import (
 from uqsl2.rewrite import RelationMode, deformed_commutator, normal_form
 from uqsl2.verify import sweep_params
 
-from helpers import rand_element
+from helpers import project_x_free, rand_element
 from test_render import _shaped_elements
 
 K = Element.k_power(1)

@@ -9,10 +9,10 @@ from uqsl2.currents import psi
 from uqsl2.elements import Element, Monomial, agen, el_mul, xminus, xplus
 from uqsl2.expr import EvalError, ParseError, _tokenize, evaluate
 from uqsl2.family import central_c, family_E
-from uqsl2.render import element_to_obj, print_element
+from uqsl2.render import print_element
 from uqsl2.rewrite import RelationMode, deformed_commutator, normal_form
 
-from helpers import json_to_element, rand_element, rand_poly, rand_word, ratfunc
+from helpers import element_to_obj, json_to_element, rand_element, rand_poly, rand_word, ratfunc
 
 S = RelationMode.STRICT
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from uqsl2.coeff import RF_ONE, q_pow, qminus, u_pow
-from uqsl2.elements import Element, Monomial, el_mul, omega, project_x_free, xminus, xplus
+from uqsl2.elements import Element, Monomial, el_mul, omega, xminus, xplus
 from uqsl2.family import (
     central_c,
     expand_general_commutator,
@@ -14,9 +14,9 @@ from uqsl2.family import (
     family_E_pos,
     general_display_fixture,
 )
-from uqsl2.rewrite import RelationMode, deformed_commutator, equals, is_central, normal_form
+from uqsl2.rewrite import RelationMode, deformed_commutator, normal_form
 
-from helpers import is_same_sign_residual
+from helpers import equals, is_central, is_same_sign_residual, project_x_free
 
 S = RelationMode.STRICT
 F = RelationMode.FULL

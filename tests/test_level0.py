@@ -8,10 +8,10 @@ from collections import Counter
 from uqsl2.coeff import q_pow
 from uqsl2.elements import AGEN, XMINUS, XPLUS, Element, Monomial, el_mul, xminus, xplus
 from uqsl2.family import family_E
-from uqsl2.rewrite import normal_form, relation_instances
+from uqsl2.rewrite import normal_form
 from uqsl2.verify import verify_claim
 
-from helpers import drinfeld_r6, level0_action, rand_element
+from helpers import drinfeld_r6, level0_action, rand_element, relation_instances
 
 
 def _is_zero(matrix):

@@ -9,10 +9,10 @@ import pytest
 from uqsl2 import render
 from uqsl2.coeff import RF_ONE, RatFunc, q_pow, qminus, u_pow
 from uqsl2.elements import Element, Monomial, agen, xminus, xplus
-from uqsl2.render import Printer, element_to_obj
+from uqsl2.render import Printer
 from uqsl2.rewrite import normal_form
 
-from helpers import rand_word
+from helpers import element_to_obj, rand_word
 from test_coeff import _SHAPES
 
 # the five long mixed words of the nf-long-words benchmark workload

@@ -11,23 +11,18 @@ from uqsl2.elements import (
     xminus,
     xplus,
 )
-from uqsl2.rewrite import (
-    RelationMode,
-    commutator,
-    deformed_commutator,
-    equals,
-    is_central,
-    normal_form,
-    normal_form_random,
-    relation_instances,
-)
+from uqsl2.rewrite import RelationMode, commutator, deformed_commutator, normal_form
 
 from helpers import (
     assert_coeffs_match_numerically,
     carry_one_letter_at_a_time,
     drinfeld_r6,
+    equals,
+    is_central,
     rand_element,
     rand_word,
+    random_order_normal_form,
+    relation_instances,
     sweep_claim,
 )
 
@@ -86,8 +81,8 @@ def test_diamond_small():
         e = Element.from_monomial(Monomial(w, rng.randrange(-1, 2)))
         for mode in (S, F):
             det = normal_form(e, mode)
-            assert normal_form_random(e, mode, random.Random(1)) == det
-            assert normal_form_random(e, mode, random.Random(2)) == det
+            assert random_order_normal_form(e, mode, random.Random(1)) == det
+            assert random_order_normal_form(e, mode, random.Random(2)) == det
 
 
 def test_relations_rewrite_to_zero():
@@ -169,10 +164,17 @@ def test_equals_and_modes():
 
 
 def test_is_central():
-    assert is_central(Element.from_coeff(u_pow(4)), S)
-    assert not is_central(K, S)
-    assert not is_central(g(xplus(0)), S)
-    assert not is_central(g(agen(1)), S)
+    # is_central's five probes decide centrality: each of x+-_k (|k| <= 2),
+    # a_(+-1), a_(+-2), K and K^-1 is found non-central, in both modes
+    from uqsl2.family import central_c
+
+    generators = [g(mk(k)) for k in range(-2, 3) for mk in (xplus, xminus)]
+    generators += [g(agen(n)) for n in (-2, -1, 1, 2)] + [K, KINV]
+    for mode in (S, F):
+        assert is_central(Element.from_coeff(u_pow(4)), mode)
+        assert is_central(central_c(1, 0, "+"), mode)
+        for x in generators:
+            assert not is_central(x, mode), (x, mode)
 
 
 def test_multiplicativity_under_normal_form():
@@ -189,7 +191,7 @@ def test_numeric_cross_check_on_equal_elements():
     for _ in range(20):
         e = rand_element(rng, max_len=4)
         a = normal_form(e, S)
-        b = normal_form_random(e, S, random.Random(rng.randrange(1000)))
+        b = random_order_normal_form(e, S, random.Random(rng.randrange(1000)))
         assert a == b
         assert_coeffs_match_numerically(a, b, rng)
 
@@ -341,12 +343,44 @@ def test_diamond_detects_the_wrong_r6_convention(monkeypatch):
     try:
         for n in range(500):
             e = Element.from_monomial(Monomial(rand_word(rng, max_len=6, max_idx=3), 0))
-            if normal_form(e, F) != normal_form_random(e, F, random.Random(n)):
+            if normal_form(e, F) != random_order_normal_form(e, F, random.Random(n)):
                 return
     finally:
         monkeypatch.undo()
         rewrite.clear_caches()
     raise AssertionError("no word tells the two rewrite orders apart")
+
+
+def test_diamond_shares_no_loop_with_normal_form(monkeypatch):
+    # a fault in the rewrite loop alone, a run move that drops the
+    # corrections of every letter after its first, leaves the random-order
+    # rewriter's normal form as it was (it never calls _expand_redex) and
+    # sets the two sides of criterion 1's diamond apart on its words
+    from uqsl2 import rewrite
+
+    expand = rewrite._expand_redex
+
+    def faulty(word, kexp, i, tag):
+        out = expand(word, kexp, i, tag)
+        if tag in (rewrite._R2, rewrite._R3):
+            # the swap comes first, then the corrections letter by letter;
+            # the first letter's row holds its swap and its corrections
+            return out[: len(rewrite._replacement(word[i], word[i + 1], tag).terms)]
+        return out
+
+    rng = random.Random(20240)
+    for n in range(500):
+        e = Element.from_monomial(Monomial(rand_word(rng, max_len=6, max_idx=3), 0))
+        for mode in (S, F):
+            right = normal_form(e, mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(rewrite, "_expand_redex", faulty)
+                wrong = normal_form(e, mode)
+                other = random_order_normal_form(e, mode, random.Random(n))
+            assert other == right, (e, mode)
+            if wrong != other:
+                return
+    raise AssertionError("no word tells the faulty loop from the random-order rewriter")
 
 
 def test_quadratic_relation_holds_in_full_mode_only():
@@ -398,7 +432,7 @@ def test_terminal_r4_correction_matches_the_bracket():
             for mode in (S, F):
                 want = normal_form(swap, mode) - el_mul(pre, _bracket(j, i))
                 assert normal_form(word, mode) == want
-                assert normal_form_random(word, mode, random.Random(i - j)) == want
+                assert random_order_normal_form(word, mode, random.Random(i - j)) == want
 
 
 def test_terminal_r4_at_index_sum_zero_feeds_psi_0_and_phi_0():

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from uqsl2.coeff import RF_ONE, one_term, q_pow, qminus, u_pow
-from uqsl2.elements import Element, Monomial, el_mul, omega, project_x_free, xminus, xplus
+from uqsl2.elements import Element, Monomial, el_mul, omega, xminus, xplus
 from uqsl2.family import family_E
 from uqsl2 import rewrite, verify
 from uqsl2.rewrite import RelationMode, clear_caches, normal_form
@@ -16,7 +16,7 @@ from uqsl2.verify import (
     verify_claim,
 )
 
-from helpers import is_same_sign_residual, sweep_claim
+from helpers import is_same_sign_residual, project_x_free, sweep_claim
 
 S = RelationMode.STRICT
 F = RelationMode.FULL
