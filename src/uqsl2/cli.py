@@ -20,15 +20,22 @@ and no instance depends on another.  A chunk is checked and rendered in
 one call of ``_check_chunk``, with a ``render.Printer`` of its own, so
 each distinct coefficient and word is rendered once per chunk; the call
 returns each report's text with its verdict kind, paper match and
-expectation.  With more than one CPU and more than one chunk, the calls
-run in a fork-context ``concurrent.futures`` process pool of one worker
-per CPU (at most one per chunk), imported only then; otherwise, or where
-there is no fork, they run one after another in this process.  This
-process writes every report, in sweep order, and counts the summary.  At
-most two chunks per worker are submitted and not yet written, so a wide
-sweep holds a few chunks' reports at a time.  The pool is shut down on
-every way out of the sweep, an error or a closed stdout included, so no
-worker outlives ``main``.
+expectation.  With more than one CPU and more than one chunk, this process
+forks one worker per CPU (at most one per chunk), each with a pipe of its
+own; otherwise, or where there is no ``os.fork``, the chunks run one after
+another in this process.  Of W workers, worker w cuts the sweep into chunks
+itself and checks chunks w, w + W, ...; it sends each one's rows down its
+pipe as a length-prefixed pickled frame, or the engine's error as one, and
+a None frame after its last chunk.  This process never lists the chunks.
+It reads the pipes in turn, so it writes every report in sweep order, and
+counts the summary.  A worker whose pipe is full blocks, so it runs ahead
+of the written reports by at most the chunk it is checking and a pipe's
+worth of frames (64 KiB on Linux), and a wide sweep holds a few chunks'
+reports at a time.  On every way out of the sweep, an error or a closed
+stdout included, this process kills and reaps its workers, so no worker
+outlives ``main``; and if this process is killed, its workers meet a
+closed pipe at their next write and leave, so none outlives it by more
+than a chunk.
 Every usage error is raised before the first byte is written; an engine
 error in the middle of a sweep, in a worker or here, or a worker killed
 by a signal, leaves a truncated document on stdout and exits 2.
@@ -40,8 +47,8 @@ import argparse
 import json
 import os
 import sys
-from collections import deque, namedtuple
-from itertools import islice
+from collections import namedtuple
+from itertools import cycle, islice
 
 from . import __version__
 from .elements import Element, el_mul
@@ -224,16 +231,110 @@ def _check_chunk(task) -> list:
     return rows
 
 
-def _in_order(pool, tasks: list, ahead: int):
-    """The results of ``_check_chunk`` on ``tasks`` from ``pool``, in
-    order.  A chunk is submitted only when the caller asks for the next
-    result, so at most ``ahead`` are submitted and not yet consumed."""
-    pending = deque(pool.submit(_check_chunk, t) for t in tasks[:ahead])
-    for task in tasks[ahead:]:
-        yield pending.popleft().result()
-        pending.append(pool.submit(_check_chunk, task))
-    for future in pending:
-        yield future.result()
+def _send(fd: int, data: bytes) -> None:
+    """Write one frame to a pipe: the length of ``data`` in 8 bytes, then
+    ``data``."""
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read(fd: int, size: int) -> bytes:
+    """Exactly ``size`` bytes from a worker's pipe; end of file before them
+    means that the worker died."""
+    parts = []
+    while size:
+        part = os.read(fd, size)
+        if not part:
+            raise WorkerDied("a sweep worker died before returning its chunk")
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _error_frame(exc: Exception) -> bytes:
+    """``exc`` pickled, or, if it does not survive the round trip (its class
+    is local, say, or an argument cannot be pickled), the nearest class of
+    its MRO that does, made with its message.  ``Exception`` always
+    does, so ``main`` prints the same ``error:`` line as on one CPU."""
+    import pickle
+
+    for cls in type(exc).__mro__:
+        try:
+            data = pickle.dumps(exc if cls is type(exc) else cls(str(exc)))
+            pickle.loads(data)
+            return data
+        except Exception:
+            continue
+
+
+def _work(config: SuiteConfig, w: int, workers: int, reads: list, fd: int):
+    """The body of sweep worker ``w`` of ``workers``, in a forked child: it
+    checks chunks w, w + workers, ... and sends each one's rows, or the
+    engine's error, as a frame down the pipe ``fd``, then a None frame.  It
+    never returns: it leaves by ``os._exit``, so it runs none of the
+    parent's exit handlers and flushes none of its buffers."""
+    try:
+        import pickle
+
+        # the read ends of this and the earlier workers' pipes
+        for r in reads:
+            os.close(r)
+        for task in islice(_chunks(config), w, None, workers):
+            try:
+                rows = _check_chunk(task)
+            except Exception as exc:
+                _send(fd, _error_frame(exc))
+                return
+            # a write that fills the pipe blocks until the parent reads
+            _send(fd, pickle.dumps(rows))
+        _send(fd, pickle.dumps(None))
+    finally:
+        # a closed pipe (a dead parent) raises BrokenPipeError, and ends here
+        os._exit(0)
+
+
+def _from_workers(config: SuiteConfig, workers: int):
+    """The rows of each chunk of the sweep, in sweep order, from ``workers``
+    forked workers, one pipe each.  Worker w checks chunks w, w + workers,
+    ..., so the frames are read from the pipes in turn.  However the caller
+    stops reading, every worker is killed and reaped."""
+    # imported here, before the workers fork: no other command uses them
+    import pickle
+    import signal
+
+    reads, pids = [], []
+    try:
+        for w in range(workers):
+            r, fd = os.pipe()
+            reads.append(r)
+            if (pid := os.fork()) == 0:
+                _work(config, w, workers, reads, fd)
+            pids.append(pid)
+            os.close(fd)
+        for r in cycle(reads):
+            frame = pickle.loads(_read(r, int.from_bytes(_read(r, 8), "little")))
+            if frame is None:
+                # the chunk due from this worker is past the last one
+                return
+            if isinstance(frame, Exception):
+                raise frame
+            yield frame
+    finally:
+        for r in reads:
+            os.close(r)
+        # where SIGCHLD is ignored, the kernel reaps each worker as it ends,
+        # so a worker that ended is neither found nor waited for
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        for pid in pids:
+            try:
+                os.waitpid(pid, 0)
+            except ChildProcessError:
+                pass
 
 
 def run_verify_suite(config: SuiteConfig, write) -> dict:
@@ -241,8 +342,8 @@ def run_verify_suite(config: SuiteConfig, write) -> dict:
     then the reports in sweep order, each chunk's as soon as it is checked,
     then the summary.  Returns the summary counts."""
     _, sep, head, tail = _VERIFY_FORMATS[config.format]
-    tasks = list(_chunks(config))
-    workers = min(_cpus(), len(tasks))
+    # without fork (on Windows) the chunks run here
+    workers = sum(1 for _ in islice(_chunks(config), _cpus())) if hasattr(os, "fork") else 1
     counts = dict.fromkeys(
         ("exact_zero", "central", "residual", "paper_mismatch", "reports", "expectations_met"), 0
     )
@@ -259,31 +360,15 @@ def run_verify_suite(config: SuiteConfig, write) -> dict:
                 write(text)
 
     write(head(config.mode.value, config.ranges()))
-    if workers > 1:
-        # imported here: it takes tens of milliseconds to import, and every
-        # command imports this module
-        import multiprocessing
-
-        # without fork (on Windows) the chunks run here
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
     if workers == 1:
-        write_reports(map(_check_chunk, tasks))
+        write_reports(map(_check_chunk, _chunks(config)))
     else:
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-        # fork: a worker starts with the engine imported, where spawn would
-        # import it again per worker; the workers are forked at the first
-        # submit, before the pool starts its threads
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        results = _from_workers(config, workers)
         try:
-            write_reports(_in_order(pool, tasks, 2 * workers))
-        except BrokenProcessPool:
-            # the pool has terminated the other workers already
-            raise WorkerDied("a sweep worker died before returning its chunk") from None
+            write_reports(results)
         finally:
-            # by any way out: drop the chunks not started and join the workers
-            pool.shutdown(cancel_futures=True)
+            # by any way out, a failed write included: the workers go now
+            results.close()
     write(tail(counts))
     return counts
 
@@ -405,7 +490,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # the reader closed stdout; the sweep's pool is down already.  What
+        # the reader closed stdout; the sweep's workers are gone already.  What
         # is still buffered goes to devnull, so that the flush at exit
         # cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

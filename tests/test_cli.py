@@ -1,13 +1,14 @@
-import bisect
 import contextlib
 import decimal
+import fcntl
 import io
-import itertools
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -359,19 +360,33 @@ def test_verify_streams_the_document(fmt):
     assert out.sizes == list(map(len, pieces))
 
 
-def _count_submissions(monkeypatch):
-    """A one-item list that counts the chunks submitted to a sweep pool."""
-    from concurrent.futures import ProcessPoolExecutor
+def _count_worker_checks(monkeypatch, tmp_path):
+    """A function that returns how many chunks sweep workers have checked.
+    The patched ``_check_chunk``, which the workers inherit when they fork,
+    appends a byte to a file for each chunk it checks in another process."""
+    parent = os.getpid()
+    path = tmp_path / "checked"
+    path.write_bytes(b"")
+    check = cli._check_chunk
 
-    submitted = [0]
-    submit = ProcessPoolExecutor.submit
+    def counting(task):
+        rows = check(task)
+        if os.getpid() != parent:
+            with open(path, "ab") as fh:
+                fh.write(b".")
+        return rows
 
-    def counting(pool, *args, **kwargs):
-        submitted[0] += 1
-        return submit(pool, *args, **kwargs)
+    monkeypatch.setattr(cli, "_check_chunk", counting)
+    return lambda: path.stat().st_size
 
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting)
-    return submitted
+
+def _no_child_left():
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def _small_argv(fmt, mode=RelationMode.FULL):
@@ -381,32 +396,31 @@ def _small_argv(fmt, mode=RelationMode.FULL):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_one_worker_and_many_write_the_same_document(cpus, monkeypatch):
+def test_one_worker_and_many_write_the_same_document(cpus, monkeypatch, tmp_path):
     # with one CPU the chunks are checked here, one after another; with two
-    # a pool of two workers checks them and this process writes the reports
+    # two forked workers check them and this process writes the reports
     monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-    submitted = _count_submissions(monkeypatch)
+    checked = _count_worker_checks(monkeypatch, tmp_path)
     chunks = len(list(cli._chunks(SuiteConfig(claims=_SWEPT, **_SMALL))))
     assert chunks > 2
     for mode in RelationMode:
         for fmt in ("json", "text"):
             code, out, err = run_cli(_small_argv(fmt, mode))
             assert (code, out, err) == (1, _whole_document(mode, fmt) + "\n", "")
-    assert submitted[0] == (0 if cpus == 1 else 4 * chunks)
+    assert checked() == (0 if cpus == 1 else 4 * chunks)
+    assert _no_child_left()
 
 
-def test_without_fork_the_chunks_run_here(monkeypatch):
-    # where there is no fork start method (Windows), a sweep that would
-    # pool checks its chunks in this process and writes the same document
-    import multiprocessing
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+def test_without_fork_the_chunks_run_here(monkeypatch, tmp_path):
+    # where there is no os.fork (Windows), a sweep that would have workers
+    # checks its chunks in this process and writes the same document
+    monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    submitted = _count_submissions(monkeypatch)
+    checked = _count_worker_checks(monkeypatch, tmp_path)
     assert len(list(cli._chunks(SuiteConfig(claims=_SWEPT, **_SMALL)))) > 2
     for fmt in ("json", "text"):
         assert run_cli(_small_argv(fmt)) == (1, _whole_document(RelationMode.FULL, fmt) + "\n", "")
-    assert submitted[0] == 0
+    assert checked() == 0
 
 
 def _uqsl2(argv, **kwargs):
@@ -449,35 +463,89 @@ def test_a_closed_stdout_exits_141_without_a_traceback(argv, chunks):
     assert (first, err) == (b'{"schema_v', b"")
 
 
+def test_a_killed_parent_leaves_no_worker():
+    # SIGKILL runs no handler in the CLI, so its workers must leave on their
+    # own: each meets a closed pipe at its next write.  The CLI leads a
+    # session of its own, so only it and its workers are in its group
+    proc = _uqsl2(["verify", "--n-max", "24"], stdout=subprocess.PIPE, start_new_session=True)
+    try:
+        # the reports come after the workers fork
+        assert len(proc.stdout.read(1 << 16)) == 1 << 16
+        os.kill(proc.pid, signal.SIGKILL)
+        assert proc.wait(timeout=30) == -signal.SIGKILL
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a worker outlived its killed parent by 30 s"
+            time.sleep(0.05)
+    finally:
+        proc.stdout.close()
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+
+
 def test_no_worker_outlives_main(monkeypatch):
-    import multiprocessing
-
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    argv = _small_argv("text")
-    code, whole, _ = run_cli(argv)
+    code, _, _ = run_cli(_small_argv("text"))
     assert code == 1
-    assert multiprocessing.active_children() == []
-    # an engine error at one OMEGA_E instance, raised in a worker: the
-    # workers fork after the patch, so they inherit it
-    instance = CLAIMS["OMEGA_E"].instance
+    assert _no_child_left()
 
-    def deep(params, mode):
+
+def test_a_sweep_runs_where_sigchld_is_ignored(monkeypatch):
+    # a process that inherits an ignored SIGCHLD has its children reaped by
+    # the kernel, so waiting for a killed worker finds no child to wait for
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        result = run_cli(_small_argv("json"))
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert result == (1, _whole_document(RelationMode.FULL, "json") + "\n", "")
+    assert _no_child_left()
+
+
+def _recursion_error():
+    return RecursionError("maximum recursion depth exceeded")
+
+
+def _unpicklable_error():
+    # pickle finds a class by its qualified name, which a local class's
+    # "<locals>" step cannot resolve
+    class Unpicklable(ValueError):
+        pass
+
+    return Unpicklable("no value for this instance")
+
+
+@pytest.mark.parametrize("error", [_recursion_error, _unpicklable_error])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_engine_error_in_a_sweep_exits_2_with_its_message(cpus, error, monkeypatch):
+    # an engine error at one OMEGA_E instance, raised here or in a worker
+    # (the workers fork after the patch, so they inherit it), gives the same
+    # status and error line, even where the error cannot be pickled
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    argv = _small_argv("text")
+    whole = run_cli(argv)[1]
+    instance = CLAIMS["OMEGA_E"].instance
+    exc = error()
+
+    def failing(params, mode):
         if params == {"n": 1, "m": 0, "p": 0, "sign": "+"}:
-            raise RecursionError("maximum recursion depth exceeded")
+            raise exc
         return instance(params, mode)
 
-    monkeypatch.setitem(CLAIMS, "OMEGA_E", CLAIMS["OMEGA_E"]._replace(instance=deep))
+    monkeypatch.setitem(CLAIMS, "OMEGA_E", CLAIMS["OMEGA_E"]._replace(instance=failing))
     code, out, err = run_cli(argv)
-    assert (code, err) == (2, "error: maximum recursion depth exceeded\n")
+    assert (code, err) == (2, f"error: {exc}\n")
     assert whole.startswith(out)
     assert "claim=COMMC " in out and "claim=OMEGA_E " not in out
-    assert multiprocessing.active_children() == []
+    assert _no_child_left()
 
 
 def test_a_dead_worker_fails_the_sweep_and_leaves_no_worker(monkeypatch):
-    import multiprocessing
-    import signal
-
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
     argv = _small_argv("text")
     whole = run_cli(argv)[1]
@@ -507,33 +575,59 @@ def test_a_dead_worker_fails_the_sweep_and_leaves_no_worker(monkeypatch):
     assert (code, err) == (2, "error: a sweep worker died before returning its chunk\n")
     # the chunks in flight with the lost one fail with it
     assert whole.startswith(out) and "claim=OMEGA_E " not in out
-    assert multiprocessing.active_children() == []
+    assert _no_child_left()
+
+
+def _settled(count, quiet=1.0, limit=60.0):
+    """``count()`` once it has not changed for ``quiet`` seconds."""
+    deadline = time.monotonic() + limit
+    last, since = count(), time.monotonic()
+    while time.monotonic() - since < quiet:
+        assert time.monotonic() < deadline, f"still changing after {limit} s"
+        time.sleep(0.05)
+        if (now := count()) != last:
+            last, since = now, time.monotonic()
+    return last
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-def test_at_most_two_chunks_per_worker_are_ahead_of_the_written_ones(fmt, monkeypatch):
-    # a chunk is submitted to the pool only when one has been written, so
-    # the results of a wide sweep never pile up behind a slow writer; the
-    # suite returns only counts
-    monkeypatch.setattr(cli, "_CHUNK", 8)
+def test_a_stalled_writer_stalls_the_workers(fmt, monkeypatch, tmp_path):
+    # a worker whose pipe is full blocks, so the reports of a wide sweep
+    # never pile up behind a slow writer.  While the first report's write
+    # stalls, worker w has checked at most: the chunks this process has
+    # read from it, the next ones whose frames fit in the pipe together,
+    # and the one whose frame it is writing.  A frame holds its reports'
+    # text and more, so the text's length bounds how many fit
     monkeypatch.setattr(cli, "_cpus", lambda: 2)
-    submitted = _count_submissions(monkeypatch)
-    config = SuiteConfig(claims=_SWEPT, **_SMALL, format=fmt)
-    # the number of reports written when each chunk is out
-    ends = list(itertools.accumulate(len(task[1]) for task in cli._chunks(config)))
-    pieces, ahead = [], []
+    checked = _count_worker_checks(monkeypatch, tmp_path)
+    config = SuiteConfig(claims=_SWEPT, format=fmt)
+    sizes = [len(task[1]) for task in cli._chunks(config)]
+    assert len(sizes) == 27
+    r, w = os.pipe()
+    capacity = fcntl.fcntl(r, fcntl.F_GETPIPE_SZ)
+    os.close(r)
+    os.close(w)
+    pieces, stalled = [], []
 
     def write(s):
-        # before this write: the head, then a report and a separator in turn
-        reports = len(pieces) // 2
-        ahead.append(submitted[0] - bisect.bisect_right(ends, reports))
+        # the head, then the first report
+        if len(pieces) == 1:
+            stalled.append(_settled(checked))
         pieces.append(s)
 
     counts = run_verify_suite(config, write)
-    assert all(type(v) is int for v in counts.values())
-    assert "".join(pieces) == _whole_document(RelationMode.FULL, fmt) + "\n"
-    assert submitted[0] == len(ends) > 8
-    assert max(ahead) == 4 and ahead[-1] == 0
+    assert counts["reports"] == sum(sizes) and len(pieces) == 2 * sum(sizes) + 1
+    reports = iter(pieces[1:-1:2])
+    text = [sum(len(next(reports)) for _ in range(size)) for size in sizes]
+    bound = 0
+    # this process has read worker 0's first frame, and none of worker 1's
+    for worker, read in ((0, 1), (1, 0)):
+        frames = text[worker::2]
+        fit = max(k for k in range(len(frames) + 1) if sum(frames[read : read + k]) <= capacity)
+        bound += read + fit + 1
+    assert stalled[0] <= bound < 27
+    assert checked() == 27
+    assert _no_child_left()
 
 
 def test_a_claim_named_twice_is_swept_once():

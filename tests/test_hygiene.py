@@ -543,8 +543,8 @@ def test_render_imports_no_module_above_elements():
     assert reached <= {"coeff", "elements"}
 
 
-# modules that no command runs: a sweep imports multiprocessing when it
-# starts a pool, and only tests evaluate a coefficient with fractions
+# modules that no command runs: a sweep forks its workers without
+# multiprocessing, and only tests evaluate a coefficient with fractions
 # (which imports decimal); records are collections.namedtuple types, not
 # dataclasses (which import inspect) or typing.NamedTuple
 _NOT_AT_IMPORT = ("multiprocessing", "dataclasses", "inspect", "typing", "fractions", "decimal")
@@ -562,3 +562,29 @@ def test_importing_the_cli_loads_no_module_that_no_command_runs():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+# what a sweep with workers leaves unloaded: it forks them and reads their
+# pipes itself, with no executor, thread or subprocess machinery, and so
+# with no logging either
+_NOT_IN_A_SWEEP = ("multiprocessing", "concurrent", "logging", "threading", "subprocess")
+
+
+def test_a_sweep_with_workers_loads_no_executor():
+    # each would cost the sweep's process, and every worker forked from it,
+    # memory.  The forks are counted here, in the process that makes them
+    code = f"""\
+import os, sys
+from uqsl2 import cli
+cli._cpus = lambda: 2
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+config = cli._verify_config(cli.build_parser().parse_args(["verify", "--mode", "strict"]))
+counts = cli.run_verify_suite(config, [].append)
+print(len(forks), counts["reports"], sorted(m for m in sys.modules if m.split(".")[0] in {_NOT_IN_A_SWEEP!r}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "2 1100 []\n"
