@@ -5,13 +5,13 @@ element operand with ``expr.evaluate`` and applies the table's function to
 the operands' values.
 
 Exit codes: 0 all expectations met, 1 discrepancies found, 2 usage, parse
-or configuration error, or a sweep worker that died, 141 (128 + SIGPIPE)
-stdout closed by its reader before the output was written, as in ``uqsl2
-verify | head``, with no traceback.  Every command computes in full mode,
-in U_q(sl2-hat) under all of Drinfeld's relations (see ``rewrite``),
-unless ``--mode strict`` leaves out the same-sign x relation.  A sweep is
-set up by ``verify``'s flags alone, whose defaults are
-``SuiteConfig._field_defaults``.
+or configuration error, or a sweep worker that could not start or died,
+141 (128 + SIGPIPE) stdout closed by its reader before the output was
+written, as in ``uqsl2 verify | head``, with no traceback.  Every command
+computes in full mode, in U_q(sl2-hat) under all of Drinfeld's relations
+(see ``rewrite``), unless ``--mode strict`` leaves out the same-sign x
+relation.  A sweep is set up by ``verify``'s flags alone, whose defaults
+are ``SuiteConfig._field_defaults``.
 
 ``verify`` streams its document to stdout in one pass: the head, then the
 reports in sweep order, then the summary, which comes last in both
@@ -37,8 +37,9 @@ outlives ``main``; and if this process is killed, its workers meet a
 closed pipe at their next write and leave, so none outlives it by more
 than a chunk.
 Every usage error is raised before the first byte is written; an engine
-error in the middle of a sweep, in a worker or here, or a worker killed
-by a signal, leaves a truncated document on stdout and exits 2.
+error in the middle of a sweep, in a worker or here, a worker killed by a
+signal, or a worker that cannot be started (no process or file descriptor
+left), leaves a truncated document on stdout and exits 2.
 """
 
 from __future__ import annotations
@@ -63,12 +64,13 @@ class ConfigError(ValueError):
     pass
 
 
-class WorkerDied(RuntimeError):
-    """A sweep worker ended without returning its chunk, as one killed by a
+class WorkerError(RuntimeError):
+    """A sweep worker could not be started (``os.pipe`` or ``os.fork``
+    failed), or ended without returning its chunk, as one killed by a
     signal (the out-of-memory killer's SIGKILL, say) does."""
 
 
-_CLI_CLAIMS = {c.cli_name: name for name, c in CLAIMS.items() if c.cli_name}
+_CLI_CLAIMS = {c.cli_name: name for name, c in CLAIMS.items()}
 _DEFAULT_CLAIMS = ",".join(_CLI_CLAIMS)
 _MODES = tuple(m.value for m in RelationMode)
 
@@ -246,7 +248,7 @@ def _read(fd: int, size: int) -> bytes:
     while size:
         part = os.read(fd, size)
         if not part:
-            raise WorkerDied("a sweep worker died before returning its chunk")
+            raise WorkerError("a sweep worker died before returning its chunk")
         parts.append(part)
         size -= len(part)
     return b"".join(parts)
@@ -305,13 +307,20 @@ def _from_workers(config: SuiteConfig, workers: int):
 
     reads, pids = [], []
     try:
-        for w in range(workers):
-            r, fd = os.pipe()
-            reads.append(r)
-            if (pid := os.fork()) == 0:
-                _work(config, w, workers, reads, fd)
-            pids.append(pid)
-            os.close(fd)
+        try:
+            for w in range(workers):
+                r, fd = os.pipe()
+                reads.append(r)
+                try:
+                    if (pid := os.fork()) == 0:
+                        _work(config, w, workers, reads, fd)
+                    pids.append(pid)
+                finally:
+                    os.close(fd)
+        except OSError as exc:
+            # out of processes or of file descriptors: the workers started
+            # so far are killed below
+            raise WorkerError(f"cannot start a sweep worker: {exc}") from None
         for r in cycle(reads):
             frame = pickle.loads(_read(r, int.from_bytes(_read(r, 8), "little")))
             if frame is None:
@@ -486,7 +495,7 @@ def main(argv=None) -> int:
         return 0
     # RecursionError: the parser takes a few frames per nesting level, so
     # deeply nested input outgrows the stack
-    except (ParseError, EvalError, ConfigError, ValueError, RecursionError, WorkerDied) as exc:
+    except (ParseError, EvalError, ConfigError, ValueError, RecursionError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

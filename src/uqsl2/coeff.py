@@ -27,21 +27,17 @@ and look the result up, with no polynomial product, no normalization and,
 on a hit, no allocation.  Only this module reads ``single``.  Identity is only a shortcut: an
 evicted value is rebuilt as an equal fresh object.
 
-An int or any other rational number (``numbers.Rational``, a
-``fractions.Fraction`` say) is an operand of the ring's arithmetic.  The
-engine divides by integers through the ring, and ``fractions`` is imported
-only by ``evaluate``, which no command calls.
+An int is an operand of the ring's arithmetic, and the engine divides by
+integers through the ring: a rational number such as 1/2 is
+``RatFunc.from_int(1) / 2``.  No command evaluates a coefficient at a
+number; the tests' numeric oracle, ``evaluate_at`` in tests/helpers.py,
+does.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, gcd
-from numbers import Rational
-
-
-class PoleError(ZeroDivisionError):
-    """An evaluation point makes a denominator vanish."""
 
 
 def _padd(a: dict, b: dict) -> dict:
@@ -162,12 +158,6 @@ class RatFunc:
     @classmethod
     def from_int(cls, n: int) -> "RatFunc":
         return _rf({(0, 0): n}, 1) if n else RF_ZERO
-
-    @classmethod
-    def from_fraction(cls, fr: Rational) -> "RatFunc":
-        if fr.denominator == 1:
-            return cls.from_int(fr.numerator)
-        return _rf({(0, 0): fr.numerator}, fr.denominator)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -328,19 +318,6 @@ class RatFunc:
         # u -> 1/u fixes the integer den and q - q^-1, so the form stays normal
         return _rf({(eq, -eu): c for (eq, eu), c in self.num.items()}, self.den, self.d)
 
-    def evaluate(self, q0, u0):
-        """The value at nonzero rational q0, u0, as a Fraction."""
-        from fractions import Fraction
-
-        q0 = Fraction(q0)
-        u0 = Fraction(u0)
-        if q0 == 0 or u0 == 0:
-            raise ValueError("evaluation requires nonzero q0 and u0")
-        dv = self.den * (q0 - 1 / q0) ** self.d
-        if dv == 0:
-            raise PoleError(f"denominator vanishes at q={q0}, u={u0}")
-        return sum(c * q0**eq * u0**eu for (eq, eu), c in self.num.items()) / dv
-
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den}, d={self.d})"
 
@@ -365,14 +342,11 @@ RF_ONE = _rf(P_ONE, 1)
 
 
 def _coerce(x):
-    """x as a RatFunc when it is one, an int or another rational number;
-    NotImplemented otherwise."""
+    """x as a RatFunc when it is one or an int; NotImplemented otherwise."""
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, int):
         return RatFunc.from_int(x)
-    if isinstance(x, Rational):
-        return RatFunc.from_fraction(x)
     return NotImplemented
 
 

@@ -46,18 +46,14 @@ UNIT_MONO = Monomial((), 0)
 
 
 def word_sort_key(word: tuple):
-    """The part of ``mono_sort_key`` that the word fixes: x+ indices, then
-    x- indices, then a indices."""
+    """The printed order of words: x+ indices, then x- indices, then a
+    indices.  A printer sorts the terms of an element by this key, then
+    the K-power, then the raw word, which breaks ties between
+    interleavings."""
     xp = tuple(g.idx for g in word if g.kind == XPLUS)
     xm = tuple(g.idx for g in word if g.kind == XMINUS)
     aa = tuple(g.idx for g in word if g.kind == AGEN)
     return (xp, xm, aa)
-
-
-def mono_sort_key(m: Monomial):
-    """Total order: x+ indices, then x- indices, then a indices, then the
-    K-power, with the raw word breaking ties between interleavings."""
-    return (word_sort_key(m.word), m.kexp, m.word)
 
 
 class Element:
@@ -163,15 +159,12 @@ class Element:
             return Element()
         return _element({m: c * coeff for m, c in self.terms.items()})
 
-    def sorted_terms(self):
-        """Deterministic iteration for printing and serialization."""
-        return sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]))
-
     def __repr__(self):
+        # the terms in stored order; ``render`` prints them sorted
         if not self.terms:
             return "Element(0)"
         bits = []
-        for m, c in self.sorted_terms():
+        for m, c in self.terms.items():
             gens = ".".join(f"{GEN_NAMES[g.kind]}{g.idx}" for g in m.word)
             bits.append(f"[{c!r}]*{gens or '1'}*K^{m.kexp}")
         return "Element(" + " + ".join(bits) + ")"

@@ -6,8 +6,8 @@ The family members are two-term combinations of x generators with K-powers,
     E_(-n-1)^+-(l, th)  = x+_(-n-1) K^l  +  gamma^(+-(n+1/2)) x-_(-n) K^th,
 
 with the one-parameter slice E(sign, p, m, index) fixing eta = th = -m - 2p
-and l = m.  central_c and the *_fixture builders reproduce stated closed
-forms literally; they are reference values to diff against, not
+and l = m.  central_c and expand_specialized_commutator reproduce stated
+closed forms literally; they are reference values to diff against, not
 engine-derived truth.
 
 family_E_pos and family_E_neg are bounded memos (family_E goes through
@@ -96,15 +96,22 @@ def central_c(n: int, m: int, sign: str) -> Element:
     return Element.from_coeff(coeff)
 
 
-def _general_groups(
-    n: int, k: int, m: int, l: int, eta: int, theta: int, p: int, sign: str, printed: bool
+def expand_general_commutator(
+    n: int, k: int, m: int, l: int, eta: int, theta: int, p: int, sign: str
 ) -> Element:
+    """[E_n^sign(m,eta), E_(-k-1)^sign(l,theta)]_{K^p} assembled group by
+    group from the K-passing bookkeeping, with no x reordering.
+
+    Independent of el_mul: the four term groups and their coefficients are
+    written out directly, which is what makes the agreement check against
+    deformed_commutator meaningful.
+    """
     if n < 0 or k < 0:
         raise ValueError("expansion indices must satisfy n >= 0 and k >= 0")
     s = _sgn(sign)
-    # direct K-passing gives m+l+p on the x+x+ group; the stated display
-    # prints eta+theta+p there instead
-    kpp = eta + theta + p if printed else m + l + p
+    # K-passing gives the x+x+ group K^(m+l+p), where the stated display
+    # prints K^(eta+theta+p) (``general_display_fixture`` in tests/helpers.py)
+    k_plus = m + l + p
     k_mix = m + theta + p
     k_swap = eta + l + p
     k_minus = eta + theta + p
@@ -121,33 +128,12 @@ def _general_groups(
             new(M, ((xm_k, xp_n), k_mix)): one_term(-1, 2 * (theta + p), g1),
             new(M, ((xm_n, xp_k), k_swap)): one_term(1, 2 * (eta + p), 0),
             new(M, ((xp_k, xm_n), k_swap)): one_term(-1, -2 * (l + p), 0),
-            new(M, ((xp_n, xp_k), kpp)): one_term(1, 2 * (m + p), gn),
-            new(M, ((xp_k, xp_n), kpp)): one_term(-1, 2 * (l + p), gn),
+            new(M, ((xp_n, xp_k), k_plus)): one_term(1, 2 * (m + p), gn),
+            new(M, ((xp_k, xp_n), k_plus)): one_term(-1, 2 * (l + p), gn),
             new(M, ((xm_n, xm_k), k_minus)): one_term(1, -2 * (eta + p), gk),
             new(M, ((xm_k, xm_n), k_minus)): one_term(-1, -2 * (theta + p), gk),
         }
     )
-
-
-def expand_general_commutator(
-    n: int, k: int, m: int, l: int, eta: int, theta: int, p: int, sign: str
-) -> Element:
-    """[E_n^sign(m,eta), E_(-k-1)^sign(l,theta)]_{K^p} assembled group by
-    group from the K-passing bookkeeping, with no x reordering.
-
-    Independent of el_mul: the four term groups and their coefficients are
-    written out directly, which is what makes the agreement check against
-    deformed_commutator meaningful.
-    """
-    return _general_groups(n, k, m, l, eta, theta, p, sign, printed=False)
-
-
-def general_display_fixture(
-    n: int, k: int, m: int, l: int, eta: int, theta: int, p: int, sign: str
-) -> Element:
-    """The stated form of the same expansion, kept literally (its x+x+ group
-    carries K^(eta+theta+p))."""
-    return _general_groups(n, k, m, l, eta, theta, p, sign, printed=True)
 
 
 def expand_specialized_commutator(n: int, k: int, m: int, p: int, sign: str) -> Element:

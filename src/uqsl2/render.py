@@ -146,8 +146,8 @@ class Printer:
 
     A coefficient is rendered once per distinct value, the memo keyed on
     the ``RatFunc`` itself, from its display pair ``canonical()``; a word
-    once per distinct tuple of generators, together with its part of
-    ``mono_sort_key``.  A JSON fragment is a string built from fixed
+    once per distinct tuple of generators, together with its
+    ``word_sort_key``.  A JSON fragment is a string built from fixed
     pieces and text that needs no escaping (see ``_coeff_fragment``), so
     no fragment calls an encoder; a term is its coefficient's fragment, its
     word's and its K-power, which gives the bytes of
@@ -176,8 +176,8 @@ class Printer:
             if cf is None:
                 cf = coeffs[c] = self._coeff_fragment(c)
             terms.append((w[0], kexp, word, cf, w[1]))
-        # the first three items are mono_sort_key, unique per term, so the
-        # sort never compares fragments
+        # the first three items (word_sort_key, K-power, word) are unique
+        # per term, so the sort never compares fragments
         terms.sort()
         if self._json:
             return (

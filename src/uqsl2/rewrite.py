@@ -55,10 +55,9 @@ import enum
 import heapq
 from functools import lru_cache
 
-from .coeff import RF_ONE, RatFunc, one_term, q_pow, qint, qminus, u_pow
+from .coeff import RF_ONE, RatFunc, q_pow, qint, qminus, u_pow
 from .currents import phi, psi
 from .elements import AGEN, XMINUS, XPLUS, Element, Gen, Monomial, _element, el_mul
-from .family import family_E_neg, family_E_pos
 
 
 class RelationMode(enum.Enum):
@@ -171,32 +170,6 @@ def _expand_redex(word, kexp: int, i: int, tag: int):
             c2 = c2.mul_q_pow(2 * e2 * net)
         out.append((Monomial(prefix + m2.word + suffix, kexp + e2), c2))
     return out
-
-
-def clear_caches():
-    """Empty every memo the engine keeps, so the next computation is cold.
-
-    There are six, each bounded: _replacement, one_term, psi, phi and the
-    family members family_E_pos and family_E_neg.  The rewrite loop keeps
-    no memo of its own.  The bounds lie above the working sets of one round
-    of each perfbench workload, counted in a fresh process with the sweep
-    in that process (one_term's include the 3 values made at import): the
-    Strict verify sweep of all five claims at n,k <= 16 (m, p in [-2, 2])
-    leaves _replacement no entries (each of its R4 steps is a block step,
-    which needs no row), one_term 2,099 values, psi, phi one each and 850
-    and 1,258 members; the five 8-letter mixed word templates of
-    nf-long-words leave 141, 161 and 5 each and build no member; 100,000
-    family brackets use only one_term (429), psi, phi (6 each) and 200 +
-    200 members.  Such work is therefore done once per process.
-
-    Full mode, the default, needs more: the same verify sweep leaves 834,
-    3,315, one each and the same 850 and 1,258 members, and the five mixed
-    word templates leave 166, 211 and 5 each.  Wider full sweeps pass
-    one_term's bound of 4,096: n,k <= 20 fills it, and so do m, p in
-    [-4, 4] at n,k <= 16.  At n,k <= 24 _replacement holds 1,826 of its
-    4,096."""
-    for memo in (_replacement, one_term, psi, phi, family_E_pos, family_E_neg):
-        memo.cache_clear()
 
 
 def _word_moves(word, full: bool):

@@ -1,12 +1,14 @@
 """Claim verification with exact residuals and discrepancy reporting.
 
-A claim is one row of ``CLAIMS``: its instance, its index regime and its
-sweep grid.  ``verify_claim`` is the one path that checks any of them: it
-refuses params outside the row's regime, computes the engine-derived object
-from first principles, classifies it (exact zero / central value /
-residual), and diffs it against the stated value kept as a literal fixture.
-The report is the deliverable: stated values are never assumed correct, and
-a mismatch is recorded, not patched over.
+A claim is one row of ``CLAIMS``, a claim that ``uqsl2 verify`` sweeps:
+its instance, its index regime and its sweep grid.  ``verify_claim`` is the
+one path that checks any of them: it refuses params outside the row's
+regime, computes the engine-derived object from first principles,
+classifies it (exact zero / central value / residual), and diffs it against
+the stated value kept as a literal fixture.  Every stated value is a normal
+form already, so the discrepancy is the plain difference.  The report is
+the deliverable: stated values are never assumed correct, and a mismatch is
+recorded, not patched over.
 """
 
 from __future__ import annotations
@@ -17,16 +19,7 @@ from itertools import product
 
 from .elements import AGEN, Element, Monomial, el_mul, omega, xminus, xplus
 from .coeff import u_pow
-from .family import (
-    SIGNS,
-    _sgn,
-    central_c,
-    expand_general_commutator,
-    expand_specialized_commutator,
-    family_E,
-    family_E_neg,
-    general_display_fixture,
-)
+from .family import SIGNS, _sgn, central_c, family_E, family_E_neg
 from .rewrite import RelationMode, deformed_commutator, normal_form
 
 EXACT_ZERO, CENTRAL, RESIDUAL = "exact_zero", "central", "residual"
@@ -96,29 +89,14 @@ def _reflect(t, mode):
     return substituted, stated, {"matched_sign": matched[0] if len(matched) == 1 else None}
 
 
-def _display1(t, mode):
-    args = tuple(t[x] for x in ("n", "k", "m", "l", "eta", "theta", "p", "sign"))
-    result = normal_form(expand_general_commutator(*args), mode)
-    return result, general_display_fixture(*args), {}
-
-
-def _display2(t, mode):
-    n, k, m, p, sign = (t[x] for x in ("n", "k", "m", "p", "sign"))
-    result = _bracket(sign, p, m, n, k, p, mode)
-    return result, expand_specialized_commutator(n, k, m, p, sign), {}
-
-
-class Claim(
-    namedtuple("Claim", ("cli_name", "instance", "regime", "regime_text", "grid"), defaults=(None,))
-):
-    """One claim, whole: its ``uqsl2 verify --claims`` name ``cli_name``
-    (None when the claim is not offered there); its ``instance(params,
-    mode)``, which returns (the engine's normal-formed value, the stated
-    value, the params it adds to the report); the index regime the claim is
-    stated for, as a predicate ``regime`` on the params and as
-    ``regime_text``; and its sweep ``grid``, a tuple of parameter names,
-    each ranging over ``_axes``, whose tuples outside the regime the sweep
-    skips, or None (the default) when it is not sweepable.  A claim is
+class Claim(namedtuple("Claim", ("cli_name", "instance", "regime", "regime_text", "grid"))):
+    """One claim, whole: its ``uqsl2 verify --claims`` name ``cli_name``;
+    its ``instance(params, mode)``, which returns (the engine's value, the
+    stated value, the params it adds to the report), both values in normal
+    form; the index regime the claim is stated for, as a predicate
+    ``regime`` on the params and as ``regime_text``; and its sweep
+    ``grid``, a tuple of parameter names, each ranging over ``_axes``,
+    whose tuples outside the regime the sweep skips.  A claim is
     immutable: a variant is ``claim._replace(instance=...)``."""
 
     __slots__ = ()
@@ -143,8 +121,6 @@ CLAIMS = {
     "REFLECT": Claim(
         "reflect", _reflect, lambda t: t["n"] >= 0, "n >= 0", ("n", "m", "eta", "sign")
     ),
-    "PROOF_DISPLAY_1": Claim(None, _display1, lambda t: min(t["n"], t["k"]) >= 0, "n, k >= 0"),
-    "PROOF_DISPLAY_2": Claim(None, _display2, lambda t: min(t["n"], t["k"]) >= 0, "n, k >= 0"),
 }
 
 
@@ -160,9 +136,9 @@ def verify_claim(
     if not entry.regime(params):
         raise RegimeError(f"{claim} is stated for {entry.regime_text}, got {params}")
     result, expected, added = entry.instance(params, mode)
-    # when the stated value is zero, the result is itself the discrepancy:
-    # it is a normal form, and normal_form is idempotent
-    disc = result if expected.is_zero() else normal_form(result - expected, mode)
+    # both are normal forms, so their difference is one; when the stated
+    # value is zero, the result is itself the discrepancy
+    disc = result if expected.is_zero() else result - expected
     return VerdictReport(
         claim=claim,
         params={**params, **added},
@@ -214,9 +190,7 @@ def sweep_params(claim: str, cfg: dict):
 
     cfg keys: n_max, k_max, m_range=(lo, hi), p_range=(lo, hi).
     """
-    entry = CLAIMS.get(claim)
-    if entry is None or entry.grid is None:
-        raise ValueError(f"claim {claim!r} is not sweepable")
+    entry = CLAIMS[claim]
     axes = _axes(cfg)
     for values in product(*(axes[name] for name in entry.grid)):
         params = dict(zip(entry.grid, values))

@@ -5,15 +5,18 @@ components, the level-0 representation oracle, and numeric cross-checks.
 It also holds what only tests call, so that the package holds only what
 its commands run: equality and centrality in the algebra, the engine's
 relation instances, a random-order rewriter for the diamond tests, the
-reference JSON serializer, a coefficient's polynomial form and the x-free
-part of an element."""
+reference JSON serializer and the term order it prints in, a
+coefficient's polynomial form and its value at a number, the x-free part
+of an element, the reset of the engine's memos and the paper's literal
+display of a family bracket."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
 
-from uqsl2.coeff import RF_ONE, PoleError, RatFunc, _rf, one_term, q_pow, qminus, u_pow
+from uqsl2.coeff import RF_ONE, RatFunc, _rf, one_term, q_pow, qminus, u_pow
+from uqsl2.currents import phi, psi
 from uqsl2.elements import (
     AGEN,
     GEN_NAMES,
@@ -22,10 +25,12 @@ from uqsl2.elements import (
     Monomial,
     agen,
     el_mul,
+    word_sort_key,
     xminus,
     xplus,
 )
 from uqsl2.expr import evaluate
+from uqsl2.family import expand_general_commutator, family_E_neg, family_E_pos
 from uqsl2.render import FORMATS, _poly
 from uqsl2.rewrite import RelationMode, _replacement, _word_moves, commutator, normal_form
 from uqsl2.verify import sweep_params, verify_claim
@@ -94,12 +99,55 @@ def rand_ratfunc(rng):
     return ratfunc(rand_poly(rng), den)
 
 
+class PoleError(ZeroDivisionError):
+    """An evaluation point makes a denominator vanish."""
+
+
+def evaluate_at(c: RatFunc, q0, u0) -> Fraction:
+    """The value of the coefficient ``c`` at nonzero rational q0, u0, as a
+    Fraction: the numeric oracle of the coefficient arithmetic."""
+    q0 = Fraction(q0)
+    u0 = Fraction(u0)
+    if q0 == 0 or u0 == 0:
+        raise ValueError("evaluation requires nonzero q0 and u0")
+    dv = c.den * (q0 - 1 / q0) ** c.d
+    if dv == 0:
+        raise PoleError(f"denominator vanishes at q={q0}, u={u0}")
+    return sum(v * q0**eq * u0**eu for (eq, eu), v in c.num.items()) / dv
+
+
 def project_x_free(a: Element) -> Element:
     """Sub-sum of terms whose words contain no x generators."""
     return Element({m: c for m, c in a.terms.items() if all(g.kind == AGEN for g in m.word)})
 
 
 # --- the algebra, checked through the engine ------------------------------
+
+
+def clear_caches():
+    """Empty every memo the engine keeps, so the next computation is cold.
+
+    There are six, each bounded: _replacement, one_term, psi, phi and the
+    family members family_E_pos and family_E_neg.  The rewrite loop keeps
+    no memo of its own.  The bounds lie above the working sets of one round
+    of each perfbench workload, counted in a fresh process with the sweep
+    in that process (one_term's include the 3 values made at import): the
+    Strict verify sweep of all five claims at n,k <= 16 (m, p in [-2, 2])
+    leaves _replacement no entries (each of its R4 steps is a block step,
+    which needs no row), one_term 2,099 values, psi, phi one each and 850
+    and 1,258 members; the five 8-letter mixed word templates of
+    nf-long-words leave 141, 161 and 5 each and build no member; 100,000
+    family brackets use only one_term (429), psi, phi (6 each) and 200 +
+    200 members.  Such work is therefore done once per process.
+
+    Full mode, the default, needs more: the same verify sweep leaves 834,
+    3,315, one each and the same 850 and 1,258 members, and the five mixed
+    word templates leave 166, 211 and 5 each.  Wider full sweeps pass
+    one_term's bound of 4,096: n,k <= 20 fills it, and so do m, p in
+    [-4, 4] at n,k <= 16.  At n,k <= 24 _replacement holds 1,826 of its
+    4,096."""
+    for memo in (_replacement, one_term, psi, phi, family_E_pos, family_E_neg):
+        memo.cache_clear()
 
 
 def equals(a: Element, b: Element, mode: RelationMode = RelationMode.FULL) -> bool:
@@ -199,13 +247,25 @@ def random_order_normal_form(e: Element, mode: RelationMode, rng) -> Element:
 # --- JSON ------------------------------------------------------------------
 
 
+def mono_sort_key(m: Monomial):
+    """Total order: x+ indices, then x- indices, then a indices, then the
+    K-power, with the raw word breaking ties between interleavings; the
+    order in which ``render.Printer`` prints terms."""
+    return (word_sort_key(m.word), m.kexp, m.word)
+
+
+def sorted_terms(e: Element) -> list:
+    """The (monomial, coefficient) pairs of ``e`` in printed order."""
+    return sorted(e.terms.items(), key=lambda kv: mono_sort_key(kv[0]))
+
+
 def element_to_obj(e: Element) -> dict:
     """The JSON object of ``e``, built term by term: the reference the JSON
     ``render.Printer`` is checked against, as
     ``json.dumps(element_to_obj(e), separators=(",", ":"))``."""
     st = FORMATS["json"]
     terms = []
-    for mono, c in e.sorted_terms():
+    for mono, c in sorted_terms(e):
         num, den = c.canonical()
         terms.append(
             {
@@ -249,8 +309,8 @@ def assert_coeffs_match_numerically(a: Element, b: Element, rng, points=3):
         while done < points:
             q0, u0 = rand_point(rng)
             try:
-                va = a.terms[mono].evaluate(q0, u0)
-                vb = b.terms[mono].evaluate(q0, u0)
+                va = evaluate_at(a.terms[mono], q0, u0)
+                vb = evaluate_at(b.terms[mono], q0, u0)
             except PoleError:
                 continue
             assert va == vb, (mono, q0, u0)
@@ -288,6 +348,20 @@ def carry_one_letter_at_a_time(g, run: tuple, tag) -> Element:
     return out
 
 
+def general_display_fixture(
+    n: int, k: int, m: int, l: int, eta: int, theta: int, p: int, sign: str
+) -> Element:
+    """The paper's display of ``family.expand_general_commutator``'s
+    expansion, kept literally: its x+x+ group carries K^(eta+theta+p), where
+    K-passing gives K^(m+l+p)."""
+    terms = {}
+    for mono, c in expand_general_commutator(n, k, m, l, eta, theta, p, sign).terms.items():
+        if mono.word[0].kind == mono.word[1].kind == XPLUS:
+            mono = Monomial(mono.word, eta + theta + p)
+        terms[mono] = c
+    return Element(terms)
+
+
 def sweep_claim(claim: str, cfg: dict, mode) -> list:
     """All reports for one claim over the ranges of ``cfg``, in the order
     of ``verify.sweep_params``."""
@@ -301,7 +375,7 @@ def is_same_sign_residual(el: Element, u0=Fraction(3)) -> bool:
     return bool(el.terms) and all(
         len(m.word) == 2
         and m.word[0].kind == m.word[1].kind != AGEN
-        and c.evaluate(1, u0) == 0
+        and evaluate_at(c, 1, u0) == 0
         for m, c in el.terms.items()
     )
 
@@ -340,7 +414,7 @@ def series_exponential(m_max: int, coeff: RatFunc, index_sign: int):
     term[0][()] = RF_ONE
     for j in range(1, m_max + 1):
         term = _series_mul(term, x, m_max)
-        inv_j = RatFunc.from_fraction(Fraction(1, j))
+        inv_j = RatFunc.from_int(1) / j
         term = [{k: c * inv_j for k, c in d.items()} for d in term]
         for i, d in enumerate(term):
             tgt = result[i]
@@ -413,7 +487,7 @@ def level0_action(el: Element, m=3, q=Fraction(3), a=Fraction(5)) -> list:
 
     out = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
     for mono, c in el.terms.items():
-        value = c.evaluate(q, 1)
+        value = evaluate_at(c, q, 1)
         for col in range(m + 1):
             r, s = col, q ** (mono.kexp * (m - 2 * col))
             for g in reversed(mono.word):

@@ -29,6 +29,8 @@ from uqsl2.coeff import RF_ONE, q_pow, qint, qminus, u_pow
 from uqsl2.elements import Element, el_mul, xminus, xplus
 from uqsl2.rewrite import RelationMode, normal_form
 
+from helpers import clear_caches
+
 F = RelationMode.FULL
 CARTAN = ((2, -2), (-2, 2))
 K = Element.k_power(1)
@@ -114,13 +116,13 @@ def _under_a_wrong_rule(monkeypatch, name, value, check):
     emptied before and after."""
     from uqsl2 import rewrite
 
-    rewrite.clear_caches()
+    clear_caches()
     monkeypatch.setattr(rewrite, name, value)
     try:
         return check()
     finally:
         monkeypatch.undo()
-        rewrite.clear_caches()
+        clear_caches()
 
 
 def test_a_flipped_r6_convention_fails_the_q_serre_relations(monkeypatch):

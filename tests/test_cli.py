@@ -1,5 +1,6 @@
 import contextlib
 import decimal
+import errno
 import fcntl
 import io
 import json
@@ -261,7 +262,7 @@ def test_verify_output_deterministic():
 
 
 _SMALL = {"n_max": 2, "k_max": 2, "m_range": (-1, 1), "p_range": (-1, 0)}
-_SWEPT = [name for name, c in CLAIMS.items() if c.cli_name]
+_SWEPT = list(CLAIMS)
 
 
 def _whole_document(mode, fmt):
@@ -575,6 +576,43 @@ def test_a_dead_worker_fails_the_sweep_and_leaves_no_worker(monkeypatch):
     assert (code, err) == (2, "error: a sweep worker died before returning its chunk\n")
     # the chunks in flight with the lost one fail with it
     assert whole.startswith(out) and "claim=OMEGA_E " not in out
+    assert _no_child_left()
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+        ("pipe", OSError(errno.EMFILE, "Too many open files")),
+    ],
+)
+def test_a_worker_that_cannot_start_fails_the_sweep_and_leaks_nothing(call, error, monkeypatch):
+    # os.fork or os.pipe fails for the second of two workers, as it does
+    # out of processes or of file descriptors: one error line and status 2,
+    # the first worker killed and reaped, and no pipe end left open
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    argv = _small_argv("text")
+    whole = run_cli(argv)[1]
+    real, calls = getattr(os, call), []
+
+    def second_fails():
+        calls.append(call)
+        if len(calls) == 2:
+            raise error
+        return real()
+
+    monkeypatch.setattr(os, call, second_fails)
+    before = _open_fds()
+    code, out, err = run_cli(argv)
+    assert (code, err) == (2, f"error: cannot start a sweep worker: {error}\n")
+    assert len(calls) == 2
+    # the head is written, and no report
+    assert whole.startswith(out) and out.count("\n") == 2
+    assert _open_fds() == before
     assert _no_child_left()
 
 

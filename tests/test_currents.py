@@ -1,6 +1,4 @@
-from fractions import Fraction
-
-from uqsl2.coeff import qminus
+from uqsl2.coeff import RatFunc, qminus
 from uqsl2.currents import phi, psi
 from uqsl2.elements import Element, Monomial, agen, omega
 from uqsl2.rewrite import normal_form
@@ -25,7 +23,7 @@ def test_vanishing():
 
 def test_first_components():
     assert psi(1) == Element({Monomial((agen(1),), 1): qminus()})
-    half = Fraction(1, 2)
+    half = RatFunc.from_int(1) / 2
     assert psi(2) == Element(
         {
             Monomial((agen(2),), 1): qminus(),

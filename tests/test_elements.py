@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,7 +9,6 @@ from uqsl2.elements import (
     Monomial,
     agen,
     el_mul,
-    mono_sort_key,
     omega,
     xminus,
     xplus,
@@ -25,7 +23,7 @@ from uqsl2.family import (
 from uqsl2.rewrite import RelationMode, deformed_commutator, normal_form
 from uqsl2.verify import sweep_params
 
-from helpers import project_x_free, rand_element
+from helpers import mono_sort_key, project_x_free, rand_element, sorted_terms
 from test_render import _shaped_elements
 
 K = Element.k_power(1)
@@ -105,13 +103,13 @@ def test_sorted_terms_deterministic():
     rng = random.Random(3)
     for _ in range(50):
         e = rand_element(rng, nterms=5)
-        keys = [m for m, _ in e.sorted_terms()]
+        keys = [m for m, _ in sorted_terms(e)]
         assert keys == sorted(keys, key=mono_sort_key)
         # rebuilding from shuffled items gives the same iteration order
         items = list(e.terms.items())
         rng.shuffle(items)
         e2 = Element(dict(items))
-        assert [m for m, _ in e2.sorted_terms()] == keys
+        assert [m for m, _ in sorted_terms(e2)] == keys
 
 
 def test_element_algebra_basics():
@@ -186,7 +184,7 @@ def test_a_bare_k_power_on_the_right_only_adds_k_exponents():
     # K^e on the right passes no x: the K-exponents add and the
     # coefficients stay; checked against K^e with the coefficient 2, halved
     rng = random.Random(18)
-    half = RatFunc.from_fraction(Fraction(1, 2))
+    half = RatFunc.from_int(1) / 2
     for _ in range(300):
         a = rand_element(rng, nterms=4)
         for e in range(-3, 4):

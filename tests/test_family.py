@@ -12,11 +12,17 @@ from uqsl2.family import (
     family_E,
     family_E_neg,
     family_E_pos,
-    general_display_fixture,
 )
 from uqsl2.rewrite import RelationMode, deformed_commutator, normal_form
 
-from helpers import equals, is_central, is_same_sign_residual, project_x_free
+from helpers import (
+    clear_caches,
+    equals,
+    general_display_fixture,
+    is_central,
+    is_same_sign_residual,
+    project_x_free,
+)
 
 S = RelationMode.STRICT
 F = RelationMode.FULL
@@ -81,9 +87,7 @@ def test_a_bad_member_raises_on_every_call(member, args):
 def test_a_bracket_grid_offset_builds_each_member_once():
     # one n-offset of the 100,000-bracket grid asks 20,000 times per
     # branch for 200 distinct members
-    from uqsl2 import rewrite
-
-    rewrite.clear_caches()
+    clear_caches()
     nk = range(5, 9)
     for sign, n, k, m, l, eta, theta in itertools.product("+-", nk, nk, _R, _R, _R, _R):
         family_E_pos(n, m, eta, sign)
@@ -201,6 +205,38 @@ def test_cross_group_k_exponent():
     assert Monomial((xplus(n), xplus(-k - 1)), m + l + p) in e.terms
     diff = normal_form(e - fix, S)
     assert not diff.is_zero()  # eta + theta != m + l here
+
+
+def test_display_and_expansion_agree_exactly_when_their_k_powers_do():
+    # the stated display differs from the K-passing expansion only in its
+    # x+x+ group's K-power, eta + theta + p for m + l + p; eta + theta =
+    # m + l makes the two coincide, in normal form as well
+    agree = 0
+    for n, k, m, l, eta, theta, p in itertools.product((0, 1), repeat=7):
+        for sign in "+-":
+            args = (n, k, m, l, eta, theta, p, sign)
+            diff = normal_form(expand_general_commutator(*args) - general_display_fixture(*args), S)
+            assert diff.is_zero() == (eta + theta == m + l), args
+            agree += diff.is_zero()
+    assert agree == 96
+
+
+def test_specialized_fixture_against_the_bracket():
+    # in the vanishing regime (n < k) the stated closed form normal-forms to
+    # zero in full mode too, while the bracket is the EP same-sign residual:
+    # the bracket minus the closed form is the bracket itself
+    n, k, m, p = 0, 2, 0, 1
+    bracket = deformed_commutator(family_E("+", p, m, n), family_E("+", p, m, -k - 1), p, F)
+    fixture = expand_specialized_commutator(n, k, m, p, "+")
+    assert normal_form(fixture, F).is_zero()
+    assert is_same_sign_residual(bracket)
+    assert normal_form(bracket - fixture, F) == bracket
+    # at n = k the printed overall K-power disagrees with the derived one,
+    # which shows in the x-free part of the difference
+    n = k = 1
+    bracket = deformed_commutator(family_E("+", p, m, n), family_E("+", p, m, -k - 1), p, F)
+    fixture = expand_specialized_commutator(n, k, m, p, "+")
+    assert not project_x_free(normal_form(bracket - fixture, F)).is_zero()
 
 
 def test_specialized_fixture_vanishes_in_regime():

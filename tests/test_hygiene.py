@@ -2,10 +2,16 @@
 importing the command line loads."""
 
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from uqsl2 import cli
+
+from helpers import clear_caches
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "uqsl2"
@@ -58,16 +64,13 @@ def _unread_names(sources):
     ]
 
 
-# rewrite.clear_caches empties the engine's memos; no command needs it, and
-# tests call it to start a computation cold
-_READ_ONLY_BY_TESTS = ["rewrite.py:clear_caches"]
-
-
 def test_every_module_name_is_read_somewhere():
     # the package holds only what its commands run: a module-level name or
     # a method that no code in the package reads (as a name, an attribute
     # or an import) is dead, or serves only tests and belongs in
-    # tests/helpers.py.  The probe shows that the scan sees each kind
+    # tests/helpers.py; the exceptions are the functions that perfbench
+    # imports (see _NOT_CALLED_HERE).  The probe shows that the scan sees
+    # each kind
     probe = {
         "a.py": """\
 import os
@@ -92,7 +95,159 @@ def used(): return Read().read_method()
         "a.py:_unread_private",
     ]
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert _unread_names(sources) == _READ_ONLY_BY_TESTS
+    assert _unread_names(sources) == [
+        name.replace(".", ".py:", 1)
+        for name, reason in _NOT_CALLED_HERE.items()
+        if reason == _IMPORTED_BY_PERFBENCH
+    ]
+
+
+def _defined_functions(tree, prefix):
+    """(qualified name, first line) of every function and method that
+    ``tree`` defines, nested ones too.  The first line of a decorated
+    function is its first decorator's, as in its code object."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            line = node.decorator_list[0].lineno if node.decorator_list else node.lineno
+            found.append((prefix + node.name, line))
+            found += _defined_functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.ClassDef):
+            found += _defined_functions(node, f"{prefix}{node.name}.")
+        else:
+            found += _defined_functions(node, prefix)
+    return found
+
+
+def _called_code(run):
+    """(file, first line, name) of every Python function that ``run()``
+    calls in this process."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in seen}
+
+
+def test_the_call_scan_sees_decorated_methods_and_nested_functions():
+    source = """\
+import functools
+def uncalled(): pass
+@functools.lru_cache
+def decorated(): pass
+class C:
+    @staticmethod
+    def method():
+        def inner(): pass
+        inner()
+"""
+    tree = ast.parse(source)
+    assert _defined_functions(tree, "m.") == [
+        ("m.uncalled", 2), ("m.decorated", 3), ("m.C.method", 6), ("m.C.method.inner", 8)
+    ]
+    namespace = {}
+    exec(compile(tree, "probe.py", "exec"), namespace)
+    called = _called_code(lambda: (namespace["decorated"](), namespace["C"].method()))
+    probe = os.path.realpath("probe.py")
+    assert sorted((line, name) for path, line, name in called if path == probe) == [
+        (3, "decorated"), (6, "method"), (8, "inner")
+    ]
+
+
+# every element command runs in every format, on operands that take each
+# rule of the engine (an R2 central term, an R3 run, an R4 inside a word and
+# at its end, R6), a division, a negative power and a sum over two powers
+# of q - q^-1
+_ELEMENT_RUNS = (
+    [
+        "nf",
+        "a[1]*a[-1] + a[2]*x+[0]*x-[1] + x-[1]*x+[0]*a[2] + x+[1]*x+[-1]"
+        " + x+[0]/(3*u)*K^-2 + 1/(q - q^-1) + (q - q^-1)^-2",
+    ],
+    ["mul", "x+[0]", "x-[1]*K"],
+    ["comm", "x+[0]", "-x-[0]"],
+    ["dcomm", "E(+,0,0,0)", "E(+,0,0,-2)", "--p", "1"],
+    ["psi", "2"],
+    ["phi", "-2"],
+    ["E", "-", "1", "0", "2"],
+    ["c", "+", "1", "0"],
+    ["omega", "a[1]*x+[2]*(q - q^-1)^-2*K"],
+)
+
+# argparse's usage errors, the sweep flags' and the expression reader's
+_USAGE_ERRORS = (
+    ["bogus"],
+    ["verify", "--claims", "bogus"],
+    ["verify", "--claims", ","],
+    ["verify", "--n-max", "-1"],
+    ["verify", "--m-range", "1:0"],
+    ["verify", "--p-range", "x"],
+    ["verify", "--claims", "ep", "--n-max", "0", "--k-max", "0"],
+    ["nf", "x+[0"],
+    ["nf", "1/(q + 1)"],
+    ["nf", "x+[0]/x+[1]"],
+    ["nf", "1/0"],
+    ["nf", "zeta"],
+    ["nf", "f(1)"],
+    ["nf", "a[0]"],
+)
+
+_IMPORTED_BY_PERFBENCH = "perfbench/workloads.py imports it from the package"
+_IN_A_WORKER = "only a forked sweep worker runs it; tests/test_cli.py covers it"
+
+# the functions that no command calls in its own process, each with its reason
+_NOT_CALLED_HERE = {
+    "cli._work": _IN_A_WORKER,
+    "cli._send": _IN_A_WORKER,
+    "cli._error_frame": _IN_A_WORKER,
+    "family.expand_general_commutator": _IMPORTED_BY_PERFBENCH,
+    "family.expand_specialized_commutator": _IMPORTED_BY_PERFBENCH,
+}
+
+
+def _run_every_command(monkeypatch):
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+
+    for argv in _ELEMENT_RUNS:
+        for fmt in ("text", "latex", "json"):
+            run([*argv, "--format", fmt])
+    # the sweep on this machine's CPUs, in this process, and forked
+    for cpus in (cli._cpus, lambda: 1, lambda: 2):
+        monkeypatch.setattr(cli, "_cpus", cpus)
+        for mode in ("strict", "full"):
+            for fmt in ("text", "json"):
+                run(["verify", "--n-max", "2", "--k-max", "2", "--m-range=-1:0"]
+                    + ["--p-range=0:1", "--mode", mode, "--format", fmt])
+    for argv in _USAGE_ERRORS:
+        run(argv)
+
+
+def test_every_function_runs_under_a_command(monkeypatch):
+    # the package holds only what its commands run: every function and
+    # method of src/uqsl2 but the dunders is called by some command, run
+    # here under a profiler with every memo empty
+    clear_caches()
+    called = _called_code(lambda: _run_every_command(monkeypatch))
+    missing = []
+    for p in sorted(SRC.glob("*.py")):
+        path = os.path.realpath(p)
+        for name, line in _defined_functions(ast.parse(p.read_text()), f"{p.stem}."):
+            leaf = name.rpartition(".")[2]
+            if (path, line, leaf) not in called and not (leaf[:2] == leaf[-2:] == "__"):
+                missing.append(name)
+    assert [name for name in missing if name not in _NOT_CALLED_HERE] == []
+    # and every exemption is still needed
+    assert sorted(missing) == sorted(_NOT_CALLED_HERE)
 
 
 _MUTATORS = {"append", "update", "setdefault", "pop", "clear", "add", "extend", "insert"}
@@ -544,10 +699,13 @@ def test_render_imports_no_module_above_elements():
 
 
 # modules that no command runs: a sweep forks its workers without
-# multiprocessing, and only tests evaluate a coefficient with fractions
-# (which imports decimal); records are collections.namedtuple types, not
+# multiprocessing, only tests evaluate a coefficient with fractions (which
+# imports decimal and numbers), and the ring takes ints, not any
+# numbers.Rational; records are collections.namedtuple types, not
 # dataclasses (which import inspect) or typing.NamedTuple
-_NOT_AT_IMPORT = ("multiprocessing", "dataclasses", "inspect", "typing", "fractions", "decimal")
+_NOT_AT_IMPORT = (
+    "multiprocessing", "dataclasses", "inspect", "typing", "fractions", "decimal", "numbers"
+)
 
 
 def test_importing_the_cli_loads_no_module_that_no_command_runs():

@@ -11,7 +11,7 @@ from uqsl2.family import family_E
 from uqsl2.rewrite import normal_form
 from uqsl2.verify import verify_claim
 
-from helpers import drinfeld_r6, level0_action, rand_element, relation_instances
+from helpers import clear_caches, drinfeld_r6, level0_action, rand_element, relation_instances
 
 
 def _is_zero(matrix):
@@ -83,14 +83,14 @@ def _under_a_wrong_rule(monkeypatch, name, value):
     from uqsl2 import rewrite
 
     words = _mixed_words()
-    rewrite.clear_caches()
+    clear_caches()
     monkeypatch.setattr(rewrite, name, value)
     try:
         zero = sum(_is_zero(level0_action(rel)) for rel in relation_instances())
         agree = sum(level0_action(normal_form(e)) == level0_action(e) for e in words)
     finally:
         monkeypatch.undo()
-        rewrite.clear_caches()
+        clear_caches()
     return zero, agree, len(words)
 
 
@@ -156,11 +156,11 @@ def test_no_ep_em_normal_form_acts_as_its_bracket_under_the_wrong_r6(monkeypatch
     from uqsl2 import rewrite
 
     brackets = _ep_em_brackets()
-    rewrite.clear_caches()
+    clear_caches()
     monkeypatch.setattr(rewrite, "q_pow", lambda k: q_pow(-k))
     try:
         agree = sum(_acts_as_its_bracket(*b) for b in brackets)
     finally:
         monkeypatch.undo()
-        rewrite.clear_caches()
+        clear_caches()
     assert agree == 0

@@ -16,6 +16,7 @@ from uqsl2.rewrite import RelationMode, commutator, deformed_commutator, normal_
 from helpers import (
     assert_coeffs_match_numerically,
     carry_one_letter_at_a_time,
+    clear_caches,
     drinfeld_r6,
     equals,
     is_central,
@@ -223,7 +224,7 @@ def test_clear_caches_leaves_every_memo_empty():
         family.family_E_neg,
     )
     assert set(memos) == set(_package_memos().values())
-    rewrite.clear_caches()
+    clear_caches()
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
     assert normal_form(w, S) == before
 
@@ -312,12 +313,10 @@ def test_normal_form_retains_no_words():
     import gc
     import tracemalloc
 
-    from uqsl2 import rewrite
-
     # the second 8-letter template of the nf-long-words benchmark
     word = tuple(map(xminus, (3, 1, 0, 2))) + tuple(map(xplus, (-2, 0, -3, -1)))
     for mode in (S, F):
-        rewrite.clear_caches()
+        clear_caches()
         tracemalloc.start()
         try:
             result = normal_form(Element.from_monomial(Monomial(word, 0)), mode)
@@ -337,7 +336,7 @@ def test_diamond_detects_the_wrong_r6_convention(monkeypatch):
     # docstring); the diamond check on criterion 1's words must see it
     from uqsl2 import rewrite
 
-    rewrite.clear_caches()
+    clear_caches()
     monkeypatch.setattr(rewrite, "q_pow", lambda k: q_pow(-k))
     rng = random.Random(20240)
     try:
@@ -347,7 +346,7 @@ def test_diamond_detects_the_wrong_r6_convention(monkeypatch):
                 return
     finally:
         monkeypatch.undo()
-        rewrite.clear_caches()
+        clear_caches()
     raise AssertionError("no word tells the two rewrite orders apart")
 
 
@@ -495,14 +494,12 @@ def _package_memos():
 def test_every_memo_is_bounded():
     # no unbounded caches: every memo of the package has a finite maxsize,
     # and clear_caches() reaches every one of them
-    from uqsl2 import rewrite
-
     memos = _package_memos()
     assert "uqsl2.currents.psi" in memos and "uqsl2.rewrite._replacement" in memos
     assert [n for n, m in memos.items() if m.cache_info().maxsize is None] == []
     normal_form(el_mul(g(xminus(0)), el_mul(g(agen(1)), g(xplus(0)))), S)
     is_central(K, S)
-    rewrite.clear_caches()
+    clear_caches()
     assert [n for n, m in memos.items() if m.cache_info().currsize] == []
 
 
@@ -510,10 +507,9 @@ def test_every_memo_gets_hits_on_a_small_representative_run():
     # a memo that a run of every kind of work never hits only costs memory
     # and a line in clear_caches(): EP/EM sweeps in both modes, one long
     # mixed word (an nf benchmark template) and 100 family brackets
-    from uqsl2 import rewrite
     from uqsl2.family import expand_general_commutator, family_E_neg, family_E_pos
 
-    rewrite.clear_caches()
+    clear_caches()
     cfg = {"n_max": 3, "k_max": 3, "m_range": (0, 1), "p_range": (0, 1)}
     for mode in (S, F):
         for claim in ("EP", "EM"):

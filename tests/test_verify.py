@@ -6,7 +6,8 @@ from uqsl2.coeff import RF_ONE, one_term, q_pow, qminus, u_pow
 from uqsl2.elements import Element, Monomial, el_mul, omega, xminus, xplus
 from uqsl2.family import family_E
 from uqsl2 import rewrite, verify
-from uqsl2.rewrite import RelationMode, clear_caches, normal_form
+from uqsl2.cli import SuiteConfig
+from uqsl2.rewrite import RelationMode, normal_form
 from uqsl2.verify import (
     CLAIMS,
     RegimeError,
@@ -16,7 +17,7 @@ from uqsl2.verify import (
     verify_claim,
 )
 
-from helpers import is_same_sign_residual, project_x_free, sweep_claim
+from helpers import clear_caches, is_same_sign_residual, project_x_free, sweep_claim
 
 S = RelationMode.STRICT
 F = RelationMode.FULL
@@ -47,7 +48,6 @@ def test_ep_base_case_strict_residual():
 
 
 def test_regime_errors():
-    display1 = {"m": 0, "l": 0, "eta": 0, "theta": 0, "p": 0, "sign": "+"}
     outside = [
         ("EP", {"n": 1, "k": 1, "m": 0, "p": 0}),
         ("EP", {"n": -1, "k": 1, "m": 0, "p": 0}),
@@ -57,8 +57,6 @@ def test_regime_errors():
         ("COMMC", {"n": 0, "m": 0, "sign": "+", "convention": "bogus"}),
         ("OMEGA_E", {"n": -1, "m": 0, "p": 0, "sign": "+"}),
         ("REFLECT", {"n": -1, "m": 0, "eta": 0, "sign": "-"}),
-        ("PROOF_DISPLAY_1", {"n": -1, "k": 0, **display1}),
-        ("PROOF_DISPLAY_2", {"n": 0, "k": -1, "m": 0, "p": 0, "sign": "+"}),
     ]
     assert {claim for claim, _ in outside} == set(CLAIMS)
     for claim, params in outside:
@@ -71,9 +69,8 @@ def test_the_sweep_and_verify_claim_share_each_regime():
     # both read the one regime predicate in the claim's row
     cfg = {"n_max": 2, "k_max": 2, "m_range": (-1, 0), "p_range": (0, 0)}
     axes = verify._axes(cfg)
-    swept = [name for name, c in CLAIMS.items() if c.grid]
-    assert swept == ["EP", "EM", "COMMC", "OMEGA_E", "REFLECT"]
-    for claim in swept:
+    assert list(CLAIMS) == ["EP", "EM", "COMMC", "OMEGA_E", "REFLECT"]
+    for claim in CLAIMS:
         grid = CLAIMS[claim].grid
         kept = list(sweep_params(claim, cfg))
         assert kept
@@ -132,9 +129,24 @@ def test_ep_em_discrepancy_is_the_result_normal_formed_once(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", [S, F])
-def test_reflect_normal_forms_once_per_instance(monkeypatch, mode):
+def test_every_stated_value_is_its_own_normal_form(mode):
+    # verify_claim's discrepancy is the plain difference of the engine's
+    # value and the stated one, which is a normal form because both are
+    ranges = SuiteConfig(claims=list(CLAIMS)).ranges()
+    count = 0
+    for claim, entry in CLAIMS.items():
+        for params in sweep_params(claim, ranges):
+            result, expected, _ = entry.instance(params, mode)
+            assert normal_form(expected, mode) == expected, (claim, params)
+            assert normal_form(result, mode) == result, (claim, params)
+            count += 1
+    assert count == 1100
+
+
+@pytest.mark.parametrize("mode", [S, F])
+def test_reflect_normal_forms_nothing(monkeypatch, mode):
     # both candidates are single-letter normal forms, so matched_sign is
-    # found by comparing terms, and only the discrepancy is normal-formed
+    # found by comparing terms, and the discrepancy is their difference
     calls = []
 
     def counted(a, mode=S):
@@ -145,7 +157,7 @@ def test_reflect_normal_forms_once_per_instance(monkeypatch, mode):
     monkeypatch.setattr(verify, "normal_form", counted)
     cfg = {"n_max": 2, "k_max": 0, "m_range": (-1, 1), "p_range": (0, 0)}
     reports = sweep_claim("REFLECT", cfg, mode)
-    assert len(calls) == len(reports) == 54
+    assert (len(calls), len(reports)) == (0, 54)
     assert all(r.params["matched_sign"] == r.params["sign"] for r in reports)
 
 
@@ -220,39 +232,6 @@ def test_reflection_verifies_same_sign():
             assert r.params["matched_sign"] == sign
             assert not r.paper_match  # the stated form flips the sign
             assert not expectation_met(r)
-
-
-def test_proof_display_1_report():
-    # eta + theta = m + l makes the printed and derived displays coincide
-    r = verify_claim(
-        "PROOF_DISPLAY_1",
-        {"n": 0, "k": 0, "m": 1, "l": 1, "eta": 1, "theta": 1, "p": 0, "sign": "+"},
-        S,
-    )
-    assert r.paper_match
-    r = verify_claim(
-        "PROOF_DISPLAY_1",
-        {"n": 0, "k": 0, "m": 1, "l": 1, "eta": 0, "theta": 0, "p": 0, "sign": "+"},
-        S,
-    )
-    assert not r.paper_match
-    assert not r.discrepancy.is_zero()
-
-
-def test_proof_display_2_report():
-    # in the vanishing regime the stated closed form is zero, but the
-    # bracket is the EP same-sign residual, so the discrepancy is exactly
-    # that residual and has no x-free term
-    r = verify_claim("PROOF_DISPLAY_2", {"n": 0, "k": 2, "m": 0, "p": 1, "sign": "+"}, F)
-    assert r.verdict.kind == "residual"
-    assert not r.paper_match
-    assert r.discrepancy == r.verdict.value
-    assert is_same_sign_residual(r.discrepancy)
-    # at n = k the printed overall K-power disagrees with the derived one,
-    # which shows in the x-free part of the discrepancy
-    r = verify_claim("PROOF_DISPLAY_2", {"n": 1, "k": 1, "m": 0, "p": 1, "sign": "+"}, F)
-    assert not r.paper_match
-    assert not project_x_free(r.discrepancy).is_zero()
 
 
 def test_sweep_claim_shapes():
