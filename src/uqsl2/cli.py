@@ -5,9 +5,10 @@ element operand with ``expr.evaluate`` and applies the table's function to
 the operands' values.
 
 Exit codes: 0 all expectations met, 1 discrepancies found, 2 usage, parse
-or configuration error, or a sweep worker that could not start or died,
-141 (128 + SIGPIPE) stdout closed by its reader before the output was
-written, as in ``uqsl2 verify | head``, with no traceback.  Every command
+or configuration error, the engine out of memory or stack, or a sweep
+worker that could not start or died, 141 (128 + SIGPIPE) stdout closed by
+its reader before the output was written, as in ``uqsl2 verify | head``,
+with no traceback.  Every command
 computes in full mode, in U_q(sl2-hat) under all of Drinfeld's relations
 (see ``rewrite``), unless ``--mode strict`` leaves out the same-sign x
 relation.  A sweep is set up by ``verify``'s flags alone, whose defaults
@@ -497,6 +498,10 @@ def main(argv=None) -> int:
     # deeply nested input outgrows the stack
     except (ParseError, EvalError, ConfigError, ValueError, RecursionError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # its message is empty; what the failed computation held is freed
+        print("error: out of memory", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader closed stdout; the sweep's workers are gone already.  What

@@ -27,11 +27,13 @@ and look the result up, with no polynomial product, no normalization and,
 on a hit, no allocation.  Only this module reads ``single``.  Identity is only a shortcut: an
 evicted value is rebuilt as an equal fresh object.
 
-An int is an operand of the ring's arithmetic, and the engine divides by
-integers through the ring: a rational number such as 1/2 is
-``RatFunc.from_int(1) / 2``.  No command evaluates a coefficient at a
-number; the tests' numeric oracle, ``evaluate_at`` in tests/helpers.py,
-does.
+Both operands of every arithmetic operator are RatFuncs, with no int
+branch and no reflected operator: the engine makes an integer a
+coefficient with ``RatFunc.from_int`` first, so a rational number such as
+1/2 is ``RatFunc.from_int(1) / RatFunc.from_int(2)``.  There is no power
+operator; the expression reader's ``expr._power`` raises elements.  No
+command evaluates a coefficient at a number; the tests' numeric oracle,
+``evaluate_at`` in tests/helpers.py, does.
 """
 
 from __future__ import annotations
@@ -81,29 +83,30 @@ P_ONE = {(0, 0): 1}
 def _div_qminus(p: dict):
     """Exact quotient p/(q - q^-1), or None when not divisible.
 
-    A p that does not vanish at (q, u) = (1, 1) is refused at once.  Each
-    u-column of the rest is divided in one pass, by the running-sum
-    recurrence t_(e-1) = p_e + t_(e+1) from the column's top q-exponent
-    down to its lowest, bot.  A quotient's exponents lie strictly between
-    bot and the top, so p is divisible exactly when the two values the
-    recurrence leaves at bot and bot - 1 are 0.
+    A p that does not vanish at (q, u) = (1, 1) is refused at once.  Since
+    q - q^-1 = q^-1 (q - 1)(q + 1), the rest is divisible exactly when each
+    u-column, a Laurent polynomial in q, vanishes at q = 1 and at q = -1,
+    which one pass over the terms decides.  Each column of a divisible p is
+    then divided by the running-sum recurrence t_(e-1) = p_e + t_(e+1) from
+    the column's top q-exponent down; the quotient's exponents lie strictly
+    between the column's lowest, bot, and its top.
     """
     if sum(p.values()):
         return None
     cols = {}
     for (eq, eu), c in p.items():
         cols.setdefault(eu, {})[eq] = c
+    for col in cols.values():
+        if sum(col.values()) or sum(-c if eq & 1 else c for eq, c in col.items()):
+            return None
     out = {}
     for eu, col in cols.items():
-        bot = min(col)
         # p_e = t_(e-1) - t_(e+1)  =>  t_(e-1) = p_e + t_(e+1)
         t = {}
-        for e in range(max(col), bot - 1, -1):
+        for e in range(max(col), min(col) + 1, -1):
             v = col.get(e, 0) + t.get(e + 1, 0)
             if v:
                 t[e - 1] = v
-        if bot in t or bot - 1 in t:
-            return None
         for eq, c in t.items():
             out[(eq, eu)] = c
     return out
@@ -191,10 +194,6 @@ class RatFunc:
         return _rf({e: -c for e, c in self.num.items()}, self.den, self.d)
 
     def __add__(self, other):
-        if other.__class__ is not RatFunc:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
         sd, od, d, e = self.den, other.den, self.d, other.d
         if d == e and sd == od:
             s = _padd(self.num, other.num)
@@ -209,28 +208,12 @@ class RatFunc:
             return RF_ZERO
         return _reduced(s, m, top)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if other.__class__ is not RatFunc:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if other is RF_ONE:
             return self
-        if other.__class__ is not RatFunc:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
         if self is RF_ONE:
             return other
         if self.single is not None and other.single is not None:
@@ -251,12 +234,7 @@ class RatFunc:
             return _reduced(num, 1, d)
         return _reduced(_pmul(a, b), sd * od, d)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self * other.inv()
 
     def inv(self) -> "RatFunc":
@@ -277,18 +255,6 @@ class RatFunc:
         if k >= self.d:
             return _reduced(top, abs(c), k - self.d)
         return _reduced(_lift(top, 1, self.d - k), abs(c), 0)
-
-    def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            return self.inv() ** (-n)
-        out = RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def mul_q_pow(self, k: int) -> "RatFunc":
         """self * q^k, by shifting the numerator's q-exponents.  q^k is a
@@ -339,15 +305,6 @@ def _rf(num: dict, den: int, d: int = 0) -> RatFunc:
 
 RF_ZERO = _rf({}, 1)
 RF_ONE = _rf(P_ONE, 1)
-
-
-def _coerce(x):
-    """x as a RatFunc when it is one or an int; NotImplemented otherwise."""
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, int):
-        return RatFunc.from_int(x)
-    return NotImplemented
 
 
 def mul_shifted(a: RatFunc, b: RatFunc, k: int) -> RatFunc:

@@ -41,7 +41,7 @@ def _expansion(m: int, index_sign: int, coeff_base: RatFunc, kexp: int) -> Eleme
         denom = 1
         for mult in lam.values():
             denom *= factorial(mult)
-        coeff = powers[length] / denom
+        coeff = powers[length] / RatFunc.from_int(denom)
         word = []
         for part in sorted(lam, key=lambda p: p * index_sign):
             word.extend([agen(index_sign * part)] * lam[part])

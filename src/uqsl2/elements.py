@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .coeff import RF_ONE, RatFunc, _coerce, mul_shifted
+from .coeff import RF_ONE, RatFunc, mul_shifted
 
 XPLUS, XMINUS, AGEN = 0, 1, 2
 # how each kind of generator is spelled in text and JSON, and back
@@ -62,7 +62,9 @@ class Element:
     Zero coefficients are never stored; the zero element has no terms.
     Elements are value-like: operations return new instances and nothing
     mutates ``terms`` after construction, so they are safe to share across
-    workers.
+    workers.  Each operator takes only Elements: + and - add and subtract,
+    * is ``el_mul``, and a scalar multiple is ``scale``; there is no
+    negation and no reflected operator.
     """
 
     __slots__ = ("terms",)
@@ -108,12 +110,7 @@ class Element:
     def __eq__(self, other):
         return isinstance(other, Element) and self.terms == other.terms
 
-    def __neg__(self):
-        return _element({m: -c for m, c in self.terms.items()})
-
     def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
         t = dict(self.terms)
         for m, c in other.terms.items():
             acc = t.get(m)
@@ -125,8 +122,6 @@ class Element:
         return _element(t)
 
     def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
         t = dict(self.terms)
         for m, c in other.terms.items():
             acc = t.get(m)
@@ -141,18 +136,7 @@ class Element:
         return _element(t)
 
     def __mul__(self, other):
-        if isinstance(other, Element):
-            return el_mul(self, other)
-        c = _coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return self.scale(c)
-
-    def __rmul__(self, other):
-        c = _coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return self.scale(c)
+        return el_mul(self, other)
 
     def scale(self, coeff: RatFunc) -> "Element":
         if coeff.is_zero():

@@ -37,7 +37,7 @@ from .currents import phi as phi_el
 from .currents import psi as psi_el
 from .elements import AGEN, GEN_KINDS, Element, Gen, Monomial, el_mul, omega
 from .family import central_c, family_E
-from .rewrite import RelationMode, commutator, deformed_commutator, normal_form
+from .rewrite import RelationMode, deformed_commutator, normal_form
 
 
 class ParseError(ValueError):
@@ -247,7 +247,7 @@ CALLS = {
     "comm": CallSpec(
         "commutator of two expressions",
         ("left", "right"),
-        lambda mode, a, b: commutator(a, b, mode),
+        lambda mode, a, b: deformed_commutator(a, b, 0, mode),
     ),
     "dcomm": CallSpec(
         "K^p-deformed commutator",

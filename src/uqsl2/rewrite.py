@@ -70,12 +70,12 @@ _R2, _R3, _R4, _R6 = 2, 3, 4, 6
 
 def _aa_central(k: int) -> RatFunc:
     # [a_k, a_-k] for k > 0
-    return qint(2 * k) / k * (u_pow(2 * k) - u_pow(-2 * k)) / qminus()
+    return qint(2 * k) / RatFunc.from_int(k) * (u_pow(2 * k) - u_pow(-2 * k)) / qminus()
 
 
 def _ax_coeff(n: int, kind: int) -> RatFunc:
     # coefficient of x+-_(n+k) in a_n x+-_k - x+-_k a_n
-    c = qint(2 * n) / n
+    c = qint(2 * n) / RatFunc.from_int(n)
     if kind == XPLUS:
         return c * u_pow(-abs(n))
     return -(c * u_pow(abs(n)))
@@ -304,14 +304,10 @@ def normal_form(a: Element, mode: RelationMode = RelationMode.FULL) -> Element:
     return _element({m: c for m, c in done.items() if c})
 
 
-def commutator(a: Element, b: Element, mode: RelationMode = RelationMode.FULL) -> Element:
-    return normal_form(el_mul(a, b) - el_mul(b, a), mode)
-
-
 def deformed_commutator(
     a: Element, b: Element, p: int, mode: RelationMode = RelationMode.FULL
 ) -> Element:
     """[a, b]_{K^p} = a K^p b - b K^p a, normal-formed; the ordinary
-    commutator at p = 0.  Each side is one ``el_mul`` pass, a K^p b,
-    with no K-power element built."""
+    commutator at p = 0, which is how ``comm`` calls it.  Each side is one
+    ``el_mul`` pass, a K^p b, with no K-power element built."""
     return normal_form(el_mul(a, b, p) - el_mul(b, a, p), mode)

@@ -21,7 +21,7 @@ from uqsl2.coeff import RatFunc
 from uqsl2.elements import Element
 from uqsl2.expr import CALLS, ELEMENT_ARGS, evaluate
 from uqsl2.render import FORMATS, print_element
-from uqsl2.rewrite import RelationMode, commutator, deformed_commutator, normal_form
+from uqsl2.rewrite import RelationMode, deformed_commutator, normal_form
 from uqsl2.verify import CLAIMS, expectation_met, verify_claim
 
 from helpers import element_to_obj, equals, json_to_element, rand_element, sweep_claim
@@ -179,7 +179,8 @@ def test_every_entry_point_decides_in_full_mode_by_default():
     sorted_word = evaluate("q^2*x+[0]*x+[1]", full)
     assert normal_form(word) == sorted_word != normal_form(word, strict)
     a, b = evaluate("x+[1]", full), evaluate("x+[0]", full)
-    assert commutator(a, b) == commutator(a, b, full) != commutator(a, b, strict)
+    assert deformed_commutator(a, b, 0) == deformed_commutator(a, b, 0, full)
+    assert deformed_commutator(a, b, 0) != deformed_commutator(a, b, 0, strict)
     assert deformed_commutator(a, b, 1) == deformed_commutator(a, b, 1, full)
     assert deformed_commutator(a, b, 1) != deformed_commutator(a, b, 1, strict)
     assert equals(word, sorted_word) and not equals(word, sorted_word, strict)
@@ -512,6 +513,11 @@ def _recursion_error():
     return RecursionError("maximum recursion depth exceeded")
 
 
+def _memory_error():
+    # raised, not allocated: its message is empty, and the CLI names it
+    return MemoryError()
+
+
 def _unpicklable_error():
     # pickle finds a class by its qualified name, which a local class's
     # "<locals>" step cannot resolve
@@ -521,12 +527,13 @@ def _unpicklable_error():
     return Unpicklable("no value for this instance")
 
 
-@pytest.mark.parametrize("error", [_recursion_error, _unpicklable_error])
+@pytest.mark.parametrize("error", [_recursion_error, _unpicklable_error, _memory_error])
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_an_engine_error_in_a_sweep_exits_2_with_its_message(cpus, error, monkeypatch):
     # an engine error at one OMEGA_E instance, raised here or in a worker
     # (the workers fork after the patch, so they inherit it), gives the same
-    # status and error line, even where the error cannot be pickled
+    # status and error line, even where the error cannot be pickled; running
+    # out of memory is one line too
     monkeypatch.setattr(cli, "_cpus", lambda: cpus)
     argv = _small_argv("text")
     whole = run_cli(argv)[1]
@@ -540,7 +547,8 @@ def test_an_engine_error_in_a_sweep_exits_2_with_its_message(cpus, error, monkey
 
     monkeypatch.setitem(CLAIMS, "OMEGA_E", CLAIMS["OMEGA_E"]._replace(instance=failing))
     code, out, err = run_cli(argv)
-    assert (code, err) == (2, f"error: {exc}\n")
+    message = "out of memory" if isinstance(exc, MemoryError) else exc
+    assert (code, err) == (2, f"error: {message}\n")
     assert whole.startswith(out)
     assert "claim=COMMC " in out and "claim=OMEGA_E " not in out
     assert _no_child_left()
@@ -712,6 +720,16 @@ def test_engine_recursion_error_is_a_usage_error(monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_of_memory_in_nf_exits_2_with_one_line(monkeypatch):
+    from uqsl2 import expr
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(expr, "normal_form", exhausted)
+    assert run_cli(["nf", "a[2]*a[1]"]) == (2, "", "error: out of memory\n")
 
 
 def test_deeply_nested_input_is_a_usage_error():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,18 +20,22 @@ from uqsl2.coeff import (
     qminus,
     u_pow,
 )
+from uqsl2.expr import EvalError, evaluate
+from uqsl2.render import print_element
+from uqsl2.rewrite import normal_form
 
 from helpers import (
     PoleError,
     admissible_den,
     as_poly,
     evaluate_at,
+    power,
     rand_poly,
     rand_ratfunc,
     ratfunc,
 )
 
-HALF = RatFunc.from_int(1) / 2
+HALF = RatFunc.from_int(1) / RatFunc.from_int(2)
 
 
 def test_add_identity_and_inverse():
@@ -190,7 +195,15 @@ def test_inv_accepts_exactly_the_admissible_values():
         q0, u0 = Fraction(rng.randrange(2, 9), 9), Fraction(rng.randrange(2, 9), 5)
         assert evaluate_at(x, q0, u0) * evaluate_at(inv, q0, u0) == 1
     q = q_pow(1)
-    for bad in (q + 1, q * q + 1, u_pow(2) - 1, (q + 1) * qminus(), q * u_pow(1) + 1, HALF * (q + 1)):
+    one = RF_ONE
+    for bad in (
+        q + one,
+        q * q + one,
+        u_pow(2) - one,
+        (q + one) * qminus(),
+        q * u_pow(1) + one,
+        HALF * (q + one),
+    ):
         with pytest.raises(ValueError, match="c\\*q\\^a\\*u\\^b"):
             bad.inv()
         with pytest.raises(ValueError):
@@ -212,18 +225,18 @@ def _polynomial(rng):
 
 
 def _qminus_power_den(rng):
-    return ratfunc(rand_poly(rng, nterms=4), P_ONE) / qminus() ** rng.randrange(1, 3)
+    return ratfunc(rand_poly(rng, nterms=4), P_ONE) / power(qminus(), rng.randrange(1, 3))
 
 
 def _rational_number(rng):
-    return RatFunc.from_int(rng.randrange(-4, 5)) / rng.randrange(1, 4)
+    return RatFunc.from_int(rng.randrange(-4, 5)) / RatFunc.from_int(rng.randrange(1, 4))
 
 
 _SHAPES = (_one_term, _polynomial, _qminus_power_den, rand_ratfunc, _rational_number)
 
 
 # an admissible divisor with an integer part and a factor q - q^-1
-_D = 6 * qminus()
+_D = RatFunc.from_int(6) * qminus()
 
 
 def _shaped_pairs(seed, count):
@@ -268,7 +281,7 @@ def test_ring_operations_agree_with_sympy_cancel():
 def test_polynomial_results_hold_the_shared_denominator():
     # the arithmetic tells polynomials apart by `den == 1` and d = 0, and
     # the printer by the shared den ``P_ONE`` of the display pair
-    for value in (RatFunc.from_int(3), RatFunc.from_int(-6) / 2):
+    for value in (RatFunc.from_int(3), RatFunc.from_int(-6) / RatFunc.from_int(2)):
         assert value.den == 1 and as_poly(value) is value.num
     seen = 0
     for a, b in _shaped_pairs(seed=7, count=400):
@@ -355,18 +368,37 @@ def test_div_qminus_refuses_what_vanishes_at_one_but_is_not_divisible(terms):
     assert coeff._div_qminus(terms) is None
 
 
+def test_a_wide_exponent_gap_is_refused_without_walking_it():
+    # neither q^1000001 - 1 nor its inverse's candidate vanishes at q = -1,
+    # so (q - q^-1) divides neither, and the refusal builds nothing the size
+    # of the gap: one pass over the terms, not over a million exponents
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        text = print_element(normal_form(evaluate("(q^1000001 - 1)/(q - q^-1)")), "text")
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+        tracemalloc.reset_peak()
+        with pytest.raises(EvalError, match="can only divide"):
+            evaluate("1/(q^1000001 - 1)")
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert text == "(q^1000002 - q)/(q^2 - 1)"
+
+
 def test_equal_values_over_an_integer_den_have_identical_fields():
     # so __eq__ on the rewriting's coefficients is a field compare
     rng = random.Random(13)
+    six = RatFunc.from_int(6)
     seen = 0
     for _ in range(400):
-        a = rng.choice(_SHAPES)(rng) / qminus() ** rng.randrange(4)
-        b = rng.choice(_SHAPES)(rng) / qminus() ** rng.randrange(4)
+        a = rng.choice(_SHAPES)(rng) / power(qminus(), rng.randrange(4))
+        b = rng.choice(_SHAPES)(rng) / power(qminus(), rng.randrange(4))
         k = rng.randrange(4)
         for other in (
             b,
             (a * _D + RF_ONE) / _D - RF_ONE / _D,
-            a * qminus() ** k * 6 / (qminus() ** k * 6),
+            a * power(qminus(), k) * six / (power(qminus(), k) * six),
             (a + b / qminus()) - b / qminus(),
             a.mul_q_pow(k) * q_pow(-k),
         ):
@@ -379,7 +411,7 @@ def test_equal_values_over_an_integer_den_have_identical_fields():
 
 def test_product_over_qminus_powers_multiplies_only_the_numerators(monkeypatch):
     x = ratfunc({(2, 0): 1, (0, 1): 3}, P_ONE) / qminus()
-    y = ratfunc({(1, 0): 2, (0, -1): -1}, P_ONE) / qminus() ** 2
+    y = ratfunc({(1, 0): 2, (0, -1): -1}, P_ONE) / power(qminus(), 2)
     calls = [0]
     mul = coeff._pmul
 
@@ -401,7 +433,7 @@ def test_as_poly_answers_is_it_a_polynomial():
     # 1/(q - q^-1) stores the numerator 1 over the den 1
     assert as_poly(qminus().inv()) is None
     assert as_poly(q_pow(1) / qminus() * qminus()) == {(1, 0): 1}
-    assert as_poly(RatFunc.from_int(1) / 2) is None
+    assert as_poly(HALF) is None
     assert as_poly(ratfunc({(2, 0): 1, (0, 0): -1}, {(1, 0): 1, (-1, 0): -1})) == {(1, 0): 1}
 
 
@@ -421,11 +453,11 @@ def test_single_is_the_one_term_of_the_value():
     # the fast paths of the ring and el_mul trust ``single``, so it holds
     # (c, eq, eu) exactly when the value is the polynomial c q^eq u^eu
     q = q_pow(1)
-    collapsed = (q + 1) + (-1)
+    collapsed = (q + RF_ONE) + RatFunc.from_int(-1)
     assert collapsed.single == (1, 1, 0)
     values = [
         collapsed,
-        (q * q - 1) - q * q,
+        (q * q - RF_ONE) - q * q,
         qminus() - q,
         q / qminus() * qminus(),
         ratfunc({(2, 0): 1, (0, 0): -1}, admissible_den(1, 0, 0, 1)),
@@ -435,7 +467,7 @@ def test_single_is_the_one_term_of_the_value():
         ratfunc({(1, 0): 2, (-1, 0): -2}, {(0, 0): 2}),
         ratfunc(P_ONE, P_ONE),
         one_term(-2, 1, -3).inv(),
-        (2 * qminus()).inv(),
+        (RatFunc.from_int(2) * qminus()).inv(),
         one_term(5, 2, 3).subst_u_inverse(),
         (q + u_pow(1)).subst_u_inverse(),
         RF_ZERO,
@@ -444,13 +476,13 @@ def test_single_is_the_one_term_of_the_value():
         qint(2),
         HALF,
         RatFunc.from_int(-7),
-        q ** -3,
+        power(q, -3),
     ]
     for v in values:
         _assert_single(v)
     seen = 0
     for a, b in _shaped_pairs(seed=18, count=400):
-        for got in (a, b, *_results(a, b).values(), a.mul_q_pow(3), a + (-a.num.get((0, 0), 0))):
+        for got in (a, b, *_results(a, b).values(), a.mul_q_pow(3), a + RatFunc.from_int(-a.num.get((0, 0), 0))):
             _assert_single(got)
             seen += got.single is not None
     assert seen > 200

@@ -23,7 +23,7 @@ def test_vanishing():
 
 def test_first_components():
     assert psi(1) == Element({Monomial((agen(1),), 1): qminus()})
-    half = RatFunc.from_int(1) / 2
+    half = RatFunc.from_int(1) / RatFunc.from_int(2)
     assert psi(2) == Element(
         {
             Monomial((agen(2),), 1): qminus(),

@@ -70,7 +70,8 @@ def test_omega_generator_images():
     assert omega(Element.from_gen(xplus(2))) == Element.from_gen(xminus(-2))
     assert omega(K) == KINV
     assert omega(Element.from_coeff(u_pow(2))) == Element.from_coeff(u_pow(-2))
-    assert omega(Element.from_gen(agen(3))) == -Element.from_gen(agen(-3))
+    minus_one = RatFunc.from_int(-1)
+    assert omega(Element.from_gen(agen(3))) == Element.from_gen(agen(-3)).scale(minus_one)
 
 
 def test_omega_involution():
@@ -92,10 +93,10 @@ def test_project_x_free():
     e = Element(
         {
             Monomial((xplus(0), agen(1)), 0): RF_ONE,
-            Monomial((), 1): RF_ONE * 3,
+            Monomial((), 1): RatFunc.from_int(3),
         }
     )
-    assert project_x_free(e) == Element({Monomial((), 1): RF_ONE * 3})
+    assert project_x_free(e) == Element({Monomial((), 1): RatFunc.from_int(3)})
     assert project_x_free(Element.zero()).is_zero()
 
 
@@ -120,7 +121,7 @@ def test_element_algebra_basics():
         assert a + b == b + a
         assert a - a == Element.zero()
         assert (a + b) - b == a
-        assert a * 0 == Element.zero()
+        assert a.scale(RatFunc.from_int(0)) == Element.zero()
 
 
 def test_family_brackets_make_no_polynomial_products(monkeypatch):
@@ -184,7 +185,7 @@ def test_a_bare_k_power_on_the_right_only_adds_k_exponents():
     # K^e on the right passes no x: the K-exponents add and the
     # coefficients stay; checked against K^e with the coefficient 2, halved
     rng = random.Random(18)
-    half = RatFunc.from_int(1) / 2
+    half = RatFunc.from_int(1) / RatFunc.from_int(2)
     for _ in range(300):
         a = rand_element(rng, nterms=4)
         for e in range(-3, 4):

@@ -148,17 +148,22 @@ class C:
     def method():
         def inner(): pass
         inner()
+    def __len__(self): return 0
+    def __repr__(self): return ""
 """
     tree = ast.parse(source)
     assert _defined_functions(tree, "m.") == [
-        ("m.uncalled", 2), ("m.decorated", 3), ("m.C.method", 6), ("m.C.method.inner", 8)
+        ("m.uncalled", 2), ("m.decorated", 3), ("m.C.method", 6), ("m.C.method.inner", 8),
+        ("m.C.__len__", 10), ("m.C.__repr__", 11),
     ]
     namespace = {}
     exec(compile(tree, "probe.py", "exec"), namespace)
-    called = _called_code(lambda: (namespace["decorated"](), namespace["C"].method()))
+    C = namespace["C"]
+    # len() calls __len__ through its type slot, as an operator calls its dunder
+    called = _called_code(lambda: (namespace["decorated"](), C.method(), len(C())))
     probe = os.path.realpath("probe.py")
     assert sorted((line, name) for path, line, name in called if path == probe) == [
-        (3, "decorated"), (6, "method"), (8, "inner")
+        (3, "decorated"), (6, "method"), (8, "inner"), (10, "__len__")
     ]
 
 
@@ -202,14 +207,21 @@ _USAGE_ERRORS = (
 
 _IMPORTED_BY_PERFBENCH = "perfbench/workloads.py imports it from the package"
 _IN_A_WORKER = "only a forked sweep worker runs it; tests/test_cli.py covers it"
+_REPR = "pytest prints it in an assertion message; no command prints a repr"
 
-# the functions that no command calls in its own process, each with its reason
+# the functions and methods, dunders included, that no command calls in its
+# own process, each with its reason
 _NOT_CALLED_HERE = {
     "cli._work": _IN_A_WORKER,
     "cli._send": _IN_A_WORKER,
     "cli._error_frame": _IN_A_WORKER,
     "family.expand_general_commutator": _IMPORTED_BY_PERFBENCH,
     "family.expand_specialized_commutator": _IMPORTED_BY_PERFBENCH,
+    "coeff.RatFunc.__repr__": _REPR,
+    "elements.Element.__repr__": _REPR,
+    "elements.Element.__bool__": "without it every element, zero included, is true,"
+    " so an assert on an element would pass on zero",
+    "elements.Element.__mul__": "perfbench/test_bench_checks.py multiplies elements with *",
 }
 
 
@@ -234,7 +246,7 @@ def _run_every_command(monkeypatch):
 
 def test_every_function_runs_under_a_command(monkeypatch):
     # the package holds only what its commands run: every function and
-    # method of src/uqsl2 but the dunders is called by some command, run
+    # method of src/uqsl2, dunders included, is called by some command, run
     # here under a profiler with every memo empty
     clear_caches()
     called = _called_code(lambda: _run_every_command(monkeypatch))
@@ -243,7 +255,7 @@ def test_every_function_runs_under_a_command(monkeypatch):
         path = os.path.realpath(p)
         for name, line in _defined_functions(ast.parse(p.read_text()), f"{p.stem}."):
             leaf = name.rpartition(".")[2]
-            if (path, line, leaf) not in called and not (leaf[:2] == leaf[-2:] == "__"):
+            if (path, line, leaf) not in called:
                 missing.append(name)
     assert [name for name in missing if name not in _NOT_CALLED_HERE] == []
     # and every exemption is still needed

@@ -40,7 +40,7 @@ def _shaped_elements(rng):
                     mono = Monomial(rand_word(rng, max_len=4, max_idx=3), rng.randrange(-2, 3))
                 c = shape(rng)
                 if rng.random() < 0.2:
-                    d = 6 * qminus()
+                    d = RatFunc.from_int(6) * qminus()
                     c = (c * d + RF_ONE) / d - RF_ONE / d
                 terms[mono] = c
             out.append(Element(terms))

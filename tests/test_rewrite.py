@@ -11,7 +11,7 @@ from uqsl2.elements import (
     xminus,
     xplus,
 )
-from uqsl2.rewrite import RelationMode, commutator, deformed_commutator, normal_form
+from uqsl2.rewrite import RelationMode, deformed_commutator, normal_form
 
 from helpers import (
     assert_coeffs_match_numerically,
@@ -117,15 +117,15 @@ def test_r6_instances_and_their_omega_images_rewrite_to_zero():
 
 def test_commutator_examples():
     # [a_1, a_-1]
-    got = commutator(g(agen(1)), g(agen(-1)), S)
+    got = deformed_commutator(g(agen(1)), g(agen(-1)), 0, S)
     assert got == Element.from_coeff(qint(2) * (u_pow(2) - u_pow(-2)) / qminus())
     # [K, a_5] = 0
-    assert commutator(K, g(agen(5)), S).is_zero()
+    assert deformed_commutator(K, g(agen(5)), 0, S).is_zero()
     # [a, a] = 0
     rng = random.Random(2)
     for _ in range(10):
         a = rand_element(rng, max_len=3)
-        assert commutator(a, a, S).is_zero()
+        assert deformed_commutator(a, a, 0, S).is_zero()
 
 
 def test_deformed_commutator_examples():
@@ -134,7 +134,7 @@ def test_deformed_commutator_examples():
     for _ in range(20):
         a = rand_element(rng, max_len=3)
         b = rand_element(rng, max_len=3)
-        assert deformed_commutator(a, b, 0, S) == commutator(a, b, S)
+        assert deformed_commutator(a, b, 0, S) == normal_form(el_mul(a, b) - el_mul(b, a), S)
     # [a, a]_{K^p} = 0
     for p in (-2, 1, 3):
         a = rand_element(rng, max_len=3)
@@ -469,7 +469,6 @@ def test_cancelling_cartan_part_is_never_expanded(monkeypatch):
     for mode in (S, F):
         verify_claim("EP", params, mode)  # warm the memos
         monkeypatch.setattr(RatFunc, "__mul__", counting)
-        monkeypatch.setattr(RatFunc, "__rmul__", counting)
         products[0] = 0
         verify_claim("EP", params, mode)
         monkeypatch.undo()

@@ -101,7 +101,7 @@ def test_em_is_the_omega_image_of_ep(mode):
         if n < k:
             ep = CLAIMS["EP"].instance({"n": n, "k": k, "m": m, "p": p}, mode)[0]
             em = CLAIMS["EM"].instance({"n": k, "k": n, "m": m + 2 * p, "p": -p}, mode)[0]
-            assert normal_form(omega(ep), mode) == -em, (n, k, m, p)
+            assert (normal_form(omega(ep), mode) + em).is_zero(), (n, k, m, p)
             count += 1
     assert count == 375
 
